@@ -28,7 +28,7 @@ import numpy as np
 
 from . import codegen, estimator, kernels, passes, profiler, pruning, trainer
 from .fixed_point import quantize
-from .model_ir import ModelGraph, Tensor, parse_model, serialize_model, validate
+from .model_ir import ModelGraph, parse_model, serialize_model, validate
 
 log = logging.getLogger("fixflow")
 
@@ -219,6 +219,7 @@ def cmd_emulate(args, config):
             f"model expects {graph.input_width}"
         )
     graph = kernels.materialize_quantized(graph)
+    input_spec = graph.nodes[0].precision.result
     out = _out_dir(args)
     tap_dir = os.path.join(out, "taps")
     if args.taps:
@@ -226,15 +227,12 @@ def cmd_emulate(args, config):
     outputs, raw_inputs = [], []
     tap_rows = {}
     for x in rows:
-        result, taps = kernels.run_inference(graph, Tensor.from_numpy(x), tap_all=args.taps)
+        quantized = tuple(quantize(float(v), input_spec) for v in x)
+        raw_inputs.append(_format_vector(quantized))
+        result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
         outputs.append(_format_vector(result.data))
         for tap in taps:
             tap_rows.setdefault(tap.layer, []).append(_format_vector(tap.output.data))
-            if tap.layer == graph.nodes[0].name:
-                raw_inputs.append(_format_vector(tap.output.data))
-        if not args.taps:
-            quantized = [quantize(float(v), graph.nodes[0].precision.result) for v in x]
-            raw_inputs.append(_format_vector(quantized))
     _write_text(os.path.join(out, "outputs.txt"), "".join(outputs))
     _write_text(os.path.join(out, "inputs_raw.txt"), "".join(raw_inputs))
     if args.taps:
@@ -259,17 +257,22 @@ def _format_vector(values) -> str:
 def cmd_estimate(args, config):
     graph = _load_model(args.model, args.seed)
     clock = float(_pick(args, config, "clock_mhz", 200.0))
-    out = _out_dir(args)
-    estimates = estimator.estimate_model(graph, clock_mhz=clock,
+    factors = _parse_int_list(args.reuse) if args.reuse else []
+    # One quantized copy serves the estimates and the sweep. It is dropped
+    # before the real-valued graph is profiled and serialized, which keeps
+    # peak memory at that of the other commands.
+    quantized = graph if args.assume_dense else kernels.materialize_quantized(graph)
+    estimates = estimator.estimate_model(quantized, clock_mhz=clock,
                                          assume_dense=args.assume_dense)
+    sweep = estimator.reuse_sweep(quantized, factors, clock_mhz=clock,
+                                  assume_dense=args.assume_dense)
+    del quantized
+    out = _out_dir(args)
     profile = profiler.profile_weights(graph)
     _write_json(os.path.join(out, "report.json"),
                 codegen.emit_report(graph, estimates, profile))
     resource, timing = estimates
-    if args.reuse:
-        factors = _parse_int_list(args.reuse)
-        sweep = estimator.reuse_sweep(graph, factors, clock_mhz=clock,
-                                      assume_dense=args.assume_dense)
+    if factors:
         _write_sweep_csv(sweep, os.path.join(out, "reuse_scan.csv"))
         print(f"swept {len(factors)} reuse factors")
     print(f"DSP {resource.dsp_total}, BOPs {resource.bops_total:.0f}, "

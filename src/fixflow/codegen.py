@@ -12,10 +12,9 @@ classification argmax is unchanged); the firmware ends at the last
 fixed-point layer, and the testbench exchanges raw integer vectors, one
 whitespace-separated vector per line.
 
-``ProjectWriter`` is the multi-backend seam; ``HlsCppWriter`` is the one
-implementation that ships. Generation is pure and deterministic given
-(graph, config, tool version); only the manifest carries a timestamp.
-Writing files to disk is the caller's concern.
+Generation is pure and deterministic given (graph, config, tool
+version); only the manifest carries a timestamp. Writing files to disk
+is the caller's concern.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, quantize
 from .kernels import materialize_quantized, ternary_half_raw, threshold_raws
-from .model_ir import ModelGraph, serialize_model, topo_order
+from .model_ir import ModelGraph, serialize_model, walk
 
 TOOL_VERSION = __version__
 
@@ -218,22 +217,6 @@ def _weight_header(index: int, title: str, comments: list, arrays: list) -> str:
     return "\n".join(lines)
 
 
-def _plan(graph: ModelGraph):
-    """(kind, node, incoming spec) per layer, mirroring the emulator walk."""
-    order = topo_order(graph)
-    plan = []
-    in_spec = None
-    for pos, node in enumerate(order):
-        if node.kind == "softmax" and pos != len(order) - 1:
-            raise CodegenError(f"layer {node.name!r}: softmax is only supported as the final layer")
-        if node.kind not in ("input", "dense", "batch_norm", "relu",
-                             "binary_tanh", "ternary_tanh", "softmax"):
-            raise CodegenError(f"layer {node.name!r}: unsupported kind {node.kind!r}")
-        plan.append((node.kind, node, in_spec))
-        in_spec = node.precision.result
-    return plan
-
-
 def _emit_dense(node, in_spec, index):
     weight, bias = node.param("weight"), node.param("bias")
     m, n = weight.shape
@@ -298,7 +281,7 @@ def _emit_dense(node, in_spec, index):
             "}",
         ]
     header = _weight_header(index, f"layer {node.name}: dense {n} -> {m}", comments, arrays)
-    return header, kernel, m
+    return header, kernel
 
 
 def _emit_batch_norm(node, in_spec, index, width):
@@ -381,17 +364,15 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
     """Emit the full project tree for a validated, pass-optimized graph."""
     source_hash = hashlib.sha256(serialize_model(graph).encode()).hexdigest()
     graph = materialize_quantized(graph)
-    plan = _plan(graph)
+    steps = walk(graph)
     name = config.project_name
 
-    widths = graph.layer_widths()
     kernels, headers, stages = [], [], []
     header_paths = []
     weight_index = 0
     notes = []
-    input_spec = None
-    for kind, node, in_spec in plan:
-        width = widths[node.name]
+    for node, in_spec, _, width in steps:
+        kind = node.kind
         if kind == "input":
             input_spec = node.precision.result
             if "value" in node.params:
@@ -401,28 +382,21 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
             notes.append("trailing softmax is evaluated host-side; firmware emits the logits")
             continue
         if kind == "dense":
-            header, kernel, _ = _emit_dense(node, in_spec, weight_index)
-            headers.append((f"firmware/weights/w{weight_index}.h", header))
-            header_paths.append(f"weights/w{weight_index}.h")
-            weight_index += 1
+            header, kernel = _emit_dense(node, in_spec, weight_index)
         elif kind == "batch_norm":
             header, kernel = _emit_batch_norm(node, in_spec, weight_index, width)
-            headers.append((f"firmware/weights/w{weight_index}.h", header))
-            header_paths.append(f"weights/w{weight_index}.h")
-            weight_index += 1
         elif kind == "relu":
-            kernel = _emit_relu(node, in_spec, width)
+            header, kernel = None, _emit_relu(node, in_spec, width)
         else:  # binary_tanh / ternary_tanh
             header, kernel = _emit_sign_activation(node, in_spec, weight_index, width,
                                                    ternary=kind == "ternary_tanh")
+        if header is not None:
             headers.append((f"firmware/weights/w{weight_index}.h", header))
             header_paths.append(f"weights/w{weight_index}.h")
             weight_index += 1
         kernels.append(kernel)
         stages.append((node.name, width))
 
-    if input_spec is None:
-        raise CodegenError("graph has no input node")
     if not stages:
         raise CodegenError("graph has no fixed-point compute layers to emit")
     out_width = stages[-1][1]
@@ -464,7 +438,7 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
 
     files = [
         ("firmware/fixed_ops.h", FIXED_OPS_HEADER),
-        ("firmware/parameters.h", _parameters_header(graph, plan, widths)),
+        ("firmware/parameters.h", _parameters_header(steps)),
         (f"firmware/{name}.h", model_h),
         (f"firmware/{name}.cpp", "\n".join(cpp)),
     ]
@@ -483,29 +457,17 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
     return ProjectTree(tuple(files), manifest)
 
 
-class ProjectWriter:
-    """Backend-writer seam; one implementation per target language."""
-
-    def emit(self, graph: ModelGraph, config: CodegenConfig) -> ProjectTree:
-        raise NotImplementedError
-
-
-class HlsCppWriter(ProjectWriter):
-    def emit(self, graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> ProjectTree:
-        return emit_project(graph, config)
-
-
-def _parameters_header(graph, plan, widths) -> str:
+def _parameters_header(steps) -> str:
     lines = [
         "#pragma once",
         "// Per-layer configuration summary (informational).",
         "//",
         "// layer | kind | width | reuse | compression | weight/bias/acc/result",
     ]
-    for kind, node, _ in plan:
+    for node, _, _, width in steps:
         prec = node.precision
         lines.append(
-            f"// {node.name} | {kind} | {widths[node.name]} | {node.reuse_factor} | "
+            f"// {node.name} | {node.kind} | {width} | {node.reuse_factor} | "
             f"{str(node.compression).lower()} | "
             f"{prec.weight} / {prec.bias} / {prec.accumulator} / {prec.result}"
         )
@@ -555,15 +517,14 @@ REPORT_SCHEMA = {
 def emit_report(graph: ModelGraph, estimates=None, profile=None,
                 prune_history=None, pass_reports=None) -> dict:
     """One structured document aggregating everything the pipeline measured."""
-    widths = graph.layer_widths()
     doc = {
         "schema_version": "1",
         "model": {
             "hash": hashlib.sha256(serialize_model(graph).encode()).hexdigest(),
             "input_shape": list(graph.input_shape),
             "layers": [
-                {"name": n.name, "kind": n.kind, "output_width": widths[n.name]}
-                for n in topo_order(graph)
+                {"name": node.name, "kind": node.kind, "output_width": width}
+                for node, _, _, width in walk(graph)
             ],
         },
         "passes": [r.to_doc() for r in (pass_reports or [])],

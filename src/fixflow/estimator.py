@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .fixed_point import quantize
-from .model_ir import ModelGraph, topo_order
+from .kernels import materialize_quantized
+from .model_ir import ModelGraph, walk
 from .pruning import compute_bops
 
 DSP_PORT_WIDE = 25
@@ -97,15 +97,10 @@ def quantized_zero_fraction(node) -> float:
     """Fraction of weights that are zero on the layer's weight grid.
 
     Multiplications by zero weights are skipped in the generated kernels,
-    so they allocate no hardware.
+    so they allocate no hardware. The node's weights must be quantized.
     """
     weight = node.param("weight")
-    spec = node.precision.weight
-    zeros = 0
-    for v in weight.data:
-        raw = v.raw if hasattr(v, "raw") else quantize(float(v), spec).raw
-        zeros += raw == 0
-    return zeros / weight.size
+    return sum(v.raw == 0 for v in weight.data) / weight.size
 
 
 def _dense_rows(node, f_p, activation_bits, config):
@@ -147,14 +142,17 @@ def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
     ``assume_dense`` forces f_p = 0 everywhere (architecture studies).
     Batch norm scales count as one multiply per channel at reuse 1;
     activations cost one cycle; softmax and the input node are excluded
-    from estimation.
+    from estimation. Real-valued weights are quantized first; an already
+    quantized graph is used as it is.
     """
+    if not assume_dense:
+        graph = materialize_quantized(graph)
     resources, timings = [], []
-    activation_bits = None
-    for node in topo_order(graph):
-        if node.kind == "input":
-            activation_bits = node.precision.result.width_bits
-        elif node.kind == "dense":
+    for node, in_spec, _, width in walk(graph):
+        if node.kind in ("input", "softmax"):
+            continue  # softmax is host-side
+        activation_bits = in_spec.width_bits
+        if node.kind == "dense":
             if assume_dense:
                 f_p = 0.0
             elif state is not None and node.name in state.masks:
@@ -165,24 +163,16 @@ def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
             res, tim = _dense_rows(node, f_p, activation_bits, config)
             resources.append(res)
             timings.append(tim)
-            activation_bits = node.precision.result.width_bits
         elif node.kind == "batch_norm":
-            m = graph.layer_widths()[node.name]
             b_w = node.precision.weight.width_bits
             per_mult = dsp_per_multiply(b_w, activation_bits, config.lut_threshold)
-            lut_mults = m if per_mult == 0 else 0
+            lut_mults = width if per_mult == 0 else 0
             lut = round(config.lut_per_mult_bit * lut_mults * b_w * activation_bits
-                        + config.lut_per_accum_bit * m * node.precision.accumulator.width_bits)
-            resources.append(LayerResource(node.name, m, m, m * per_mult, lut, 0.0))
+                        + config.lut_per_accum_bit * width * node.precision.accumulator.width_bits)
+            resources.append(LayerResource(node.name, width, width, width * per_mult, lut, 0.0))
             timings.append(LayerTiming(node.name, 1, 1 + config.pipeline_constant))
-            activation_bits = node.precision.result.width_bits
-        elif node.kind in ("relu", "binary_tanh", "ternary_tanh"):
+        else:  # relu, binary_tanh, ternary_tanh
             timings.append(LayerTiming(node.name, 1, 1))
-            activation_bits = node.precision.result.width_bits
-        elif node.kind == "softmax":
-            pass  # host-side, excluded from estimation
-        else:
-            raise ValueError(f"layer {node.name!r}: unsupported kind {node.kind!r}")
 
     total_latency = sum(t.latency_cycles for t in timings)
     if timings:

@@ -30,11 +30,7 @@ from .fixed_point import (
     cast_raw,
     quantize,
 )
-from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, topo_order
-
-
-class UnsupportedLayerError(ValueError):
-    pass
+from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, walk
 
 
 @dataclass(frozen=True)
@@ -279,15 +275,15 @@ def run_inference(graph: ModelGraph, input_tensor=None, tap_all: bool = False):
     """Execute the graph bit-accurately; returns (output, taps).
 
     Parameters are materialized on the fly when still real-valued. Taps
-    collect every layer output in topological order when requested.
+    collect every layer output in chain order when requested. Compressed
+    dense layers run through ``dense_mv``: COO order equals dense order, so
+    the result is the same bit for bit.
     """
     graph = materialize_quantized(graph)
     taps = []
-    current = None
-    in_spec = None
-    for node in topo_order(graph):
+    for node, in_spec, _, _ in walk(graph):
+        res_spec = node.precision.result
         if node.kind == "input":
-            res_spec = node.precision.result
             value = node.params.get("value")
             if value is not None:
                 source = value.data
@@ -299,52 +295,29 @@ def run_inference(graph: ModelGraph, input_tensor=None, tap_all: bool = False):
                 v if isinstance(v, FixedPointValue) else quantize(float(v), res_spec)
                 for v in source
             )
-            # A constant input keeps its own grid only if specs were preserved.
-            in_spec = current[0].spec if current else res_spec
-            out_tensor = Tensor((len(current),), current)
         elif node.kind == "dense":
-            weights, bias = node.param("weight"), node.param("bias")
-            if node.compression:
-                result = sparse_mv_coo(compress_coo(weights), bias, current, node.precision)
-            else:
-                result = dense_mv(weights, bias, current, node.precision)
-            current = result.data
-            in_spec = node.precision.result
-            out_tensor = result
+            current = dense_mv(node.param("weight"), node.param("bias"), current, node.precision).data
         elif node.kind == "batch_norm":
-            scale, shift = node.param("scale"), node.param("shift")
-            acc_spec, res_spec = node.precision.accumulator, node.precision.result
+            acc_spec = node.precision.accumulator
             acc_frac = acc_spec.fraction_bits
             out = []
-            for v, s, b in zip(current, scale.data, shift.data):
+            for v, s, b in zip(current, node.param("scale").data, node.param("shift").data):
                 acc = cast_raw(b.raw, b.spec.fraction_bits, acc_spec)
                 p = cast_raw(s.raw * v.raw, s.spec.fraction_bits + v.spec.fraction_bits, acc_spec)
                 acc = apply_overflow(acc + p, acc_spec)
                 out.append(FixedPointValue(cast_raw(acc, acc_frac, res_spec), res_spec))
             current = tuple(out)
-            in_spec = res_spec
-            out_tensor = Tensor((len(out),), current)
         elif node.kind == "relu":
-            res_spec = node.precision.result
             current = tuple(
                 FixedPointValue(cast_raw(max(v.raw, 0), v.spec.fraction_bits, res_spec), res_spec)
                 for v in current
             )
-            in_spec = res_spec
-            out_tensor = Tensor((len(current),), current)
         elif node.kind == "binary_tanh":
-            current = tuple(_run_binary_tanh(node, current, in_spec, node.precision.result))
-            in_spec = node.precision.result
-            out_tensor = Tensor((len(current),), current)
+            current = tuple(_run_binary_tanh(node, current, in_spec, res_spec))
         elif node.kind == "ternary_tanh":
-            current = tuple(_run_ternary_tanh(node, current, in_spec, node.precision.result))
-            in_spec = node.precision.result
-            out_tensor = Tensor((len(current),), current)
-        elif node.kind == "softmax":
+            current = tuple(_run_ternary_tanh(node, current, in_spec, res_spec))
+        else:  # softmax, always the last layer
             current = _softmax_real(current)
-            out_tensor = Tensor((len(current),), current)
-        else:
-            raise UnsupportedLayerError(f"layer {node.name!r}: unsupported kind {node.kind!r}")
         if tap_all:
-            taps.append(LayerTap(node.name, out_tensor))
-    return out_tensor, taps
+            taps.append(LayerTap(node.name, Tensor((len(current),), current)))
+    return Tensor((len(current),), current), taps

@@ -39,9 +39,9 @@ class ParseError(ValueError):
 class ValidationError(ValueError):
     """Graph invariant broken; message names the offending layer."""
 
-
-class GraphCycleError(ValueError):
-    pass
+    def __init__(self, *diagnostics):
+        super().__init__("; ".join(str(d) for d in diagnostics))
+        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -162,27 +162,19 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class ModelGraph:
-    """Chain of layers; first node has kind ``input``."""
+    """Chain of layers in execution order; first node has kind ``input``."""
 
     nodes: tuple
-    edges: dict  # successor map, name -> tuple of names
     input_shape: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        object.__setattr__(
-            self, "edges", {k: tuple(v) for k, v in self.edges.items()}
-        )
 
     @classmethod
     def chain(cls, nodes, input_shape) -> "ModelGraph":
         """Wire nodes linearly in the given order."""
-        nodes = tuple(nodes)
-        edges = {}
-        for i, node in enumerate(nodes):
-            edges[node.name] = (nodes[i + 1].name,) if i + 1 < len(nodes) else ()
-        return cls(nodes, edges, tuple(input_shape))
+        return cls(nodes, input_shape)
 
     def node(self, name: str) -> LayerNode:
         for n in self.nodes:
@@ -190,32 +182,9 @@ class ModelGraph:
                 return n
         raise KeyError(name)
 
-    def predecessors(self, name: str) -> tuple:
-        return tuple(n.name for n in self.nodes if name in self.edges.get(n.name, ()))
-
-    def successors(self, name: str) -> tuple:
-        return self.edges.get(name, ())
-
     @property
     def input_width(self) -> int:
         return math.prod(self.input_shape)
-
-    def layer_widths(self) -> dict:
-        """Output width of every node, walking the chain."""
-        widths = {}
-        for node in topo_order(self):
-            preds = self.predecessors(node.name)
-            in_width = widths[preds[0]] if preds else self.input_width
-            if node.kind == "dense":
-                widths[node.name] = node.param("weight").shape[0]
-            else:
-                widths[node.name] = in_width
-        return widths
-
-    @property
-    def output_width(self) -> int:
-        order = topo_order(self)
-        return self.layer_widths()[order[-1].name]
 
     def replace_nodes(self, nodes) -> "ModelGraph":
         """New chain graph with the given node sequence (used by passes)."""
@@ -223,31 +192,39 @@ class ModelGraph:
 
 
 def topo_order(graph: ModelGraph):
-    """Topological order, stable by declaration order; cycle raises."""
-    index = {n.name: i for i, n in enumerate(graph.nodes)}
-    indegree = {n.name: 0 for n in graph.nodes}
-    for src, dsts in graph.edges.items():
-        for dst in dsts:
-            if dst not in indegree:
-                raise ValidationError(f"[{src}] edge targets unknown node {dst!r}")
-            indegree[dst] += 1
-    ready = sorted((name for name, deg in indegree.items() if deg == 0), key=index.get)
-    order = []
-    while ready:
-        name = ready.pop(0)
-        order.append(graph.node(name))
-        for dst in graph.edges.get(name, ()):
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                # Insertion keeps the ready list sorted by declaration order.
-                pos = 0
-                while pos < len(ready) and index[ready[pos]] < index[dst]:
-                    pos += 1
-                ready.insert(pos, dst)
-    if len(order) != len(graph.nodes):
-        stuck = [n.name for n in graph.nodes if indegree[n.name] > 0]
-        raise GraphCycleError(f"graph contains a cycle through {stuck}")
-    return order
+    """The chain's layers in execution order."""
+    return list(graph.nodes)
+
+
+def walk(graph: ModelGraph) -> list:
+    """``(node, incoming spec, input width, output width)`` for every layer.
+
+    The incoming spec is the previous layer's result spec (None for the
+    input layer); a dense layer's output width is its weight's row count,
+    every other layer keeps its input width. This is the one place that
+    checks the chain's structure: every kind is known, the input layer comes
+    first and only there, and softmax comes last. A violation raises
+    ValidationError naming the layer.
+    """
+    nodes = graph.nodes
+    if not nodes:
+        raise ValidationError(Diagnostic("<graph>", "structure", "chain has no layers"))
+    steps = []
+    in_spec, width = None, graph.input_width
+    for pos, node in enumerate(nodes):
+        if node.kind not in LAYER_KINDS:
+            raise ValidationError(Diagnostic(node.name, "kind", f"unknown kind {node.kind!r}"))
+        if (node.kind == "input") != (pos == 0):
+            problem = "input layer must be the first layer" if pos else "chain must start with an input layer"
+            raise ValidationError(Diagnostic(node.name, "structure", problem))
+        if node.kind == "softmax" and pos != len(nodes) - 1:
+            raise ValidationError(Diagnostic(node.name, "structure",
+                                             "softmax is only supported as the final layer"))
+        w = _shape_of(node, "weight")
+        out_width = w[0] if node.kind == "dense" and w and len(w) == 2 else width
+        steps.append((node, in_spec, width, out_width))
+        in_spec, width = node.precision.result, out_width
+    return steps
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -255,8 +232,17 @@ def _expect(cond: bool, path: str, message: str):
         raise ParseError(f"{path}: {message}")
 
 
+def _all_finite(values) -> bool:
+    """JSON admits NaN, Infinity and integers beyond the float range."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def _parse_tensor(doc, path: str) -> Tensor:
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        _expect(_all_finite((doc,)), path, "param must be a finite number")
         return Tensor.scalar(float(doc))
     _expect(isinstance(doc, dict), path, "param must be a number or {shape, data} object")
     _expect("shape" in doc and "data" in doc, path, "param object needs shape and data")
@@ -268,6 +254,7 @@ def _parse_tensor(doc, path: str) -> Tensor:
         all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data),
         path, "data entries must be numbers",
     )
+    _expect(_all_finite(data), path, "data entries must be finite numbers")
     try:
         return Tensor(tuple(shape), tuple(float(v) for v in data))
     except ValueError as e:
@@ -325,7 +312,7 @@ def parse_model(text: str) -> ModelGraph:
     graph = ModelGraph.chain(nodes, tuple(shape))
     problems = validate(graph)
     if problems:
-        raise ValidationError("; ".join(str(p) for p in problems))
+        raise ValidationError(*problems)
     return graph
 
 
@@ -338,9 +325,6 @@ def _check_layer(node: LayerNode, in_width: int, diags: list):
     def bad(rule, message):
         diags.append(Diagnostic(node.name, rule, message))
 
-    if node.kind not in LAYER_KINDS:
-        bad("kind", f"unknown kind {node.kind!r}")
-        return
     if node.reuse_factor < 1:
         bad("reuse_factor", f"must be >= 1, got {node.reuse_factor}")
     if node.kind != "dense":
@@ -390,6 +374,9 @@ def _check_layer(node: LayerNode, in_width: int, diags: list):
             t = node.params.get(key)
             if t is not None and t.size != in_width:
                 bad("shape", f"{key} has {t.size} channels, expected {in_width}")
+        modes = node.params.get("mode")
+        if modes is not None and any(v not in (0, 1, 2, 3) for v in modes.data):
+            bad("params", "mode entries must be one of the codes 0, 1, 2, 3")
 
 
 def validate(graph: ModelGraph):
@@ -402,34 +389,11 @@ def validate(graph: ModelGraph):
         seen.add(node.name)
 
     try:
-        order = topo_order(graph)
-    except GraphCycleError as e:
-        return diags + [Diagnostic("<graph>", "cycle", str(e))]
+        steps = walk(graph)
     except ValidationError as e:
-        return diags + [Diagnostic("<graph>", "edges", str(e))]
-
-    inputs = [n for n in graph.nodes if n.kind == "input"]
-    if len(inputs) != 1:
-        diags.append(Diagnostic("<graph>", "structure", f"expected exactly one input node, found {len(inputs)}"))
-    for node in graph.nodes:
-        preds = graph.predecessors(node.name)
-        succs = graph.successors(node.name)
-        if node.kind == "input" and preds:
-            diags.append(Diagnostic(node.name, "structure", "input node has a predecessor"))
-        if node.kind != "input" and len(preds) != 1:
-            diags.append(Diagnostic(node.name, "structure", f"chain node must have one predecessor, has {len(preds)}"))
-        if len(succs) > 1:
-            diags.append(Diagnostic(node.name, "structure", "chain node has multiple successors"))
-    if diags:
-        return diags
-
-    widths = {}
-    for node in order:
-        preds = graph.predecessors(node.name)
-        in_width = widths[preds[0]] if preds else graph.input_width
+        return diags + list(e.diagnostics)
+    for node, _, in_width, _ in steps:
         _check_layer(node, in_width, diags)
-        w = _shape_of(node, "weight")
-        widths[node.name] = w[0] if node.kind == "dense" and w and len(w) == 2 else in_width
     return diags
 
 
@@ -444,7 +408,7 @@ def _tensor_doc(t: Tensor):
 def serialize_model(graph: ModelGraph) -> str:
     """Canonical document text; parse -> serialize -> parse is the identity."""
     layers = []
-    for node in topo_order(graph):
+    for node in graph.nodes:
         layers.append({
             "name": node.name,
             "kind": node.kind,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .kernels import batch_norm_scale_shift, run_inference
-from .model_ir import ModelGraph, Tensor, topo_order
+from .model_ir import ModelGraph, Tensor
 
 # binary_tanh per-channel mode codes (shared with kernels execution)
 MODE_GE = 0  # +1 iff x >= threshold
@@ -53,7 +53,7 @@ def fuse_batchnorm_into_dense(graph: ModelGraph):
     With scale s_i = gamma_i / sqrt(var_i + eps): W'_ij = s_i * W_ij and
     b'_i = s_i * (b_i - mean_i) + beta_i.
     """
-    nodes = list(topo_order(graph))
+    nodes = graph.nodes
     out, rewrites = [], []
     i = 0
     while i < len(nodes):
@@ -96,7 +96,7 @@ def fuse_batchnorm_into_binary_tanh(graph: ModelGraph):
     the channel constant at sign(beta_i) (sign(0) = +1), the limit of the
     threshold formula.
     """
-    nodes = list(topo_order(graph))
+    nodes = graph.nodes
     out, rewrites = [], []
     i = 0
     while i < len(nodes):
@@ -140,11 +140,9 @@ def constant_fold(graph: ModelGraph):
     through the bit-accurate emulator and replaced by its computed output,
     so folding never changes emulation results.
     """
-    nodes = list(topo_order(graph))
     rewrites = []
-
     folded_nodes = []
-    for node in nodes:
+    for node in graph.nodes:
         if node.kind == "batch_norm" and "scale" not in node.params and _real_params(node):
             scale, shift = batch_norm_scale_shift(node.params)
             width = len(scale)

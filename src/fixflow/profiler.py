@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace as _dc_replace
 
 from .fixed_point import SATURATE, FixedPointValue, quantize
-from .model_ir import ModelGraph, topo_order
+from .model_ir import ModelGraph
 
 KIND_WEIGHT = 0
 KIND_BIAS = 1
@@ -112,7 +112,7 @@ def _profile_tensor(layer: str, param: str, kind: int, values) -> TensorProfile:
 def profile_weights(graph: ModelGraph) -> ProfileReport:
     """Exact statistics over every parameter tensor; never mutates the model."""
     rows, notes = [], []
-    for node in topo_order(graph):
+    for node in graph.nodes:
         for param, kind in _PROFILED_PARAMS.items():
             tensor = node.params.get(param)
             if tensor is None:

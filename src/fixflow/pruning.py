@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model_ir import ModelGraph, Tensor, topo_order
+from .model_ir import ModelGraph, Tensor
 from . import trainer as _trainer
 
 
@@ -35,10 +35,10 @@ def compute_bops(n: int, m: int, b_w: int, b_a: int, f_p: float) -> float:
 
 
 def dense_layer_dims(graph: ModelGraph):
-    """(name, n_in, n_out) for every dense layer in topo order."""
+    """(name, n_in, n_out) for every dense layer in chain order."""
     return [
         (node.name, node.param("weight").shape[1], node.param("weight").shape[0])
-        for node in topo_order(graph)
+        for node in graph.nodes
         if node.kind == "dense"
     ]
 
@@ -120,7 +120,7 @@ def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> Prun
 
     candidates = []  # (normalized magnitude, layer index, flat index, name)
     layer_idx = 0
-    for node in topo_order(model):
+    for node in model.nodes:
         if node.kind != "dense":
             continue
         mask = state.masks[node.name].reshape(-1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fixed_point import FixedPointSpec
-from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, topo_order
+from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, walk
 from . import kernels
 
 BN_MOMENTUM = 0.9
@@ -344,9 +344,8 @@ class _Net:
     def __init__(self, graph: ModelGraph, cfg: TrainingConfig):
         self.layers = []
         self.has_softmax = False
-        order = topo_order(graph)
         act_quant = cfg.activation_quantizers or {}
-        for node in order:
+        for node, *_ in walk(graph):
             if node.kind == "input":
                 if node.name in act_quant:
                     self.layers.append(_FakeQuant(node.name, act_quant[node.name]))
@@ -359,8 +358,6 @@ class _Net:
             elif node.kind == "relu":
                 self.layers.append(_Relu(node))
             elif node.kind == "softmax":
-                if node.name != order[-1].name:
-                    raise ValueError("softmax is only supported as the final layer")
                 self.has_softmax = True
                 continue
             else:
@@ -401,7 +398,7 @@ class _Net:
     def write_back(self, graph: ModelGraph) -> ModelGraph:
         by_name = {l.name: l for l in self.layers}
         nodes = []
-        for node in topo_order(graph):
+        for node in graph.nodes:
             layer = by_name.get(node.name)
             if isinstance(layer, _Dense):
                 nodes.append(node.with_params(
@@ -525,14 +522,17 @@ def quantize_model_weights(model: ModelGraph, quantizer) -> ModelGraph:
 
 
 def forward_real(model: ModelGraph, features: np.ndarray) -> np.ndarray:
-    """Inference-mode real-arithmetic forward over a batch."""
+    """Inference-mode real-arithmetic forward over a batch (or one row)."""
     x = np.asarray(features, dtype=np.float64)
     squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    for node in topo_order(model):
-        if node.kind == "input":
-            continue
+    for _, out in _forward_layers(model, x[None, :] if squeeze else x):
+        pass
+    return out[0] if squeeze else out
+
+
+def _forward_layers(model: ModelGraph, x: np.ndarray):
+    """Yield (node, output batch) for each layer of the real forward."""
+    for node, *_ in walk(model):
         if node.kind == "dense":
             x = x @ node.param("weight").to_numpy().T + node.param("bias").to_numpy()
         elif node.kind == "relu":
@@ -548,9 +548,7 @@ def forward_real(model: ModelGraph, features: np.ndarray) -> np.ndarray:
             shifted = x - x.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             x = e / e.sum(axis=1, keepdims=True)
-        else:
-            raise ValueError(f"layer {node.name!r}: unsupported kind {node.kind!r}")
-    return x[0] if squeeze else x
+        yield node, x
 
 
 def _tanh_params(node, width):
@@ -646,24 +644,6 @@ def _int_bits_for(max_abs: float) -> int:
     return max(1, math.ceil(math.log2(max_abs + 1e-12)) + 1)
 
 
-def _layer_output_ranges(model: ModelGraph, features: np.ndarray) -> dict:
-    """Max |output| per layer under real inference, for range selection."""
-    x = np.asarray(features, dtype=np.float64)
-    ranges = {}
-    for node in topo_order(model):
-        if node.kind == "dense":
-            x = x @ node.param("weight").to_numpy().T + node.param("bias").to_numpy()
-        elif node.kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif node.kind == "batch_norm":
-            scale, shift = kernels.batch_norm_scale_shift(node.params)
-            x = x * np.asarray(scale) + np.asarray(shift)
-        elif node.kind not in ("input", "softmax"):
-            raise ValueError(f"layer {node.name!r}: kind {node.kind!r} not supported in scans")
-        ranges[node.name] = float(np.abs(x).max()) if x.size else 1.0
-    return ranges
-
-
 def scan_precisions(model: ModelGraph, features: np.ndarray, bits: int) -> ModelGraph:
     """Assign a uniform-width fixed-point configuration to every layer.
 
@@ -671,13 +651,16 @@ def scan_precisions(model: ModelGraph, features: np.ndarray, bits: int) -> Model
     weight and activation extremes of this model on the given data;
     accumulators are wide enough that the dot product itself never rounds
     (all precision loss happens at weights and stored layer outputs);
-    everything rounds to nearest and saturates.
+    everything rounds to nearest and saturates. Softmax runs host-side
+    on the logits, so its slots keep the logits' range.
     """
-    ranges = _layer_output_ranges(model, features)
     nodes = []
     in_int = None
-    for node in topo_order(model):
-        act_int = _int_bits_for(ranges[node.name])
+    for node, out in _forward_layers(model, np.asarray(features, dtype=np.float64)):
+        if node.kind in ("binary_tanh", "ternary_tanh"):
+            raise ValueError(f"layer {node.name!r}: kind {node.kind!r} not supported in scans")
+        if node.kind != "softmax":
+            act_int = _int_bits_for(float(np.abs(out).max()) if out.size else 1.0)
         act_spec = FixedPointSpec(bits, act_int, rounding="round_half_up", overflow="saturate")
         if node.kind == "dense":
             w = node.param("weight").to_numpy()

@@ -64,6 +64,60 @@ class TestExitCodes:
         assert run(["convert", "--model", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+def write_doc(tmp_path, layers):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"format_version": "1", "input_shape": [2], "layers": layers}))
+    return str(path)
+
+
+class TestMalformedDocuments:
+    """Each document fails at parse or validate time: exit 1, a message that
+    names the path or the layer, and no traceback."""
+
+    BN_PARAMS = {"gamma": {"shape": [2], "data": [1.0, 1.0]}, "beta": 0.0,
+                 "moving_mean": {"shape": [2], "data": [0.0, 0.0]},
+                 "moving_variance": {"shape": [2], "data": [1.0, 1.0]}, "epsilon": 0.001}
+
+    def run_failing(self, tmp_path, capsys, layers, command):
+        path = write_doc(tmp_path, layers)
+        extra = []
+        if command == "emulate":
+            rows = tmp_path / "x.txt"
+            rows.write_text("0.5 -0.25\n")
+            extra = ["--data", str(rows)]
+        assert run([command, "--model", path, "--out", str(tmp_path / "o")] + extra) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_scalar_param(self, tmp_path, capsys, value):
+        params = dict(self.BN_PARAMS, epsilon=value)
+        err = self.run_failing(tmp_path, capsys,
+                               [{"name": "bn", "kind": "batch_norm", "params": params}], "convert")
+        assert "$.layers[0].params.epsilon" in err and "finite" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -10**400])
+    def test_non_finite_tensor_data(self, tmp_path, capsys, value):
+        params = dict(self.BN_PARAMS, gamma={"shape": [2], "data": [1.0, value]})
+        err = self.run_failing(tmp_path, capsys,
+                               [{"name": "bn", "kind": "batch_norm", "params": params}], "convert")
+        assert "$.layers[0].params.gamma" in err and "finite" in err
+
+    @pytest.mark.parametrize("command", ["convert", "emulate"])
+    def test_non_final_softmax(self, tmp_path, capsys, command):
+        layers = [{"name": "probs", "kind": "softmax"}, {"name": "r", "kind": "relu"}]
+        err = self.run_failing(tmp_path, capsys, layers, command)
+        assert "[probs]" in err and "final layer" in err
+
+    @pytest.mark.parametrize("mode", [7, 0.5, -1])
+    def test_binary_tanh_mode_out_of_range(self, tmp_path, capsys, mode):
+        layers = [{"name": "bt", "kind": "binary_tanh",
+                   "params": {"mode": {"shape": [2], "data": [0, mode]}}}]
+        err = self.run_failing(tmp_path, capsys, layers, "convert")
+        assert "[bt]" in err and "mode" in err
+
+
 class TestEstimate:
     def test_reuse_sweep_csv(self, tmp_path):
         out = tmp_path / "est"

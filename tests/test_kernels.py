@@ -21,7 +21,7 @@ from fixflow.kernels import (
     run_inference,
     sparse_mv_coo,
 )
-from fixflow.model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor
+from fixflow.model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError
 
 from oracles import oracle_dense_mv_raws
 
@@ -213,7 +213,7 @@ class TestRunInference:
             LayerNode("input", "input"),
             LayerNode("mystery", "conv2d"),
         ], (2,))
-        with pytest.raises(kernels.UnsupportedLayerError):
+        with pytest.raises(ValidationError):
             run_inference(bad, Tensor((2,), (0.0, 0.0)))
 
     def test_binary_tanh_threshold_and_modes(self):

@@ -6,7 +6,6 @@ from fixflow.fixed_point import FixedPointValue
 from fixflow.kernels import run_inference
 from fixflow.model_ir import (
     Diagnostic,
-    GraphCycleError,
     LayerNode,
     ModelGraph,
     ParseError,
@@ -17,6 +16,7 @@ from fixflow.model_ir import (
     serialize_model,
     topo_order,
     validate,
+    walk,
 )
 
 
@@ -60,7 +60,7 @@ class TestParse:
         dense = [n for n in graph.nodes if n.kind == "dense"]
         assert len(dense) == 4
         assert [n.param("weight").shape for n in dense] == [(64, 16), (32, 64), (32, 32), (5, 32)]
-        assert graph.output_width == 5
+        assert walk(graph)[-1][3] == 5
 
     def test_shape_mismatch_names_layer(self):
         layers = [dense_doc("wide", [0.1] * 10, [0.0] * 2),  # 2x5 after width-2 input
@@ -156,20 +156,35 @@ class TestTopoOrder:
         graph = ModelGraph.chain([LayerNode("input", "input")], (2,))
         assert [n.name for n in topo_order(graph)] == ["input"]
 
-    def test_self_loop_cycle_error(self):
-        graph = ModelGraph(
-            (LayerNode("input", "input"), LayerNode("r", "relu")),
-            {"input": ("r",), "r": ("r",)},
-            (2,),
-        )
-        with pytest.raises(GraphCycleError):
-            topo_order(graph)
-
     def test_deterministic(self):
         graph = parse_model(jet_document())
         first = [n.name for n in topo_order(graph)]
         for _ in range(5):
             assert [n.name for n in topo_order(graph)] == first
+
+
+class TestWalk:
+    def test_specs_and_widths(self):
+        graph = parse_model(jet_document())
+        steps = walk(graph)
+        assert [node.name for node, *_ in steps] == [n.name for n in graph.nodes]
+        assert steps[0][1] is None
+        for (prev, *_), (_, in_spec, _, _) in zip(steps, steps[1:]):
+            assert in_spec == prev.precision.result
+        assert [(s[2], s[3]) for s in steps][:3] == [(16, 16), (16, 64), (64, 64)]
+
+    @pytest.mark.parametrize("names_kinds, culprit", [
+        ([("r", "relu")], "r"),
+        ([("input", "input"), ("late", "input")], "late"),
+        ([("input", "input"), ("s", "softmax"), ("r", "relu")], "s"),
+        ([("input", "input"), ("c", "conv2d")], "c"),
+    ])
+    def test_rejects_misplaced_or_unknown_layers(self, names_kinds, culprit):
+        graph = ModelGraph.chain([LayerNode(n, k) for n, k in names_kinds], (2,))
+        with pytest.raises(ValidationError) as err:
+            walk(graph)
+        assert f"[{culprit}]" in str(err.value)
+        assert [d.layer for d in validate(graph)] == [culprit]
 
 
 class TestTensor:
