@@ -23,12 +23,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import codegen, estimator, kernels, passes, profiler, pruning, trainer
-from .fixed_point import quantize
-from .model_ir import ModelGraph, parse_model, serialize_model, validate
+from .model_ir import ModelGraph, Tensor, parse_model, serialize_model, validate
 
 log = logging.getLogger("fixflow")
 
@@ -171,7 +171,7 @@ def cmd_qat(args, config):
     data = _load_dataset(args.data, args.seed)
     cfg = _training_config(args, config)
     quantizer = _quantizer(args, config)
-    cfg = trainer.replace_quantizers(cfg, quantizer)
+    cfg = replace(cfg, quantizers=quantizer)
     trained, trace = trainer.train_qat(graph, data, cfg)
     deployed = trainer.quantize_model_weights(trained, quantizer)
     out = _out_dir(args)
@@ -196,7 +196,7 @@ def cmd_prune(args, config):
         method=method,
     )
     if method == "qap":
-        cfg = trainer.replace_quantizers(cfg, _quantizer(args, config))
+        cfg = replace(cfg, quantizers=_quantizer(args, config))
     model, state, history = pruning.prune_iterative(graph, data, schedule, cfg)
     out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), serialize_model(model))
@@ -227,12 +227,12 @@ def cmd_emulate(args, config):
     outputs, raw_inputs = [], []
     tap_rows = {}
     for x in rows:
-        quantized = tuple(quantize(float(v), input_spec) for v in x)
+        quantized = Tensor.from_numpy(x).quantized(input_spec)
         raw_inputs.append(_format_vector(quantized))
         result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
-        outputs.append(_format_vector(result.data))
+        outputs.append(_format_vector(result))
         for tap in taps:
-            tap_rows.setdefault(tap.layer, []).append(_format_vector(tap.output.data))
+            tap_rows.setdefault(tap.layer, []).append(_format_vector(tap.output))
     _write_text(os.path.join(out, "outputs.txt"), "".join(outputs))
     _write_text(os.path.join(out, "inputs_raw.txt"), "".join(raw_inputs))
     if args.taps:
@@ -244,14 +244,9 @@ def cmd_emulate(args, config):
     return 0
 
 
-def _format_vector(values) -> str:
-    parts = []
-    for v in values:
-        if hasattr(v, "raw"):
-            parts.append(str(v.raw))
-        else:
-            parts.append(repr(float(v)))
-    return " ".join(parts) + "\n"
+def _format_vector(t: Tensor) -> str:
+    """Raws of a quantized tensor, reals of a real one, on one line."""
+    return " ".join(map(str if t.is_quantized() else repr, t.array.tolist())) + "\n"
 
 
 def cmd_estimate(args, config):

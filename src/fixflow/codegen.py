@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, quantize
-from .kernels import materialize_quantized, ternary_half_raw, threshold_raws
+from .kernels import materialize_quantized, threshold_raws
 from .model_ir import ModelGraph, serialize_model, walk
 
 TOOL_VERSION = __version__
@@ -223,8 +223,7 @@ def _emit_dense(node, in_spec, index):
     wspec, bspec = node.precision.weight, node.precision.bias
     acc, res = node.precision.accumulator, node.precision.result
     _check_widths(node.name, in_spec, wspec, bspec, acc, res)
-    w_raws = [v.raw for v in weight.data]
-    b_raws = [v.raw for v in bias.data]
+    w_raws, b_raws = weight.array.tolist(), bias.array.tolist()
     nz = sum(1 for r in w_raws if r != 0)
     prod_frac = wspec.fraction_bits + in_spec.fraction_bits
     comments = [
@@ -294,8 +293,8 @@ def _emit_batch_norm(node, in_spec, index, width):
         index,
         f"layer {node.name}: batch_norm over {width} channels (folded scale/shift)",
         [f"scale {_spec_comment(wspec)}", f"shift {_spec_comment(bspec)}"],
-        [(f"scale_{index}", [v.raw for v in scale.data]),
-         (f"shift_{index}", [v.raw for v in shift.data])],
+        [(f"scale_{index}", scale.array.tolist()),
+         (f"shift_{index}", shift.array.tolist())],
     )
     kernel = [
         f"// {node.name}: batch_norm, one multiply per channel",
@@ -325,7 +324,7 @@ def _emit_relu(node, in_spec, width):
 
 def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
     res = node.precision.result
-    traws, modes = threshold_raws(node, width, in_spec)
+    traws, modes, half = threshold_raws(node, width, in_spec)
     plus = quantize(1.0, res).raw
     minus = quantize(-1.0, res).raw
     header = _weight_header(
@@ -345,7 +344,6 @@ def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
     ]
     if ternary:
         zero = quantize(0.0, res).raw
-        half = ternary_half_raw(in_spec)
         lines += [
             f"        ff_wide_t d = (ff_wide_t)x[i] - (ff_wide_t)threshold_{index}[i];",
             "        if (mode == 1) d = -d;",

@@ -100,7 +100,7 @@ def quantized_zero_fraction(node) -> float:
     so they allocate no hardware. The node's weights must be quantized.
     """
     weight = node.param("weight")
-    return sum(v.raw == 0 for v in weight.data) / weight.size
+    return weight.array.tolist().count(0) / weight.size
 
 
 def _dense_rows(node, f_p, activation_bits, config):

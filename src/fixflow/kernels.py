@@ -14,12 +14,20 @@ Sparse COO execution iterates entries in ascending packed index
 (``out * n_in + in``), which coincides with the dense per-row order, so
 dense and sparse results are bit-identical. Softmax is evaluated in real
 arithmetic at the output only.
+
+The emulator's per-row state between layers, and every tap, is a quantized
+``Tensor``: the raws of one layer output on that layer's result spec. The
+kernels take those raws once per call as Python ints (``array.tolist()``)
+and compute on them, so products up to 128 bits and 64-bit accumulators
+never wrap outside the spec's own overflow rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .fixed_point import (
     ROUND_HALF_UP,
@@ -66,11 +74,8 @@ class LayerTap:
     output: Tensor
 
 
-def _as_values(tensor) -> tuple:
-    data = tensor.data if isinstance(tensor, Tensor) else tuple(tensor)
-    if not all(isinstance(v, FixedPointValue) for v in data):
-        raise TypeError("expected quantized (FixedPointValue) data")
-    return data
+def _vector(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor((len(x),), x)
 
 
 def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
@@ -78,29 +83,23 @@ def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tenso
     if len(weights.shape) != 2:
         raise ValueError(f"weight tensor must be 2-D, got shape {weights.shape}")
     m, n = weights.shape
-    wdata = _as_values(weights)
-    bdata = _as_values(bias)
-    xdata = _as_values(x)
-    if len(bdata) != m or len(xdata) != n:
-        raise ValueError(f"shape mismatch: weight {m}x{n}, bias {len(bdata)}, input {len(xdata)}")
+    x = _vector(x)
+    if bias.size != m or x.size != n:
+        raise ValueError(f"shape mismatch: weight {m}x{n}, bias {bias.size}, input {x.size}")
 
     acc_spec, res_spec = precision.accumulator, precision.result
-    acc_frac = acc_spec.fraction_bits
+    acc_frac, bias_frac = acc_spec.fraction_bits, bias.spec.fraction_bits
+    prod_frac = weights.spec.fraction_bits + x.spec.fraction_bits
+    wraws, xraws = weights.array.tolist(), x.array.tolist()
     out = []
-    for i in range(m):
-        b = bdata[i]
-        acc = cast_raw(b.raw, b.spec.fraction_bits, acc_spec)
-        row = i * n
-        for j in range(n):
-            w = wdata[row + j]
-            if w.raw == 0:
+    for i, b in enumerate(bias.array.tolist()):
+        acc = cast_raw(b, bias_frac, acc_spec)
+        for w, v in zip(wraws[i * n:(i + 1) * n], xraws):
+            if w == 0:
                 continue  # zero weights contribute nothing, bit-exactly
-            v = xdata[j]
-            prod_frac = w.spec.fraction_bits + v.spec.fraction_bits
-            p = cast_raw(w.raw * v.raw, prod_frac, acc_spec)
-            acc = apply_overflow(acc + p, acc_spec)
-        out.append(FixedPointValue(cast_raw(acc, acc_frac, res_spec), res_spec))
-    return Tensor((m,), tuple(out))
+            acc = apply_overflow(acc + cast_raw(w * v, prod_frac, acc_spec), acc_spec)
+        out.append(cast_raw(acc, acc_frac, res_spec))
+    return Tensor((m,), out, res_spec)
 
 
 def compress_coo(weights: Tensor) -> CooWeights:
@@ -108,69 +107,57 @@ def compress_coo(weights: Tensor) -> CooWeights:
     if len(weights.shape) != 2:
         raise ValueError(f"weight tensor must be 2-D, got shape {weights.shape}")
     m, n = weights.shape
-    wdata = _as_values(weights)
-    entries = tuple((idx, w) for idx, w in enumerate(wdata) if w.raw != 0)
-    return CooWeights(entries, n_in=n, n_out=m, weight_spec=wdata[0].spec if wdata else None)
+    entries = tuple((p, FixedPointValue(raw, weights.spec))
+                    for p, raw in enumerate(weights.array.tolist()) if raw != 0)
+    return CooWeights(entries, n_in=n, n_out=m, weight_spec=weights.spec)
 
 
 def decompress_coo(coo: CooWeights) -> Tensor:
-    zero = FixedPointValue(0, coo.weight_spec)
-    data = [zero] * (coo.n_in * coo.n_out)
+    raws = [0] * (coo.n_in * coo.n_out)
     for packed, w in coo.entries:
-        data[packed] = w
-    return Tensor((coo.n_out, coo.n_in), tuple(data))
+        raws[packed] = w.raw
+    return Tensor((coo.n_out, coo.n_in), raws, coo.weight_spec)
 
 
 def sparse_mv_coo(coo: CooWeights, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
     """COO kernel; bit-identical to dense_mv on the decompressed matrix."""
-    bdata = _as_values(bias)
-    xdata = _as_values(x)
-    if len(bdata) != coo.n_out or len(xdata) != coo.n_in:
+    x = _vector(x)
+    if bias.size != coo.n_out or x.size != coo.n_in:
         raise ValueError(
-            f"shape mismatch: COO {coo.n_out}x{coo.n_in}, bias {len(bdata)}, input {len(xdata)}"
+            f"shape mismatch: COO {coo.n_out}x{coo.n_in}, bias {bias.size}, input {x.size}"
         )
     acc_spec, res_spec = precision.accumulator, precision.result
-    accs = [cast_raw(b.raw, b.spec.fraction_bits, acc_spec) for b in bdata]
+    accs = [cast_raw(b, bias.spec.fraction_bits, acc_spec) for b in bias.array.tolist()]
+    xraws = x.array.tolist()
     n = coo.n_in
     # Ascending packed index == ascending j within each output row.
     for packed, w in coo.entries:
         i, j = divmod(packed, n)
-        v = xdata[j]
-        prod_frac = w.spec.fraction_bits + v.spec.fraction_bits
-        p = cast_raw(w.raw * v.raw, prod_frac, acc_spec)
+        p = cast_raw(w.raw * xraws[j], w.spec.fraction_bits + x.spec.fraction_bits, acc_spec)
         accs[i] = apply_overflow(accs[i] + p, acc_spec)
     acc_frac = acc_spec.fraction_bits
-    out = [FixedPointValue(cast_raw(a, acc_frac, res_spec), res_spec) for a in accs]
-    return Tensor((coo.n_out,), tuple(out))
+    return Tensor((coo.n_out,), [cast_raw(a, acc_frac, res_spec) for a in accs], res_spec)
 
 
 def batch_norm_scale_shift(params: dict):
-    """Per-channel (scale, shift) floats from batch-norm parameters.
+    """Per-channel (scale, shift) float64 arrays from batch-norm parameters.
 
     scale_i = gamma_i / sqrt(var_i + eps), shift_i = beta_i - mean_i * scale_i.
     Already-folded params pass through, so folding is idempotent and the
     emulator sees identical numbers either way.
     """
     if "scale" in params and "shift" in params:
-        return list(params["scale"].data), list(params["shift"].data)
-    eps = params["epsilon"].data[0]
-    gamma = params["gamma"].data
-    beta = params["beta"].data
-    mean = params["moving_mean"].data
-    var = params["moving_variance"].data
-    scale, shift = [], []
-    for i in range(len(gamma)):
-        denom = var[i] + eps
-        if denom <= 0:
-            raise ValueError(f"batch_norm channel {i}: variance + epsilon = {denom} is not positive")
-        s = gamma[i] / math.sqrt(denom)
-        scale.append(s)
-        shift.append(beta[i] - mean[i] * s)
-    return scale, shift
-
-
-def _quantize_tensor(t: Tensor, spec: FixedPointSpec) -> Tensor:
-    return Tensor(t.shape, tuple(quantize(v, spec) for v in t.data))
+        return params["scale"].to_numpy().reshape(-1), params["shift"].to_numpy().reshape(-1)
+    eps = params["epsilon"].to_numpy().item()
+    gamma, beta, mean, var = (params[k].to_numpy().reshape(-1) for k in
+                              ("gamma", "beta", "moving_mean", "moving_variance"))
+    denom = var + eps
+    bad = np.flatnonzero(denom <= 0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"batch_norm channel {i}: variance + epsilon = {denom[i]} is not positive")
+    scale = gamma / np.sqrt(denom)
+    return scale, beta - mean * scale
 
 
 def materialize_quantized(graph: ModelGraph) -> ModelGraph:
@@ -183,141 +170,119 @@ def materialize_quantized(graph: ModelGraph) -> ModelGraph:
     """
     nodes = []
     for node in graph.nodes:
+        prec = node.precision
         if node.kind == "dense" and not node.param("weight").is_quantized():
             nodes.append(node.with_params(
-                weight=_quantize_tensor(node.param("weight"), node.precision.weight),
-                bias=_quantize_tensor(node.param("bias"), node.precision.bias),
+                weight=node.param("weight").quantized(prec.weight),
+                bias=node.param("bias").quantized(prec.bias),
             ))
         elif node.kind == "batch_norm" and not (
             "scale" in node.params and node.param("scale").is_quantized()
         ):
             scale, shift = batch_norm_scale_shift(node.params)
-            width = len(scale)
             nodes.append(replace(node, params={
-                "scale": _quantize_tensor(Tensor((width,), tuple(scale)), node.precision.weight),
-                "shift": _quantize_tensor(Tensor((width,), tuple(shift)), node.precision.bias),
+                "scale": Tensor.from_numpy(scale).quantized(prec.weight),
+                "shift": Tensor.from_numpy(shift).quantized(prec.bias),
             }))
         else:
             nodes.append(node)
     return graph.replace_nodes(nodes)
 
 
+def sign_params(node: LayerNode, width: int):
+    """Real per-channel thresholds and integer mode codes of a sign activation.
+
+    Missing params default to threshold 0 and mode 0 on every channel.
+    """
+    thresholds, modes = node.params.get("threshold"), node.params.get("mode")
+    t = thresholds.to_numpy().reshape(-1) if thresholds is not None else np.zeros(width)
+    m = modes.to_numpy().reshape(-1).astype(int) if modes is not None else np.zeros(width, int)
+    return t, m
+
+
 def threshold_raws(node: LayerNode, width: int, in_spec: FixedPointSpec):
-    """Per-channel threshold raws on the incoming grid, plus mode codes.
+    """Per-channel threshold raws on the incoming grid, mode codes, band.
 
     Mode codes: 0 = +1 iff x >= t, 1 = +1 iff x <= t (negative batch-norm
     gain), 2 = constant +1, 3 = constant -1. Ternary adds a symmetric band
-    of half a unit around the threshold. Code generation reuses these raws
-    so firmware comparisons match the emulator bit-for-bit.
+    of half a unit around the threshold; the band's raw is 0 for binary.
+    Code generation reuses these raws so firmware comparisons match the
+    emulator bit-for-bit.
     """
-    thresholds = node.params.get("threshold")
-    modes = node.params.get("mode")
-    tvals = list(thresholds.data) if thresholds is not None else [0.0] * width
-    mvals = [int(v) for v in modes.data] if modes is not None else [0] * width
+    thresholds, modes = sign_params(node, width)
     # Round-to-nearest with saturation keeps the comparison grid stable.
     tspec = replace(in_spec, rounding=ROUND_HALF_UP, overflow=SATURATE)
-    return [quantize(t, tspec).raw for t in tvals], mvals
+    half = quantize(0.5, tspec).raw if node.kind == "ternary_tanh" else 0
+    return [quantize(t, tspec).raw for t in thresholds.tolist()], modes.tolist(), half
 
 
-def ternary_half_raw(in_spec: FixedPointSpec) -> int:
-    """The half-unit band bound of ternary tanh, on the incoming grid."""
-    half_spec = replace(in_spec, rounding=ROUND_HALF_UP, overflow=SATURATE)
-    return quantize(0.5, half_spec).raw
+def sign_activation(x, thresholds, modes, half):
+    """+1.0, 0.0 or -1.0 per channel of binary or ternary tanh.
+
+    ``x`` is one row or a batch of rows, ``thresholds`` and ``modes`` hold
+    one entry per channel (see ``threshold_raws`` for the mode codes). With
+    d = x - t (t - x under mode 1) the output is +1 when d >= half, -1 when
+    d <= -half and 0 in between; binary tanh is the ternary with half = 0.
+    Raws must come as object arrays of Python ints so that x - t, which can
+    exceed 64 bits, is exact.
+    """
+    d = np.where(modes == 1, thresholds - x, x - thresholds)
+    out = np.where(d >= half, 1.0, np.where(d <= -half, -1.0, 0.0))
+    return np.where(modes == 2, 1.0, np.where(modes == 3, -1.0, out))
 
 
-def _run_binary_tanh(node, values, in_spec, res_spec):
-    traws, modes = threshold_raws(node, len(values), in_spec)
-    plus = quantize(1.0, res_spec)
-    minus = quantize(-1.0, res_spec)
-    out = []
-    for v, traw, mode in zip(values, traws, modes):
-        if mode == 2:
-            out.append(plus)
-        elif mode == 3:
-            out.append(minus)
-        elif mode == 1:
-            out.append(plus if v.raw <= traw else minus)
-        else:
-            out.append(plus if v.raw >= traw else minus)
-    return out
-
-
-def _run_ternary_tanh(node, values, in_spec, res_spec):
-    # +/-0.5 band convention; the band is centered on the threshold.
-    traws, modes = threshold_raws(node, len(values), in_spec)
-    half = ternary_half_raw(in_spec)
-    plus = quantize(1.0, res_spec)
-    zero = quantize(0.0, res_spec)
-    minus = quantize(-1.0, res_spec)
-    out = []
-    for v, traw, mode in zip(values, traws, modes):
-        if mode == 2:
-            out.append(plus)
-        elif mode == 3:
-            out.append(minus)
-        else:
-            d = v.raw - traw
-            if mode == 1:
-                d = -d
-            out.append(plus if d >= half else (minus if d <= -half else zero))
-    return out
-
-
-def _softmax_real(values) -> tuple:
-    reals = [v.to_float() if isinstance(v, FixedPointValue) else float(v) for v in values]
+def _softmax_real(x: Tensor) -> Tensor:
+    reals = x.to_numpy().reshape(-1).tolist()
     peak = max(reals)
     exps = [math.exp(r - peak) for r in reals]
     total = sum(exps)
-    return tuple(e / total for e in exps)
+    return Tensor((len(exps),), [e / total for e in exps])
 
 
-def run_inference(graph: ModelGraph, input_tensor=None, tap_all: bool = False):
+def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool = False):
     """Execute the graph bit-accurately; returns (output, taps).
 
-    Parameters are materialized on the fly when still real-valued. Taps
-    collect every layer output in chain order when requested. Compressed
-    dense layers run through ``dense_mv``: COO order equals dense order, so
-    the result is the same bit for bit.
+    Parameters are materialized on the fly when still real-valued. A real
+    input is quantized onto the input layer's result spec; a quantized one
+    is used as it is. Taps collect every layer output in chain order when
+    requested. Compressed dense layers run through ``dense_mv``: COO order
+    equals dense order, so the result is the same bit for bit.
     """
     graph = materialize_quantized(graph)
     taps = []
     for node, in_spec, _, _ in walk(graph):
         res_spec = node.precision.result
         if node.kind == "input":
-            value = node.params.get("value")
-            if value is not None:
-                source = value.data
-            elif input_tensor is not None:
-                source = input_tensor.data if isinstance(input_tensor, Tensor) else tuple(input_tensor)
-            else:
+            current = node.params.get("value", input_tensor)
+            if current is None:
                 raise ValueError("graph input is not constant and no input tensor was provided")
-            current = tuple(
-                v if isinstance(v, FixedPointValue) else quantize(float(v), res_spec)
-                for v in source
-            )
+            if not current.is_quantized():
+                current = current.quantized(res_spec)
         elif node.kind == "dense":
-            current = dense_mv(node.param("weight"), node.param("bias"), current, node.precision).data
+            current = dense_mv(node.param("weight"), node.param("bias"), current, node.precision)
         elif node.kind == "batch_norm":
+            scale, shift = node.param("scale"), node.param("shift")
             acc_spec = node.precision.accumulator
-            acc_frac = acc_spec.fraction_bits
+            acc_frac, shift_frac = acc_spec.fraction_bits, shift.spec.fraction_bits
+            prod_frac = scale.spec.fraction_bits + current.spec.fraction_bits
             out = []
-            for v, s, b in zip(current, node.param("scale").data, node.param("shift").data):
-                acc = cast_raw(b.raw, b.spec.fraction_bits, acc_spec)
-                p = cast_raw(s.raw * v.raw, s.spec.fraction_bits + v.spec.fraction_bits, acc_spec)
-                acc = apply_overflow(acc + p, acc_spec)
-                out.append(FixedPointValue(cast_raw(acc, acc_frac, res_spec), res_spec))
-            current = tuple(out)
+            for v, s, b in zip(current.array.tolist(), scale.array.tolist(), shift.array.tolist()):
+                acc = cast_raw(b, shift_frac, acc_spec)
+                acc = apply_overflow(acc + cast_raw(s * v, prod_frac, acc_spec), acc_spec)
+                out.append(cast_raw(acc, acc_frac, res_spec))
+            current = Tensor((len(out),), out, res_spec)
         elif node.kind == "relu":
-            current = tuple(
-                FixedPointValue(cast_raw(max(v.raw, 0), v.spec.fraction_bits, res_spec), res_spec)
-                for v in current
-            )
-        elif node.kind == "binary_tanh":
-            current = tuple(_run_binary_tanh(node, current, in_spec, res_spec))
-        elif node.kind == "ternary_tanh":
-            current = tuple(_run_ternary_tanh(node, current, in_spec, res_spec))
+            frac = current.spec.fraction_bits
+            current = Tensor(current.shape, [cast_raw(max(v, 0), frac, res_spec)
+                                             for v in current.array.tolist()], res_spec)
+        elif node.kind in ("binary_tanh", "ternary_tanh"):
+            traws, modes, half = threshold_raws(node, current.size, in_spec)
+            codes = sign_activation(current.array.astype(object),
+                                    np.array(traws, dtype=object), np.array(modes), half)
+            levels = {c: quantize(c, res_spec).raw for c in (1.0, 0.0, -1.0)}
+            current = Tensor(current.shape, [levels[c] for c in codes.tolist()], res_spec)
         else:  # softmax, always the last layer
             current = _softmax_real(current)
         if tap_all:
-            taps.append(LayerTap(node.name, Tensor((len(current),), current)))
-    return Tensor((len(current),), current), taps
+            taps.append(LayerTap(node.name, current))
+    return current, taps

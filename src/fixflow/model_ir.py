@@ -12,6 +12,11 @@ a single ``fixed<W,I[,u][,rnd][,sat]>`` string applied to all four slots,
 or an object with per-slot strings (weight, bias, accumulator, result).
 Layers form a chain in declaration order; graphs are immutable after
 construction.
+
+Every parameter, emulator row and tap is a :class:`Tensor`, one read-only
+numpy array of float64 reals or of integer raws on one FixedPointSpec.
+Only ``Tensor`` knows how raws are stored; other modules read its
+``array`` and ``spec``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .fixed_point import MAX_SPEC_WIDTH, FixedPointSpec, FixedPointValue
+import numpy as np
+
+from .fixed_point import MAX_SPEC_WIDTH, FixedPointSpec, FixedPointValue, quantize
 
 FORMAT_VERSION = "1"
 DEFAULT_PRECISION = "fixed<16,6>"
@@ -44,47 +52,87 @@ class ValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
 class Tensor:
-    """Flat row-major tensor; data holds floats or FixedPointValue."""
+    """Flat row-major tensor backed by one read-only numpy array.
 
-    shape: tuple
-    data: tuple
+    A real tensor (``spec`` is None) holds float64 values. A quantized
+    tensor holds the integer raws of its elements, all on ``spec``: int64
+    when the spec's raw range fits, Python ints in an object array
+    otherwise (an unsigned 64-bit spec). ``data`` may be numbers or an
+    ndarray (real), raws together with ``spec``, or FixedPointValues that
+    share one spec. The input is always copied, so later writes to it never
+    reach the tensor.
+    """
 
-    def __post_init__(self):
-        if len(self.shape) == 0:
+    def __init__(self, shape, data, spec: FixedPointSpec = None):
+        shape = tuple(shape)
+        if len(shape) == 0:
             raise ValueError("tensor shape must be non-empty")
-        if any(int(d) != d or d <= 0 for d in self.shape):
-            raise ValueError(f"tensor shape must be positive integers, got {self.shape}")
-        if math.prod(self.shape) != len(self.data):
-            raise ValueError(
-                f"tensor data length {len(self.data)} does not match shape {self.shape}"
-            )
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        object.__setattr__(self, "data", tuple(self.data))
+        if any(int(d) != d or d <= 0 for d in shape):
+            raise ValueError(f"tensor shape must be positive integers, got {shape}")
+        values = data.reshape(-1).tolist() if isinstance(data, np.ndarray) else list(data)
+        if math.prod(shape) != len(values):
+            raise ValueError(f"tensor data length {len(values)} does not match shape {shape}")
+        if spec is None and isinstance(values[0], FixedPointValue):
+            spec = values[0].spec
+            if not all(isinstance(v, FixedPointValue) and v.spec == spec for v in values):
+                raise ValueError("quantized tensor elements must share one spec")
+            values = [v.raw for v in values]
+        if spec is None:
+            array = np.array(values, dtype=np.float64)
+        else:
+            if min(values) < spec.min_raw or max(values) > spec.max_raw:
+                raise ValueError(f"raws outside the range of {spec}")
+            fits = -(1 << 63) <= spec.min_raw and spec.max_raw < (1 << 63)
+            array = np.array(values, dtype=np.int64 if fits else object)
+        array.setflags(write=False)
+        self.shape = tuple(int(d) for d in shape)
+        self.array = array
+        self.spec = spec
+
+    @cached_property
+    def data(self) -> tuple:
+        """The elements as floats or FixedPointValues, built on first use."""
+        values = self.array.tolist()
+        return tuple(values if self.spec is None else (FixedPointValue(r, self.spec) for r in values))
 
     @property
     def size(self) -> int:
-        return len(self.data)
+        return self.array.size
 
     def at(self, i: int, j: int):
         """Element (i, j) of a 2-D tensor."""
         return self.data[i * self.shape[1] + j]
 
     def is_quantized(self) -> bool:
-        return len(self.data) > 0 and isinstance(self.data[0], FixedPointValue)
+        return self.spec is not None
 
-    def to_numpy(self):
-        import numpy as np
+    def to_numpy(self) -> np.ndarray:
+        """A new writable float64 array of ``shape``.
 
-        return np.array(self.data, dtype=np.float64).reshape(self.shape)
+        Quantized elements equal ``FixedPointValue.to_float()``: the raw is
+        rounded once, and scaling a 64-bit raw by 2**-frac is exact while
+        |frac| <= 900 keeps the result a normal float.
+        """
+        if self.spec is None:
+            return self.array.reshape(self.shape).copy()
+        frac = self.spec.fraction_bits
+        if abs(frac) <= 900:
+            reals = np.ldexp(self.array.astype(np.float64), -frac)
+        else:
+            reals = np.array([v.to_float() for v in self.data])
+        return reals.reshape(self.shape)
+
+    def quantized(self, spec: FixedPointSpec) -> "Tensor":
+        """This real tensor on ``spec``'s grid, quantizing element by element."""
+        if self.spec is not None:
+            raise ValueError("tensor is already quantized")
+        return Tensor(self.shape, [quantize(v, spec).raw for v in self.array.tolist()], spec)
 
     @classmethod
     def from_numpy(cls, arr) -> "Tensor":
-        import numpy as np
-
         a = np.asarray(arr, dtype=np.float64)
-        return cls(a.shape if a.ndim else (1,), tuple(float(v) for v in a.reshape(-1)))
+        return cls(a.shape if a.ndim else (1,), a)
 
     @classmethod
     def scalar(cls, value: float) -> "Tensor":
@@ -118,6 +166,8 @@ class PrecisionSet:
             specs = {}
             for slot in cls.SLOTS:
                 text = doc.get(slot, DEFAULT_PRECISION)
+                if not isinstance(text, str):
+                    raise ParseError(f"{path}.{slot}: precision must be a string")
                 try:
                     specs[slot] = FixedPointSpec.from_string(text)
                 except ValueError as e:
@@ -256,7 +306,7 @@ def _parse_tensor(doc, path: str) -> Tensor:
     )
     _expect(_all_finite(data), path, "data entries must be finite numbers")
     try:
-        return Tensor(tuple(shape), tuple(float(v) for v in data))
+        return Tensor(shape, data)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
 
@@ -375,7 +425,7 @@ def _check_layer(node: LayerNode, in_width: int, diags: list):
             if t is not None and t.size != in_width:
                 bad("shape", f"{key} has {t.size} channels, expected {in_width}")
         modes = node.params.get("mode")
-        if modes is not None and any(v not in (0, 1, 2, 3) for v in modes.data):
+        if modes is not None and not np.isin(modes.to_numpy(), (0, 1, 2, 3)).all():
             bad("params", "mode entries must be one of the codes 0, 1, 2, 3")
 
 
@@ -398,10 +448,10 @@ def validate(graph: ModelGraph):
 
 
 def _tensor_doc(t: Tensor):
-    if t.shape == (1,) and not t.is_quantized():
-        return t.data[0]
     # Quantized values serialize as their exact decimal reals.
-    data = [v.to_float() if isinstance(v, FixedPointValue) else float(v) for v in t.data]
+    data = t.to_numpy().reshape(-1).tolist()
+    if t.shape == (1,) and not t.is_quantized():
+        return data[0]
     return {"shape": list(t.shape), "data": data}
 
 

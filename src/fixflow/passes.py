@@ -70,14 +70,9 @@ def fuse_batchnorm_into_dense(graph: ModelGraph):
                 scale, shift = batch_norm_scale_shift(nxt.params)
             except ValueError as e:
                 raise ValueError(f"cannot fuse {nxt.name!r} into {node.name!r}: {e}") from None
-            weight, bias = node.param("weight"), node.param("bias")
-            m, n = weight.shape
-            new_w = tuple(
-                scale[r] * weight.data[r * n + c] for r in range(m) for c in range(n)
-            )
-            new_b = tuple(scale[r] * bias.data[r] + shift[r] for r in range(m))
             out.append(node.with_params(
-                weight=Tensor((m, n), new_w), bias=Tensor((m,), new_b)
+                weight=Tensor.from_numpy(scale[:, None] * node.param("weight").to_numpy()),
+                bias=Tensor.from_numpy(scale * node.param("bias").to_numpy() + shift),
             ))
             rewrites.append(((nxt.name,), node.name))
             i += 2
@@ -111,17 +106,16 @@ def fuse_batchnorm_into_binary_tanh(graph: ModelGraph):
         ):
             scale, shift = batch_norm_scale_shift(node.params)
             thresholds, modes = [], []
-            for s, sh in zip(scale, shift):
+            for s, sh in zip(scale.tolist(), shift.tolist()):
                 if s == 0.0:
                     thresholds.append(0.0)
                     modes.append(MODE_CONST_PLUS if sh >= 0 else MODE_CONST_MINUS)
                 else:
                     thresholds.append(-sh / s)
                     modes.append(MODE_GE if s > 0 else MODE_LE)
-            width = len(scale)
             out.append(nxt.with_params(
-                threshold=Tensor((width,), tuple(thresholds)),
-                mode=Tensor((width,), tuple(float(m) for m in modes)),
+                threshold=Tensor((len(thresholds),), thresholds),
+                mode=Tensor((len(modes),), modes),
             ))
             rewrites.append(((node.name,), nxt.name))
             i += 2
@@ -145,10 +139,9 @@ def constant_fold(graph: ModelGraph):
     for node in graph.nodes:
         if node.kind == "batch_norm" and "scale" not in node.params and _real_params(node):
             scale, shift = batch_norm_scale_shift(node.params)
-            width = len(scale)
             folded_nodes.append(replace(node, params={
-                "scale": Tensor((width,), tuple(scale)),
-                "shift": Tensor((width,), tuple(shift)),
+                "scale": Tensor.from_numpy(scale),
+                "shift": Tensor.from_numpy(shift),
             }))
             rewrites.append(((), node.name))
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace as _dc_replace
 
-from .fixed_point import SATURATE, FixedPointValue, quantize
+from .fixed_point import SATURATE, quantize
 from .model_ir import ModelGraph
 
 KIND_WEIGHT = 0
@@ -83,8 +83,8 @@ class ProfileReport:
         raise KeyError((layer, param))
 
 
-def _profile_tensor(layer: str, param: str, kind: int, values) -> TensorProfile:
-    reals = [v.to_float() if isinstance(v, FixedPointValue) else float(v) for v in values]
+def _profile_tensor(layer: str, param: str, kind: int, tensor) -> TensorProfile:
+    reals = tensor.to_numpy().reshape(-1).tolist()
     magnitudes = sorted(abs(v) for v in reals)
     nonzero = [v for v in magnitudes if v != 0.0]
     q25 = percentile(magnitudes, 0.25)
@@ -120,7 +120,7 @@ def profile_weights(graph: ModelGraph) -> ProfileReport:
             if tensor.size == 0:
                 notes.append(f"{node.name}.{param}: empty tensor skipped")
                 continue
-            rows.append(_profile_tensor(node.name, param, kind, tensor.data))
+            rows.append(_profile_tensor(node.name, param, kind, tensor))
     return ProfileReport(tuple(rows), tuple(notes))
 
 

@@ -92,13 +92,6 @@ class QuantizerSpec:
         lo, hi = self.grid_limits()
         return (w >= lo) & (w <= hi)
 
-    def precision_spec(self) -> FixedPointSpec:
-        """Matching deployment spec (round to nearest, saturating)."""
-        bits = 2 if self.mode == "ternary" else max(self.bits, 2)
-        integer = 2 if self.mode in ("binary", "ternary") else self.integer_bits
-        return FixedPointSpec(bits, integer, signed=True,
-                              rounding="round_half_up", overflow="saturate")
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -278,7 +271,7 @@ class _BatchNorm:
         self.beta = node.param("beta").to_numpy().reshape(-1)
         self.moving_mean = node.param("moving_mean").to_numpy().reshape(-1)
         self.moving_var = node.param("moving_variance").to_numpy().reshape(-1)
-        self.eps = float(node.param("epsilon").data[0])
+        self.eps = node.param("epsilon").to_numpy().item()
 
     def forward(self, x, training):
         if training:
@@ -539,41 +532,16 @@ def _forward_layers(model: ModelGraph, x: np.ndarray):
             x = np.maximum(x, 0.0)
         elif node.kind == "batch_norm":
             scale, shift = kernels.batch_norm_scale_shift(node.params)
-            x = x * np.asarray(scale) + np.asarray(shift)
-        elif node.kind == "binary_tanh":
-            x = _binary_tanh_real(node, x)
-        elif node.kind == "ternary_tanh":
-            x = _ternary_tanh_real(node, x)
+            x = x * scale + shift
+        elif node.kind in ("binary_tanh", "ternary_tanh"):
+            thresholds, modes = kernels.sign_params(node, x.shape[1])
+            x = kernels.sign_activation(x, thresholds, modes,
+                                        0.5 if node.kind == "ternary_tanh" else 0.0)
         elif node.kind == "softmax":
             shifted = x - x.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             x = e / e.sum(axis=1, keepdims=True)
         yield node, x
-
-
-def _tanh_params(node, width):
-    t = node.params.get("threshold")
-    m = node.params.get("mode")
-    thresholds = t.to_numpy().reshape(-1) if t is not None else np.zeros(width)
-    modes = m.to_numpy().reshape(-1).astype(int) if m is not None else np.zeros(width, dtype=int)
-    return thresholds, modes
-
-
-def _binary_tanh_real(node, x):
-    t, modes = _tanh_params(node, x.shape[1])
-    out = np.where(x >= t, 1.0, -1.0)
-    flipped = np.where(x <= t, 1.0, -1.0)
-    out = np.where(modes == 1, flipped, out)
-    out = np.where(modes == 2, 1.0, out)
-    return np.where(modes == 3, -1.0, out)
-
-
-def _ternary_tanh_real(node, x):
-    t, modes = _tanh_params(node, x.shape[1])
-    d = np.where(modes == 1, t - x, x - t)
-    out = np.where(d >= 0.5, 1.0, np.where(d <= -0.5, -1.0, 0.0))
-    out = np.where(modes == 2, 1.0, out)
-    return np.where(modes == 3, -1.0, out)
 
 
 def _rank_auc(scores: np.ndarray, is_positive: np.ndarray) -> float:
@@ -624,12 +592,8 @@ def evaluate(model: ModelGraph, data: Dataset, arithmetic: str = "real") -> Eval
 def emulate_batch(model: ModelGraph, features: np.ndarray) -> np.ndarray:
     """Bit-accurate per-sample emulation; rows of real-valued outputs."""
     model = kernels.materialize_quantized(model)
-    rows = []
-    for x in np.asarray(features, dtype=np.float64):
-        out, _ = kernels.run_inference(model, Tensor.from_numpy(x))
-        rows.append([
-            v.to_float() if hasattr(v, "to_float") else float(v) for v in out.data
-        ])
+    rows = [kernels.run_inference(model, Tensor.from_numpy(x))[0].to_numpy().reshape(-1)
+            for x in np.asarray(features, dtype=np.float64)]
     return np.array(rows, dtype=np.float64)
 
 
@@ -732,10 +696,6 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
         rows.append(ScanRow(bits, ptq.accuracy / baseline.accuracy,
                             qat.accuracy / baseline.accuracy))
     return baseline, rows
-
-
-def replace_quantizers(cfg: TrainingConfig, quantizers) -> TrainingConfig:
-    return replace(cfg, quantizers=quantizers)
 
 
 def write_scan_csv(rows, path):

@@ -117,6 +117,12 @@ class TestMalformedDocuments:
         err = self.run_failing(tmp_path, capsys, layers, "convert")
         assert "[bt]" in err and "mode" in err
 
+    @pytest.mark.parametrize("slot", [5, None, ["fixed<8,2>"]])
+    def test_precision_slot_not_a_string(self, tmp_path, capsys, slot):
+        layers = [{"name": "r", "kind": "relu", "precision": {"weight": slot}}]
+        err = self.run_failing(tmp_path, capsys, layers, "convert")
+        assert "$.layers[0].precision.weight" in err and "string" in err
+
 
 class TestEstimate:
     def test_reuse_sweep_csv(self, tmp_path):

@@ -15,7 +15,7 @@ from fixflow.codegen import (
     emit_project,
     emit_report,
 )
-from fixflow.kernels import materialize_quantized, run_inference
+from fixflow.kernels import materialize_quantized, run_inference, threshold_raws
 from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError,
                               topo_order)
 
@@ -210,6 +210,69 @@ def every_kind_model() -> ModelGraph:
         dense("d3", 3, 8, PrecisionSet.uniform("fixed<16,6>")),
     ]
     return ModelGraph.chain(nodes, (6,))
+
+
+def wide_model() -> ModelGraph:
+    """A chain at the 64-bit edges of the specs, ending on a dense layer.
+
+    Weights with negative integer bits feed a wrapping fixed<64,2>
+    accumulator that overflows, then an unsigned 63-bit ReLU and a dense
+    layer saturating into fixed<64,2,sat>. Its ternary thresholds at +/-1.9
+    sit so close to that range's ends that x - t often leaves int64.
+    """
+    rng = np.random.Generator(np.random.Philox(key=64))
+
+    def dense(name, m, n, scale, prec):
+        return LayerNode(name, "dense", {"weight": Tensor.from_numpy(rng.normal(0.0, scale, (m, n))),
+                                         "bias": Tensor.from_numpy(rng.normal(0.0, scale, m))},
+                         precision=prec)
+
+    def prec(weight, bias, acc, result):
+        return PrecisionSet.from_doc(
+            {"weight": weight, "bias": bias, "accumulator": acc, "result": result}, "$")
+
+    nodes = [
+        LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<16,8>")),
+        dense("d0", 8, 6, 0.06, prec("fixed<8,-2>", "fixed<8,-2>", "fixed<64,2>", "fixed<64,2>")),
+        LayerNode("act", "relu", precision=PrecisionSet.uniform("fixed<63,2,u>")),
+        dense("d1", 8, 8, 1.0, prec("fixed<8,2>", "fixed<8,2>", "fixed<64,6,sat>", "fixed<64,2,sat>")),
+        LayerNode("tt", "ternary_tanh", {
+            "threshold": Tensor((8,), (1.9, -1.9) * 4),
+            "mode": Tensor((8,), (0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 0.0, 1.0)),
+        }, precision=PrecisionSet.uniform("fixed<4,2>")),
+        dense("d2", 3, 8, 0.6, PrecisionSet.uniform("fixed<16,6>")),
+    ]
+    return ModelGraph.chain(nodes, (6,))
+
+
+class TestWideSpecsCompile:
+    def test_compiled_project_bit_matches_emulator(self, tmp_path):
+        compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
+        if compiler is None:
+            pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
+        model = materialize_quantized(wide_model())
+        emit_project(model, CodegenConfig("wide")).write_to(tmp_path)
+        subprocess.run(["sh", str(tmp_path / "build.sh")], check=True, capture_output=True)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        all_taps = [run_inference(model, Tensor.from_numpy(rng.normal(0, 8, 6)), tap_all=True)[1]
+                    for _ in range(100)]
+        (tmp_path / "in.txt").write_text(
+            "".join(" ".join(map(str, taps[0].output.array.tolist())) + "\n" for taps in all_taps))
+        subprocess.run([str(tmp_path / "build" / "testbench"),
+                        str(tmp_path / "in.txt"), str(tmp_path / "out.txt")],
+                       check=True, capture_output=True)
+        got = (tmp_path / "out.txt").read_text().splitlines()
+        assert got == [" ".join(map(str, taps[-1].output.array.tolist())) for taps in all_taps]
+
+        # The chain reaches what it is built for: d0's exact sums leave its
+        # accumulator's range, and ternary differences leave int64.
+        d0 = model.node("d0")
+        exact = (np.array([taps[0].output.to_numpy() for taps in all_taps])
+                 @ d0.param("weight").to_numpy().T + d0.param("bias").to_numpy())
+        assert (np.abs(exact) >= 2).any(axis=1).sum() >= 10
+        traws, _, _ = threshold_raws(model.node("tt"), 8, model.node("d1").precision.result)
+        diffs = [v - t for taps in all_taps for v, t in zip(taps[3].output.array.tolist(), traws)]
+        assert sum(not -(1 << 63) <= d < (1 << 63) for d in diffs) >= 100
 
 
 class TestEveryKindCompiles:

@@ -215,3 +215,47 @@ class TestTensor:
         t = Tensor((2,), (FixedPointValue(1, s), FixedPointValue(2, s)))
         assert t.is_quantized()
         assert not Tensor((1,), (0.5,)).is_quantized()
+
+    @pytest.mark.parametrize("spec_text, raws", [
+        ("fixed<64,2>", [-(1 << 63), (1 << 63) - 1, (1 << 53) + 1, -(1 << 53) - 3, 0]),
+        ("fixed<64,70>", [-(1 << 63), (1 << 63) - 1, (1 << 60) + 5]),
+        ("fixed<64,2,u>", [(1 << 64) - 1, (1 << 63), (1 << 53) + 1, 1]),
+        ("fixed<64,-1000>", [-(1 << 63), (1 << 63) - 1, 3]),
+    ])
+    def test_64_bit_raws_stay_exact(self, spec_text, raws):
+        from fixflow.fixed_point import FixedPointSpec
+
+        spec = FixedPointSpec.from_string(spec_text)
+        t = Tensor((len(raws),), [FixedPointValue(r, spec) for r in raws])
+        assert t.spec == spec
+        assert [v.raw for v in t.data] == raws
+        assert all(v.spec == spec for v in t.data)
+        assert t.to_numpy().tolist() == [FixedPointValue(r, spec).to_float() for r in raws]
+        assert Tensor(t.shape, t.array, spec).data == t.data
+
+    def test_mixed_specs_rejected(self):
+        from fixflow.fixed_point import FixedPointSpec
+
+        a, b = FixedPointSpec(8, 4), FixedPointSpec(8, 3)
+        with pytest.raises(ValueError):
+            Tensor((2,), (FixedPointValue(1, a), FixedPointValue(1, b)))
+        with pytest.raises(ValueError):
+            Tensor((2,), (FixedPointValue(1, a), 0.5))
+
+    def test_copies_its_input(self):
+        import numpy as np
+
+        source = np.arange(4, dtype=np.float64)
+        t = Tensor.from_numpy(source)
+        source[0] = 99.0
+        assert t.data == (0.0, 1.0, 2.0, 3.0)
+        arr = t.to_numpy()
+        arr[1] = -1.0
+        assert t.to_numpy().tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_array_is_read_only(self):
+        from fixflow.fixed_point import FixedPointSpec
+
+        for t in (Tensor.from_numpy([1.0, 2.0]), Tensor((2,), [3, 4], FixedPointSpec(8, 4))):
+            with pytest.raises(ValueError):
+                t.array[0] = 0
