@@ -48,11 +48,17 @@ def _load_config(path):
 
 
 def _pick(args, config, key, default):
-    """Flag value if given, else config leaf, else default."""
+    """Flag value if given, else config leaf read as the default's type, else default."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    return config.get(key, default)
+    if key not in config:
+        return default
+    try:
+        return type(default)(config[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config key {key!r}: {config[key]!r} is not a "
+                         f"{type(default).__name__}") from None
 
 
 def _load_model(spec: str, seed: int) -> ModelGraph:
@@ -103,21 +109,21 @@ def _write_json(path, doc):
 
 def _training_config(args, config) -> trainer.TrainingConfig:
     return trainer.TrainingConfig(
-        learning_rate=float(_pick(args, config, "learning_rate", 0.01)),
-        optimizer=str(_pick(args, config, "optimizer", "adam")),
-        epochs=int(_pick(args, config, "epochs", 50)),
-        batch_size=int(_pick(args, config, "batch_size", 64)),
-        l1_lambda=float(_pick(args, config, "l1_lambda", 0.0)),
+        learning_rate=_pick(args, config, "learning_rate", 0.01),
+        optimizer=_pick(args, config, "optimizer", "adam"),
+        epochs=_pick(args, config, "epochs", 50),
+        batch_size=_pick(args, config, "batch_size", 64),
+        l1_lambda=_pick(args, config, "l1_lambda", 0.0),
         seed=args.seed,
     )
 
 
 def _quantizer(args, config) -> trainer.QuantizerSpec:
     return trainer.QuantizerSpec(
-        bits=int(_pick(args, config, "bits", 6)),
-        integer_bits=int(_pick(args, config, "integer_bits", 1)),
-        alpha=float(_pick(args, config, "alpha", 1.0)),
-        mode=str(_pick(args, config, "mode", "fixed")),
+        bits=_pick(args, config, "bits", 6),
+        integer_bits=_pick(args, config, "integer_bits", 1),
+        alpha=_pick(args, config, "alpha", 1.0),
+        mode=_pick(args, config, "mode", "fixed"),
     )
 
 
@@ -190,9 +196,9 @@ def cmd_prune(args, config):
     cfg = _training_config(args, config)
     method = _METHODS[args.method]
     schedule = pruning.PruneSchedule(
-        target_fraction=float(_pick(args, config, "target_fraction", 0.8)),
-        increment=float(_pick(args, config, "increment", 0.10)),
-        retrain_epochs=int(_pick(args, config, "retrain_epochs", 20)),
+        target_fraction=_pick(args, config, "target_fraction", 0.8),
+        increment=_pick(args, config, "increment", 0.10),
+        retrain_epochs=_pick(args, config, "retrain_epochs", 20),
         method=method,
     )
     if method == "qap":
@@ -212,6 +218,9 @@ def cmd_prune(args, config):
 
 def cmd_emulate(args, config):
     graph = _load_model(args.model, args.seed)
+    if "value" in graph.nodes[0].params:
+        raise ValueError(f"input layer {graph.nodes[0].name!r} carries a constant value, "
+                         "so emulation would ignore the input rows")
     rows = _load_input_rows(args.data, args.seed)
     if rows.ndim != 2 or rows.shape[1] != graph.input_width:
         raise ValueError(
@@ -251,7 +260,7 @@ def _format_vector(t: Tensor) -> str:
 
 def cmd_estimate(args, config):
     graph = _load_model(args.model, args.seed)
-    clock = float(_pick(args, config, "clock_mhz", 200.0))
+    clock = _pick(args, config, "clock_mhz", 200.0)
     factors = _parse_int_list(args.reuse) if args.reuse else []
     # One quantized copy serves the estimates and the sweep. It is dropped
     # before the real-valued graph is profiled and serialized, which keeps
@@ -301,7 +310,7 @@ def cmd_scan(args, config):
     bits = _parse_int_list(args.bits)
     baseline, rows = trainer.ptq_qat_scan(
         graph, data, eval_data, bits, cfg,
-        fixed_eval_limit=int(_pick(args, config, "fixed_eval_limit", 1000)),
+        fixed_eval_limit=_pick(args, config, "fixed_eval_limit", 1000),
     )
     out = _out_dir(args)
     trainer.write_scan_csv(rows, os.path.join(out, "scan.csv"))

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, quantize
-from .kernels import materialize_quantized, threshold_raws
+from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
+from .kernels import compress_coo, materialize_quantized, sign_levels
 from .model_ir import ModelGraph, serialize_model, walk
 
 TOOL_VERSION = __version__
@@ -238,14 +238,13 @@ def _emit_dense(node, in_spec, index):
         f" {math.ceil(nz / node.reuse_factor) if nz else 0} multipliers)",
     ]
     if node.compression:
-        entries = [(i, raw) for i, raw in enumerate(w_raws) if raw != 0]
-        index_bits = max(0, math.ceil(math.log2(m * n)))
+        coo = compress_coo(weight)
         comments.append(
-            f"COO records: packed index = out * {n} + in ({index_bits} index bits)"
+            f"COO records: packed index = out * {n} + in ({coo.index_bits} index bits)"
         )
         arrays = [
-            (f"coo_index_{index}", [i for i, _ in entries]),
-            (f"coo_weight_{index}", [raw for _, raw in entries]),
+            (f"coo_index_{index}", [p for p, _ in coo.entries]),
+            (f"coo_weight_{index}", [w.raw for _, w in coo.entries]),
             (f"bias_{index}", b_raws),
         ]
         kernel += [
@@ -254,7 +253,7 @@ def _emit_dense(node, in_spec, index):
             f"    ff_wide_t acc[{m}];",
             f"    for (int i = 0; i < {m}; ++i)",
             f"        acc[i] = ff_cast((ff_wide_t)bias_{index}[i], {_cast_args(bspec.fraction_bits, acc)});",
-            f"    for (int e = 0; e < {len(entries)}; ++e) {{",
+            f"    for (int e = 0; e < {len(coo.entries)}; ++e) {{",
             f"        int i = (int)(coo_index_{index}[e] / {n});",
             f"        int j = (int)(coo_index_{index}[e] % {n});",
             f"        ff_wide_t p = (ff_wide_t)coo_weight_{index}[e] * (ff_wide_t)x[j];",
@@ -324,15 +323,14 @@ def _emit_relu(node, in_spec, width):
 
 def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
     res = node.precision.result
-    traws, modes, half = threshold_raws(node, width, in_spec)
-    plus = quantize(1.0, res).raw
-    minus = quantize(-1.0, res).raw
+    half, plus, zero, minus = sign_levels(node)
     header = _weight_header(
         index,
         f"layer {node.name}: {node.kind} thresholds on the incoming grid",
         [f"threshold {_spec_comment(in_spec)}",
          "mode: 0 = +1 iff x >= t, 1 = +1 iff x <= t, 2/3 = constant +1/-1"],
-        [(f"threshold_{index}", traws), (f"mode_{index}", modes)],
+        [(f"threshold_{index}", node.param("threshold").array.tolist()),
+         (f"mode_{index}", node.param("mode").array.tolist())],
     )
     lines = [
         f"// {node.name}: {node.kind} (XNOR-friendly +/-1 encoding in {res.to_string()})",
@@ -343,7 +341,6 @@ def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
         f"        if (mode == 3) {{ y[i] = {minus}; continue; }}",
     ]
     if ternary:
-        zero = quantize(0.0, res).raw
         lines += [
             f"        ff_wide_t d = (ff_wide_t)x[i] - (ff_wide_t)threshold_{index}[i];",
             "        if (mode == 1) d = -d;",
@@ -512,8 +509,7 @@ REPORT_SCHEMA = {
 }
 
 
-def emit_report(graph: ModelGraph, estimates=None, profile=None,
-                prune_history=None, pass_reports=None) -> dict:
+def emit_report(graph: ModelGraph, estimates=None, profile=None, pass_reports=None) -> dict:
     """One structured document aggregating everything the pipeline measured."""
     doc = {
         "schema_version": "1",
@@ -529,11 +525,7 @@ def emit_report(graph: ModelGraph, estimates=None, profile=None,
         "resources": None,
         "timing": None,
         "profile": profile.to_doc() if profile is not None else None,
-        "prune_history": [
-            {"iteration": r.iteration, "fraction": r.fraction, "accuracy": r.accuracy,
-             "auc": r.auc, "bops": r.bops}
-            for r in (prune_history or [])
-        ],
+        "prune_history": [],
     }
     if estimates is not None:
         resource, timing = estimates

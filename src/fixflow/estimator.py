@@ -10,8 +10,8 @@ Timing follows the reuse-factor contract: a dense layer with reuse
 factor R has initiation interval R, latency R plus the accumulation-tree
 depth plus a pipeline constant, layers run sequentially, and total
 latency adds one interconnect cycle per layer boundary. The constants
-are declared defaults, configurable and excluded from any calibration
-claim. The LUT estimate is an explicitly uncalibrated heuristic.
+below are declared, not fitted, and excluded from any calibration claim.
+The LUT estimate is an explicitly uncalibrated heuristic.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ from .pruning import compute_bops
 
 DSP_PORT_WIDE = 25
 DSP_PORT_NARROW = 18
+LUT_THRESHOLD = 9
+PIPELINE_CONSTANT = 3
+INTERCONNECT_CYCLES = 1
+LUT_PER_MULT_BIT = 0.5
+LUT_PER_ACCUM_BIT = 4.0
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    lut_threshold: int = 9
-    pipeline_constant: int = 3
-    interconnect_cycles: int = 1
-    lut_per_mult_bit: float = 0.5
-    lut_per_accum_bit: float = 4.0
-
-
-DEFAULT_CONFIG = EstimatorConfig()
-
-
-def dsp_per_multiply(b1: int, b2: int, lut_threshold: int = DEFAULT_CONFIG.lut_threshold) -> int:
+def dsp_per_multiply(b1: int, b2: int, lut_threshold: int = LUT_THRESHOLD) -> int:
     """DSP blocks for one b1 x b2 multiply; 0 when it maps to LUTs."""
     if b1 < 1 or b2 < 1:
         raise ValueError("bit widths must be >= 1")
@@ -103,38 +96,31 @@ def quantized_zero_fraction(node) -> float:
     return weight.array.tolist().count(0) / weight.size
 
 
-def _dense_rows(node, f_p, activation_bits, config):
-    m, n = node.param("weight").shape
-    n_mult = int(round((1.0 - f_p) * n * m))
-    r = node.reuse_factor
-    multipliers = math.ceil(n_mult / r) if n_mult else 0
-    b_w = node.precision.weight.width_bits
-    b_a = activation_bits
-    per_mult = dsp_per_multiply(b_w, b_a, config.lut_threshold)
-    lut_mults = multipliers if per_mult == 0 else 0
-    lut = round(config.lut_per_mult_bit * lut_mults * b_w * b_a
-                + config.lut_per_accum_bit * m * node.precision.accumulator.width_bits)
-    resource = LayerResource(node.name, n_mult, multipliers, multipliers * per_mult,
-                             lut, compute_bops(n, m, b_w, b_a, f_p))
-    latency = r + math.ceil(math.log2(n)) if n > 1 else r
-    timing = LayerTiming(node.name, r, latency + config.pipeline_constant)
-    return resource, timing
-
-
-def estimate_layer(node, f_p: float, clock_mhz: float = 200.0,
-                   activation_bits: int = None, config: EstimatorConfig = DEFAULT_CONFIG):
+def estimate_layer(node, f_p: float, activation_bits: int = None):
     """(resource row, timing row) for one dense layer at pruned fraction f_p."""
     if node.kind != "dense":
         raise ValueError(f"estimate_layer expects a dense layer, got {node.kind!r}")
     if node.reuse_factor < 1:
         raise ValueError("reuse factor must be >= 1")
-    if activation_bits is None:
-        activation_bits = node.precision.result.width_bits
-    return _dense_rows(node, f_p, activation_bits, config)
+    m, n = node.param("weight").shape
+    n_mult = int(round((1.0 - f_p) * n * m))
+    r = node.reuse_factor
+    multipliers = math.ceil(n_mult / r) if n_mult else 0
+    b_w = node.precision.weight.width_bits
+    b_a = node.precision.result.width_bits if activation_bits is None else activation_bits
+    per_mult = dsp_per_multiply(b_w, b_a)
+    lut_mults = multipliers if per_mult == 0 else 0
+    lut = round(LUT_PER_MULT_BIT * lut_mults * b_w * b_a
+                + LUT_PER_ACCUM_BIT * m * node.precision.accumulator.width_bits)
+    resource = LayerResource(node.name, n_mult, multipliers, multipliers * per_mult,
+                             lut, compute_bops(n, m, b_w, b_a, f_p))
+    latency = r + math.ceil(math.log2(n)) if n > 1 else r
+    timing = LayerTiming(node.name, r, latency + PIPELINE_CONSTANT)
+    return resource, timing
 
 
 def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
-                   config: EstimatorConfig = DEFAULT_CONFIG, assume_dense: bool = False):
+                   assume_dense: bool = False):
     """Roll up per-layer estimates over the chain.
 
     Dense pruned fractions come from prune-state masks when given,
@@ -160,23 +146,23 @@ def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
                 f_p = 1.0 - float(mask.sum()) / mask.size
             else:
                 f_p = quantized_zero_fraction(node)
-            res, tim = _dense_rows(node, f_p, activation_bits, config)
+            res, tim = estimate_layer(node, f_p, activation_bits)
             resources.append(res)
             timings.append(tim)
         elif node.kind == "batch_norm":
             b_w = node.precision.weight.width_bits
-            per_mult = dsp_per_multiply(b_w, activation_bits, config.lut_threshold)
+            per_mult = dsp_per_multiply(b_w, activation_bits)
             lut_mults = width if per_mult == 0 else 0
-            lut = round(config.lut_per_mult_bit * lut_mults * b_w * activation_bits
-                        + config.lut_per_accum_bit * width * node.precision.accumulator.width_bits)
+            lut = round(LUT_PER_MULT_BIT * lut_mults * b_w * activation_bits
+                        + LUT_PER_ACCUM_BIT * width * node.precision.accumulator.width_bits)
             resources.append(LayerResource(node.name, width, width, width * per_mult, lut, 0.0))
-            timings.append(LayerTiming(node.name, 1, 1 + config.pipeline_constant))
+            timings.append(LayerTiming(node.name, 1, 1 + PIPELINE_CONSTANT))
         else:  # relu, binary_tanh, ternary_tanh
             timings.append(LayerTiming(node.name, 1, 1))
 
     total_latency = sum(t.latency_cycles for t in timings)
     if timings:
-        total_latency += config.interconnect_cycles * (len(timings) - 1)
+        total_latency += INTERCONNECT_CYCLES * (len(timings) - 1)
     resource = ResourceEstimate(
         per_layer=tuple(resources),
         dsp_total=sum(r.dsp for r in resources),
@@ -193,7 +179,7 @@ def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
 
 
 def reuse_sweep(graph: ModelGraph, reuse_factors, clock_mhz: float = 200.0,
-                config: EstimatorConfig = DEFAULT_CONFIG, assume_dense: bool = False):
+                assume_dense: bool = False):
     """Estimate the model at each reuse factor applied to every dense layer.
 
     Returns rows of (R, model II, total latency, DSP total, total
@@ -205,8 +191,7 @@ def reuse_sweep(graph: ModelGraph, reuse_factors, clock_mhz: float = 200.0,
             replace(n, reuse_factor=r) if n.kind == "dense" else n
             for n in graph.nodes
         ]
-        res, tim = estimate_model(graph.replace_nodes(nodes), None, clock_mhz, config,
-                                  assume_dense)
+        res, tim = estimate_model(graph.replace_nodes(nodes), None, clock_mhz, assume_dense)
         rows.append({
             "reuse_factor": r,
             "model_ii_cycles": tim.model_ii_cycles,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 TRUNCATE = "truncate"
 ROUND_HALF_UP = "round_half_up"
@@ -50,15 +51,15 @@ class FixedPointSpec:
         if self.overflow not in (WRAP, SATURATE):
             raise ValueError(f"unknown overflow mode {self.overflow!r}")
 
-    @property
+    @cached_property
     def fraction_bits(self) -> int:
         return self.width_bits - self.integer_bits
 
-    @property
+    @cached_property
     def min_raw(self) -> int:
         return -(1 << (self.width_bits - 1)) if self.signed else 0
 
-    @property
+    @cached_property
     def max_raw(self) -> int:
         if self.signed:
             return (1 << (self.width_bits - 1)) - 1

@@ -10,10 +10,12 @@ and the test oracles all agree:
   accumulator spec's overflow handling at every add;
 * one final cast into the result spec.
 
-Sparse COO execution iterates entries in ascending packed index
-(``out * n_in + in``), which coincides with the dense per-row order, so
-dense and sparse results are bit-identical. Softmax is evaluated in real
-arithmetic at the output only.
+``_mac`` is the one statement of this convention: ``dense_mv``,
+``sparse_mv_coo`` and batch norm (a diagonal dense layer) all call it.
+Sparse COO execution groups entries by output row; within a row, the
+ascending packed index (``out * n_in + in``) is the ascending input
+index of the dense order, so dense and sparse results are bit-identical.
+Softmax is evaluated in real arithmetic at the output only.
 
 The emulator's per-row state between layers, and every tap, is a quantized
 ``Tensor``: the raws of one layer output on that layer's result spec. The
@@ -38,7 +40,8 @@ from .fixed_point import (
     cast_raw,
     quantize,
 )
-from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, walk
+from .model_ir import (MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_LE, LayerNode, ModelGraph,
+                       PrecisionSet, Tensor, walk)
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ class CooWeights:
             raise ValueError("COO entries must be sorted by packed index without duplicates")
         if packed and not 0 <= packed[-1] < self.n_in * self.n_out:
             raise ValueError("packed index out of range")
+        if any(w.spec != self.weight_spec for _, w in self.entries):
+            raise ValueError("COO entries must all be on weight_spec")
 
     @property
     def index_bits(self) -> int:
@@ -78,6 +83,16 @@ def _vector(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor((len(x),), x)
 
 
+def _mac(bias: int, bias_frac: int, terms, prod_frac: int, precision: PrecisionSet) -> int:
+    """One output raw under the frozen convention from a bias raw and (weight, input) raw pairs."""
+    acc_spec = precision.accumulator
+    acc = cast_raw(bias, bias_frac, acc_spec)
+    for w, v in terms:
+        if w:  # zero weights contribute nothing, bit-exactly
+            acc = apply_overflow(acc + cast_raw(w * v, prod_frac, acc_spec), acc_spec)
+    return cast_raw(acc, acc_spec.fraction_bits, precision.result)
+
+
 def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
     """Matrix-vector kernel under the frozen cast-point convention."""
     if len(weights.shape) != 2:
@@ -87,19 +102,11 @@ def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tenso
     if bias.size != m or x.size != n:
         raise ValueError(f"shape mismatch: weight {m}x{n}, bias {bias.size}, input {x.size}")
 
-    acc_spec, res_spec = precision.accumulator, precision.result
-    acc_frac, bias_frac = acc_spec.fraction_bits, bias.spec.fraction_bits
     prod_frac = weights.spec.fraction_bits + x.spec.fraction_bits
     wraws, xraws = weights.array.tolist(), x.array.tolist()
-    out = []
-    for i, b in enumerate(bias.array.tolist()):
-        acc = cast_raw(b, bias_frac, acc_spec)
-        for w, v in zip(wraws[i * n:(i + 1) * n], xraws):
-            if w == 0:
-                continue  # zero weights contribute nothing, bit-exactly
-            acc = apply_overflow(acc + cast_raw(w * v, prod_frac, acc_spec), acc_spec)
-        out.append(cast_raw(acc, acc_frac, res_spec))
-    return Tensor((m,), out, res_spec)
+    out = [_mac(b, bias.spec.fraction_bits, zip(wraws[i * n:(i + 1) * n], xraws), prod_frac, precision)
+           for i, b in enumerate(bias.array.tolist())]
+    return Tensor((m,), out, precision.result)
 
 
 def compress_coo(weights: Tensor) -> CooWeights:
@@ -126,17 +133,14 @@ def sparse_mv_coo(coo: CooWeights, bias: Tensor, x, precision: PrecisionSet) -> 
         raise ValueError(
             f"shape mismatch: COO {coo.n_out}x{coo.n_in}, bias {bias.size}, input {x.size}"
         )
-    acc_spec, res_spec = precision.accumulator, precision.result
-    accs = [cast_raw(b, bias.spec.fraction_bits, acc_spec) for b in bias.array.tolist()]
-    xraws = x.array.tolist()
-    n = coo.n_in
-    # Ascending packed index == ascending j within each output row.
-    for packed, w in coo.entries:
-        i, j = divmod(packed, n)
-        p = cast_raw(w.raw * xraws[j], w.spec.fraction_bits + x.spec.fraction_bits, acc_spec)
-        accs[i] = apply_overflow(accs[i] + p, acc_spec)
-    acc_frac = acc_spec.fraction_bits
-    return Tensor((coo.n_out,), [cast_raw(a, acc_frac, res_spec) for a in accs], res_spec)
+    xraws, rows = x.array.tolist(), [[] for _ in range(coo.n_out)]
+    for packed, w in coo.entries:  # ascending packed index: ascending j within a row
+        i, j = divmod(packed, coo.n_in)
+        rows[i].append((w.raw, xraws[j]))
+    prod_frac = coo.weight_spec.fraction_bits + x.spec.fraction_bits
+    out = [_mac(b, bias.spec.fraction_bits, terms, prod_frac, precision)
+           for b, terms in zip(bias.array.tolist(), rows)]
+    return Tensor((coo.n_out,), out, precision.result)
 
 
 def batch_norm_scale_shift(params: dict):
@@ -161,31 +165,45 @@ def batch_norm_scale_shift(params: dict):
 
 
 def materialize_quantized(graph: ModelGraph) -> ModelGraph:
-    """Quantize all layer parameters onto their precision slots.
+    """Quantize every parameter the hardware reads onto its grid.
 
     Dense weights/biases go to the weight/bias specs. Batch-norm collapses
-    to per-channel scale/shift quantized like a diagonal dense layer.
-    Threshold params stay real; they are re-expressed on the incoming grid
-    at execution time.
+    to per-channel scale/shift quantized like a diagonal dense layer. Sign
+    activation thresholds go onto the round-half-up, saturating variant of
+    the incoming spec, the grid their comparisons run on, and missing
+    thresholds and mode codes are filled in as 0 on every channel. A
+    materialized graph thus holds every raw the emulator and the C++ writer
+    read, and materializing it again changes nothing. A threshold already
+    quantized on another grid raises ValueError naming the layer.
     """
     nodes = []
-    for node in graph.nodes:
+    for node, in_spec, width, _ in walk(graph):
         prec = node.precision
         if node.kind == "dense" and not node.param("weight").is_quantized():
-            nodes.append(node.with_params(
+            node = node.with_params(
                 weight=node.param("weight").quantized(prec.weight),
                 bias=node.param("bias").quantized(prec.bias),
-            ))
+            )
         elif node.kind == "batch_norm" and not (
             "scale" in node.params and node.param("scale").is_quantized()
         ):
             scale, shift = batch_norm_scale_shift(node.params)
-            nodes.append(replace(node, params={
+            node = replace(node, params={
                 "scale": Tensor.from_numpy(scale).quantized(prec.weight),
                 "shift": Tensor.from_numpy(shift).quantized(prec.bias),
-            }))
-        else:
-            nodes.append(node)
+            })
+        elif node.kind in ("binary_tanh", "ternary_tanh"):
+            # Round-to-nearest with saturation keeps the comparison grid stable.
+            tspec = replace(in_spec, rounding=ROUND_HALF_UP, overflow=SATURATE)
+            thresholds = node.params.get("threshold")
+            if thresholds is None or not thresholds.is_quantized():
+                t, m = sign_params(node, width)
+                node = node.with_params(threshold=Tensor.from_numpy(t).quantized(tspec),
+                                        mode=Tensor.from_numpy(m))
+            elif thresholds.spec != tspec:
+                raise ValueError(f"layer {node.name!r}: thresholds are quantized on "
+                                 f"{thresholds.spec}, but the incoming grid is {tspec}")
+        nodes.append(node)
     return graph.replace_nodes(nodes)
 
 
@@ -200,35 +218,31 @@ def sign_params(node: LayerNode, width: int):
     return t, m
 
 
-def threshold_raws(node: LayerNode, width: int, in_spec: FixedPointSpec):
-    """Per-channel threshold raws on the incoming grid, mode codes, band.
+def sign_levels(node: LayerNode):
+    """(band raw, +1 raw, 0 raw, -1 raw) of a materialized sign activation.
 
-    Mode codes: 0 = +1 iff x >= t, 1 = +1 iff x <= t (negative batch-norm
-    gain), 2 = constant +1, 3 = constant -1. Ternary adds a symmetric band
-    of half a unit around the threshold; the band's raw is 0 for binary.
-    Code generation reuses these raws so firmware comparisons match the
-    emulator bit-for-bit.
+    Ternary adds a symmetric band of half a unit on the thresholds' grid
+    around each threshold; the band's raw is 0 for binary. The three output
+    levels are raws on the result spec. The emulator and the C++ writer
+    both read these, so firmware comparisons match the emulator bit for bit.
     """
-    thresholds, modes = sign_params(node, width)
-    # Round-to-nearest with saturation keeps the comparison grid stable.
-    tspec = replace(in_spec, rounding=ROUND_HALF_UP, overflow=SATURATE)
-    half = quantize(0.5, tspec).raw if node.kind == "ternary_tanh" else 0
-    return [quantize(t, tspec).raw for t in thresholds.tolist()], modes.tolist(), half
+    half = quantize(0.5, node.param("threshold").spec).raw if node.kind == "ternary_tanh" else 0
+    return (half, *(quantize(c, node.precision.result).raw for c in (1.0, 0.0, -1.0)))
 
 
 def sign_activation(x, thresholds, modes, half):
     """+1.0, 0.0 or -1.0 per channel of binary or ternary tanh.
 
     ``x`` is one row or a batch of rows, ``thresholds`` and ``modes`` hold
-    one entry per channel (see ``threshold_raws`` for the mode codes). With
-    d = x - t (t - x under mode 1) the output is +1 when d >= half, -1 when
+    one entry per channel (mode codes in ``model_ir``). With d = x - t
+    (t - x under MODE_LE) the output is +1 when d >= half, -1 when
     d <= -half and 0 in between; binary tanh is the ternary with half = 0.
     Raws must come as object arrays of Python ints so that x - t, which can
     exceed 64 bits, is exact.
     """
-    d = np.where(modes == 1, thresholds - x, x - thresholds)
+    d = np.where(modes == MODE_LE, thresholds - x, x - thresholds)
     out = np.where(d >= half, 1.0, np.where(d <= -half, -1.0, 0.0))
-    return np.where(modes == 2, 1.0, np.where(modes == 3, -1.0, out))
+    return np.where(modes == MODE_CONST_PLUS, 1.0, np.where(modes == MODE_CONST_MINUS, -1.0, out))
 
 
 def _softmax_real(x: Tensor) -> Tensor:
@@ -248,9 +262,8 @@ def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool 
     requested. Compressed dense layers run through ``dense_mv``: COO order
     equals dense order, so the result is the same bit for bit.
     """
-    graph = materialize_quantized(graph)
     taps = []
-    for node, in_spec, _, _ in walk(graph):
+    for node in materialize_quantized(graph).nodes:
         res_spec = node.precision.result
         if node.kind == "input":
             current = node.params.get("value", input_tensor)
@@ -262,25 +275,20 @@ def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool 
             current = dense_mv(node.param("weight"), node.param("bias"), current, node.precision)
         elif node.kind == "batch_norm":
             scale, shift = node.param("scale"), node.param("shift")
-            acc_spec = node.precision.accumulator
-            acc_frac, shift_frac = acc_spec.fraction_bits, shift.spec.fraction_bits
             prod_frac = scale.spec.fraction_bits + current.spec.fraction_bits
-            out = []
-            for v, s, b in zip(current.array.tolist(), scale.array.tolist(), shift.array.tolist()):
-                acc = cast_raw(b, shift_frac, acc_spec)
-                acc = apply_overflow(acc + cast_raw(s * v, prod_frac, acc_spec), acc_spec)
-                out.append(cast_raw(acc, acc_frac, res_spec))
+            out = [_mac(b, shift.spec.fraction_bits, ((s, v),), prod_frac, node.precision) for v, s, b
+                   in zip(current.array.tolist(), scale.array.tolist(), shift.array.tolist())]
             current = Tensor((len(out),), out, res_spec)
         elif node.kind == "relu":
             frac = current.spec.fraction_bits
             current = Tensor(current.shape, [cast_raw(max(v, 0), frac, res_spec)
                                              for v in current.array.tolist()], res_spec)
         elif node.kind in ("binary_tanh", "ternary_tanh"):
-            traws, modes, half = threshold_raws(node, current.size, in_spec)
-            codes = sign_activation(current.array.astype(object),
-                                    np.array(traws, dtype=object), np.array(modes), half)
-            levels = {c: quantize(c, res_spec).raw for c in (1.0, 0.0, -1.0)}
-            current = Tensor(current.shape, [levels[c] for c in codes.tolist()], res_spec)
+            half, *levels = sign_levels(node)
+            thresholds = node.param("threshold").array.astype(object)
+            codes = sign_activation(current.array.astype(object), thresholds, node.param("mode").array, half)
+            level = dict(zip((1.0, 0.0, -1.0), levels))
+            current = Tensor(current.shape, [level[c] for c in codes.tolist()], res_spec)
         else:  # softmax, always the last layer
             current = _softmax_real(current)
         if tap_all:

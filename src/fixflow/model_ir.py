@@ -35,6 +35,12 @@ DEFAULT_PRECISION = "fixed<16,6>"
 
 LAYER_KINDS = ("input", "dense", "relu", "batch_norm", "binary_tanh", "ternary_tanh", "softmax")
 
+# Per-channel ``mode`` codes of binary_tanh / ternary_tanh.
+MODE_GE = 0  # +1 iff x >= threshold
+MODE_LE = 1  # +1 iff x <= threshold (negative batch-norm gain)
+MODE_CONST_PLUS = 2
+MODE_CONST_MINUS = 3
+
 BATCH_NORM_PARAMS = ("gamma", "beta", "moving_mean", "moving_variance", "epsilon")
 # Constant-folded batch_norm form (see passes.constant_fold).
 BATCH_NORM_FOLDED_PARAMS = ("scale", "shift")
@@ -425,7 +431,8 @@ def _check_layer(node: LayerNode, in_width: int, diags: list):
             if t is not None and t.size != in_width:
                 bad("shape", f"{key} has {t.size} channels, expected {in_width}")
         modes = node.params.get("mode")
-        if modes is not None and not np.isin(modes.to_numpy(), (0, 1, 2, 3)).all():
+        codes = (MODE_GE, MODE_LE, MODE_CONST_PLUS, MODE_CONST_MINUS)
+        if modes is not None and not np.isin(modes.to_numpy(), codes).all():
             bad("params", "mode entries must be one of the codes 0, 1, 2, 3")
 
 

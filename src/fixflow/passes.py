@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .kernels import batch_norm_scale_shift, run_inference
-from .model_ir import ModelGraph, Tensor
-
-# binary_tanh per-channel mode codes (shared with kernels execution)
-MODE_GE = 0  # +1 iff x >= threshold
-MODE_LE = 1  # +1 iff x <= threshold (negative batch-norm gain)
-MODE_CONST_PLUS = 2
-MODE_CONST_MINUS = 3
+from .model_ir import MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_GE, MODE_LE, ModelGraph, Tensor
 
 
 @dataclass(frozen=True)
@@ -47,40 +41,48 @@ def _real_params(node) -> bool:
     return all(not t.is_quantized() for t in node.params.values())
 
 
+def _fuse_pairs(graph: ModelGraph, pass_name: str, fuse):
+    """Rewrite each adjacent pair of layers that ``fuse`` merges, left to right.
+
+    ``fuse(node, nxt)`` returns None to keep the pair, or the merged node
+    and the name of the layer it removes; the merged node's name is the
+    absorbing layer. An unchanged graph is returned as it is.
+    """
+    nodes, out, rewrites = graph.nodes, [], []
+    i = 0
+    while i < len(nodes):
+        merged = fuse(nodes[i], nodes[i + 1]) if i + 1 < len(nodes) else None
+        if merged is None:
+            out.append(nodes[i])
+            i += 1
+        else:
+            out.append(merged[0])
+            rewrites.append(((merged[1],), merged[0].name))
+            i += 2
+    report = PassReport(pass_name, tuple(rewrites))
+    return (graph.replace_nodes(out) if rewrites else graph), report
+
+
 def fuse_batchnorm_into_dense(graph: ModelGraph):
     """Fold dense -> batch_norm into the dense layer's weights and bias.
 
     With scale s_i = gamma_i / sqrt(var_i + eps): W'_ij = s_i * W_ij and
     b'_i = s_i * (b_i - mean_i) + beta_i.
     """
-    nodes = graph.nodes
-    out, rewrites = [], []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-        if (
-            node.kind == "dense"
-            and nxt is not None
-            and nxt.kind == "batch_norm"
-            and _real_params(node)
-            and _real_params(nxt)
-        ):
-            try:
-                scale, shift = batch_norm_scale_shift(nxt.params)
-            except ValueError as e:
-                raise ValueError(f"cannot fuse {nxt.name!r} into {node.name!r}: {e}") from None
-            out.append(node.with_params(
-                weight=Tensor.from_numpy(scale[:, None] * node.param("weight").to_numpy()),
-                bias=Tensor.from_numpy(scale * node.param("bias").to_numpy() + shift),
-            ))
-            rewrites.append(((nxt.name,), node.name))
-            i += 2
-        else:
-            out.append(node)
-            i += 1
-    report = PassReport("fuse_batchnorm_into_dense", tuple(rewrites))
-    return (graph.replace_nodes(out) if rewrites else graph), report
+    def fuse(node, nxt):
+        if not (node.kind == "dense" and nxt.kind == "batch_norm"
+                and _real_params(node) and _real_params(nxt)):
+            return None
+        try:
+            scale, shift = batch_norm_scale_shift(nxt.params)
+        except ValueError as e:
+            raise ValueError(f"cannot fuse {nxt.name!r} into {node.name!r}: {e}") from None
+        return node.with_params(
+            weight=Tensor.from_numpy(scale[:, None] * node.param("weight").to_numpy()),
+            bias=Tensor.from_numpy(scale * node.param("bias").to_numpy() + shift),
+        ), nxt.name
+
+    return _fuse_pairs(graph, "fuse_batchnorm_into_dense", fuse)
 
 
 def fuse_batchnorm_into_binary_tanh(graph: ModelGraph):
@@ -91,39 +93,25 @@ def fuse_batchnorm_into_binary_tanh(graph: ModelGraph):
     the channel constant at sign(beta_i) (sign(0) = +1), the limit of the
     threshold formula.
     """
-    nodes = graph.nodes
-    out, rewrites = [], []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-        if (
-            node.kind == "batch_norm"
-            and nxt is not None
-            and nxt.kind == "binary_tanh"
-            and "threshold" not in nxt.params
-            and _real_params(node)
-        ):
-            scale, shift = batch_norm_scale_shift(node.params)
-            thresholds, modes = [], []
-            for s, sh in zip(scale.tolist(), shift.tolist()):
-                if s == 0.0:
-                    thresholds.append(0.0)
-                    modes.append(MODE_CONST_PLUS if sh >= 0 else MODE_CONST_MINUS)
-                else:
-                    thresholds.append(-sh / s)
-                    modes.append(MODE_GE if s > 0 else MODE_LE)
-            out.append(nxt.with_params(
-                threshold=Tensor((len(thresholds),), thresholds),
-                mode=Tensor((len(modes),), modes),
-            ))
-            rewrites.append(((node.name,), nxt.name))
-            i += 2
-        else:
-            out.append(node)
-            i += 1
-    report = PassReport("fuse_batchnorm_into_binary_tanh", tuple(rewrites))
-    return (graph.replace_nodes(out) if rewrites else graph), report
+    def fuse(node, nxt):
+        if not (node.kind == "batch_norm" and nxt.kind == "binary_tanh"
+                and "threshold" not in nxt.params and _real_params(node)):
+            return None
+        scale, shift = batch_norm_scale_shift(node.params)
+        thresholds, modes = [], []
+        for s, sh in zip(scale.tolist(), shift.tolist()):
+            if s == 0.0:
+                thresholds.append(0.0)
+                modes.append(MODE_CONST_PLUS if sh >= 0 else MODE_CONST_MINUS)
+            else:
+                thresholds.append(-sh / s)
+                modes.append(MODE_GE if s > 0 else MODE_LE)
+        return nxt.with_params(
+            threshold=Tensor((len(thresholds),), thresholds),
+            mode=Tensor((len(modes),), modes),
+        ), node.name
+
+    return _fuse_pairs(graph, "fuse_batchnorm_into_binary_tanh", fuse)
 
 
 def constant_fold(graph: ModelGraph):

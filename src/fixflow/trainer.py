@@ -26,6 +26,7 @@ from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, walk
 from . import kernels
 
 BN_MOMENTUM = 0.9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -97,9 +98,6 @@ class QuantizerSpec:
 class TrainingConfig:
     learning_rate: float = 0.01
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 64
     l1_lambda: float = 0.0
@@ -171,8 +169,7 @@ def save_csv_dataset(dataset: Dataset, path):
 
 
 def synthetic_task(seed: int = 7, n_samples: int = 2000, n_features: int = 16,
-                   n_classes: int = 5, separation: float = 1.0,
-                   sample_seed: int = None) -> Dataset:
+                   n_classes: int = 5, sample_seed: int = None) -> Dataset:
     """Gaussian-blob classification shaped like the bundled 16-feature task.
 
     ``seed`` fixes the task itself (class means, per-feature scales);
@@ -182,7 +179,7 @@ def synthetic_task(seed: int = 7, n_samples: int = 2000, n_features: int = 16,
     visibly lossy on this task.
     """
     task_rng = make_rng(seed)
-    means = task_rng.normal(0.0, 1.0, (n_classes, n_features)) * separation
+    means = task_rng.normal(0.0, 1.0, (n_classes, n_features))
     feature_scale = 2.0 ** task_rng.uniform(-2.0, 2.0, n_features)
     draw_rng = make_rng(seed if sample_seed is None else sample_seed)
     labels = draw_rng.integers(0, n_classes, n_samples)
@@ -433,13 +430,13 @@ class _Optimizer:
                 else:
                     m = self.m[(i, pname)]
                     v = self.v[(i, pname)]
-                    m *= cfg.adam_beta1
-                    m += (1 - cfg.adam_beta1) * g
-                    v *= cfg.adam_beta2
-                    v += (1 - cfg.adam_beta2) * g * g
-                    mhat = m / (1 - cfg.adam_beta1 ** self.step_count)
-                    vhat = v / (1 - cfg.adam_beta2 ** self.step_count)
-                    value -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+                    m *= ADAM_BETA1
+                    m += (1 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1 - ADAM_BETA2) * g * g
+                    mhat = m / (1 - ADAM_BETA1 ** self.step_count)
+                    vhat = v / (1 - ADAM_BETA2 ** self.step_count)
+                    value -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
         for layer in net.dense_layers():
             if layer.mask is not None:
                 layer.w *= layer.mask
@@ -663,12 +660,7 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     subset = Dataset(eval_data.features[:fixed_eval_limit],
                      eval_data.labels[:fixed_eval_limit], eval_data.class_count)
     baseline = evaluate(float_model, subset)
-    qat_cfg_base = TrainingConfig(
-        learning_rate=cfg.learning_rate / 2, optimizer=cfg.optimizer,
-        adam_beta1=cfg.adam_beta1, adam_beta2=cfg.adam_beta2, adam_eps=cfg.adam_eps,
-        epochs=max(1, cfg.epochs // 2), batch_size=cfg.batch_size,
-        l1_lambda=cfg.l1_lambda, seed=cfg.seed, masks=cfg.masks,
-    )
+    qat_cfg_base = replace(cfg, learning_rate=cfg.learning_rate / 2, epochs=max(1, cfg.epochs // 2))
     rows = []
     for bits in bit_widths:
         bits = int(bits)

@@ -186,6 +186,19 @@ class TestEmulate:
         assert run(["emulate", "--model", str(path), "--data", str(data),
                     "--out", str(tmp_path / "o")]) == 1
 
+    def test_constant_input_rejected(self, tmp_path, capsys):
+        # The emulator would write the constant's output for every row.
+        path = write_doc(tmp_path, [
+            {"name": "src", "kind": "input", "params": {"value": {"shape": [2], "data": [1, 2]}}},
+            {"name": "r", "kind": "relu"}])
+        data = tmp_path / "x.txt"
+        data.write_text("-5 -5\n3 3\n")
+        assert run(["emulate", "--model", path, "--data", str(data),
+                    "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "'src'" in err and "constant" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "outputs.txt").exists()
+
 
 class TestTrainAndScan:
     def test_train_on_synthetic(self, tmp_path):
@@ -254,3 +267,20 @@ class TestCodegenCommand:
                   "--out", str(out), "--config", str(cfg), "--epochs", "3"])
         assert rc == 0
         assert len(read_csv(out / "loss_trace.csv")) == 4  # flag epochs=3 wins
+
+
+class TestConfigLeaves:
+    @pytest.mark.parametrize("command, leaf", [
+        ("train", {"epochs": None}),
+        ("train", {"learning_rate": "fast"}),
+        ("estimate", {"clock_mhz": [1]}),
+    ])
+    def test_wrongly_typed_leaf_names_key(self, tmp_path, capsys, command, leaf):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(leaf))
+        argv = [command, "--model", "arch:16x8x5", "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        if command == "train":
+            argv += ["--data", "synthetic:7:100"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert repr(next(iter(leaf))) in err and "Traceback" not in err

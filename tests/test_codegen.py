@@ -15,11 +15,12 @@ from fixflow.codegen import (
     emit_project,
     emit_report,
 )
-from fixflow.kernels import materialize_quantized, run_inference, threshold_raws
+from fixflow.kernels import materialize_quantized, run_inference
 from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError,
                               topo_order)
 
 from golden_model import build_reference_model, emit_reference_tree
+from oracles import oracle_dense_mv_raws
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "ref_project")
 
@@ -270,7 +271,7 @@ class TestWideSpecsCompile:
         exact = (np.array([taps[0].output.to_numpy() for taps in all_taps])
                  @ d0.param("weight").to_numpy().T + d0.param("bias").to_numpy())
         assert (np.abs(exact) >= 2).any(axis=1).sum() >= 10
-        traws, _, _ = threshold_raws(model.node("tt"), 8, model.node("d1").precision.result)
+        traws = materialize_quantized(model).node("tt").param("threshold").array.tolist()
         diffs = [v - t for taps in all_taps for v, t in zip(taps[3].output.array.tolist(), traws)]
         assert sum(not -(1 << 63) <= d < (1 << 63) for d in diffs) >= 100
 
@@ -309,3 +310,136 @@ class TestEveryKindCompiles:
         assert got == want_lines
         # Outputs are a function of the sign layers' patterns, so they repeat.
         assert len(set(want_lines)) > 10
+
+
+def random_spec(rng, min_width=2) -> str:
+    """A random fixed<W,I[,u][,rnd][,sat]> with W in min_width..32, I in -1..min(W, 5)+1.
+
+    Values of a few units then stay mostly representable, and fraction
+    bits stay within -1..33, which keeps every product and shift inside
+    the generated 128-bit arithmetic (codegen._check_widths).
+    """
+    width = int(rng.integers(min_width, 33))
+    flags = "".join(f for f, on in zip((",u", ",rnd", ",sat"), rng.random(3) < (0.1, 0.4, 0.3)) if on)
+    return f"fixed<{width},{int(rng.integers(-1, min(width, 5) + 2))}{flags}>"
+
+
+def fuzz_chain(rng, n_rows: int):
+    """A random valid chain of 1-4 dense layers, ending on a dense layer, and input rows.
+
+    Every slot of every layer gets its own random spec, each dense layer
+    is COO-compressed at random, and each dense layer but the last may be
+    followed by a ReLU, an unfused batch norm, or a binary or ternary tanh
+    with mode codes 0-3 and thresholds at randomly picked values the chain
+    produces there (less the half-unit band for ternary), so that the
+    signs vary from row to row.
+    """
+    def precision():
+        # Accumulators of fewer than 12 bits would make most chains constant.
+        return PrecisionSet.from_doc({slot: random_spec(rng, 12 if slot == "accumulator" else 2)
+                                      for slot in PrecisionSet.SLOTS}, "$")
+
+    width = int(rng.integers(1, 7))
+    nodes = [LayerNode("input", "input", precision=precision())]
+    input_shape = (width,)
+    rows = rng.normal(0.0, 2.0 ** (nodes[0].precision.result.integer_bits - 2), (n_rows, width))
+    n_dense = int(rng.integers(1, 5))
+    for i in range(n_dense):
+        m = int(rng.integers(2, 7))
+        w = rng.normal(0.0, 1.0, (m, width)) * (rng.random((m, width)) >= 0.3)
+        nodes.append(LayerNode(f"d{i}", "dense", {"weight": Tensor.from_numpy(w),
+                                                  "bias": Tensor.from_numpy(rng.normal(0.0, 1.0, m))},
+                               precision=precision(), compression=bool(rng.random() < 0.4)))
+        width = m
+        kind = (None, "relu", "batch_norm", "binary_tanh", "ternary_tanh")[rng.integers(5)]
+        if i == n_dense - 1 or kind is None:
+            continue
+        params = {}
+        if kind == "batch_norm":
+            params = {key: Tensor.from_numpy(rng.normal(mean, 0.5, width))
+                      for key, mean in (("gamma", 1.0), ("beta", 0.0), ("moving_mean", 0.0))}
+            params["moving_variance"] = Tensor.from_numpy(rng.uniform(0.5, 2.0, width))
+            params["epsilon"] = Tensor.scalar(1e-3)
+        elif kind != "relu":
+            partial = ModelGraph.chain(nodes, input_shape)
+            seen = np.array([run_inference(partial, Tensor.from_numpy(x))[0].to_numpy() for x in rows])
+            picked = seen[rng.integers(n_rows, size=width), range(width)]
+            params = {"threshold": Tensor.from_numpy(picked - (0.5 if kind == "ternary_tanh" else 0.0)),
+                      "mode": Tensor.from_numpy(rng.choice(4, width, p=(0.4, 0.4, 0.1, 0.1)).astype(float))}
+        nodes.append(LayerNode(f"a{i}", kind, params, precision=precision()))
+    return ModelGraph.chain(nodes, input_shape), rows
+
+
+FUZZ_CHAINS = 6
+FUZZ_ROWS = 50
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus():
+    """(materialized chain, per-row emulator taps) for each random chain."""
+    rng = np.random.Generator(np.random.Philox(key=22))
+    corpus = []
+    for _ in range(FUZZ_CHAINS):
+        model, rows = fuzz_chain(rng, FUZZ_ROWS)
+        model = materialize_quantized(model)
+        corpus.append((model, [run_inference(model, Tensor.from_numpy(x), tap_all=True)[1]
+                               for x in rows]))
+    return corpus
+
+
+class TestFuzzCorpus:
+    def test_dense_taps_match_rational_oracle(self, fuzz_corpus):
+        for model, all_taps in fuzz_corpus:
+            for k, node in enumerate(model.nodes):
+                if node.kind != "dense":
+                    continue
+                for taps in all_taps:
+                    want = oracle_dense_mv_raws(node.param("weight"), node.param("bias"),
+                                                taps[k - 1].output.data, node.precision)
+                    assert taps[k].output.array.tolist() == want, node.name
+
+    def test_compiled_projects_bit_match_emulator(self, fuzz_corpus, tmp_path):
+        compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
+        if compiler is None:
+            pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
+        for c, (model, all_taps) in enumerate(fuzz_corpus):
+            project = tmp_path / f"fuzz{c}"
+            emit_project(model, CodegenConfig(f"fuzz{c}")).write_to(project)
+            subprocess.run(["sh", str(project / "build.sh")], check=True, capture_output=True)
+            (project / "in.txt").write_text(
+                "".join(" ".join(map(str, taps[0].output.array.tolist())) + "\n" for taps in all_taps))
+            subprocess.run([str(project / "build" / "testbench"),
+                            str(project / "in.txt"), str(project / "out.txt")],
+                           check=True, capture_output=True)
+            got = (project / "out.txt").read_text().splitlines()
+            assert got == [" ".join(map(str, taps[-1].output.array.tolist())) for taps in all_taps], c
+
+    def test_corpus_coverage(self, fuzz_corpus):
+        nodes = [node for model, _ in fuzz_corpus for node in model.nodes]
+        assert {n.kind for n in nodes} == {"input", "dense", "relu", "batch_norm",
+                                          "binary_tanh", "ternary_tanh"}
+        modes = {int(m) for n in nodes if "mode" in n.params for m in n.param("mode").array.tolist()}
+        assert modes == {0, 1, 2, 3}
+        assert any(n.compression for n in nodes)
+        specs = [getattr(n.precision, slot) for n in nodes for slot in PrecisionSet.SLOTS]
+        assert not all(s.signed for s in specs)
+        assert {s.rounding for s in specs} == {"truncate", "round_half_up"}
+        assert {s.overflow for s in specs} == {"wrap", "saturate"}
+        # Every chain's output varies, so the compiled comparison is not vacuous.
+        assert all(len({tuple(t[-1].output.array.tolist()) for t in taps}) > 1 for _, taps in fuzz_corpus)
+        # Some accumulator sees an exact sum outside its range.
+        overflows = 0
+        for model, all_taps in fuzz_corpus:
+            for k, node in enumerate(model.nodes):
+                if node.kind != "dense":
+                    continue
+                acc = node.precision.accumulator
+                weight, bias = node.param("weight"), node.param("bias")
+                m, n = weight.shape
+                for taps in all_taps:
+                    x = taps[k - 1].output.data
+                    for i in range(m):
+                        exact = sum((weight.at(i, j).to_fraction() * x[j].to_fraction()
+                                     for j in range(n)), bias.data[i].to_fraction())
+                        overflows += not acc.min_value <= exact <= acc.max_value
+        assert overflows >= 1

@@ -7,7 +7,6 @@ import pytest
 
 from fixflow import estimator, pruning, trainer
 from fixflow.estimator import (
-    EstimatorConfig,
     cycles_to_seconds,
     dsp_per_multiply,
     estimate_layer,
@@ -61,8 +60,7 @@ class TestDspPerMultiply:
 class TestEstimateLayer:
     def test_mnist_serial_extreme(self):
         model = mnist_model(reuse=12544)
-        res, tim = estimate_layer(model.node("fc0"), 0.0, clock_mhz=100.0,
-                                  activation_bits=16)
+        res, tim = estimate_layer(model.node("fc0"), 0.0, activation_bits=16)
         assert res.n_mult == 12544
         assert res.multipliers == 1
         assert tim.ii_cycles == 12544
@@ -70,8 +68,7 @@ class TestEstimateLayer:
 
     def test_mnist_parallel_point(self):
         model = mnist_model(reuse=14)
-        res, tim = estimate_layer(model.node("fc0"), 0.0, clock_mhz=100.0,
-                                  activation_bits=16)
+        res, tim = estimate_layer(model.node("fc0"), 0.0, activation_bits=16)
         assert res.multipliers == 896
         assert tim.ii_cycles == 14
         assert cycles_to_seconds(tim.ii_cycles, 100.0) == 140e-9

@@ -135,6 +135,12 @@ class TestCoo:
             CooWeights(((2, FixedPointValue(1, spec)), (1, FixedPointValue(1, spec))),
                        n_in=2, n_out=2, weight_spec=spec)
 
+    def test_entries_off_weight_spec_rejected(self):
+        # sparse_mv_coo scales every product by weight_spec's fraction bits.
+        with pytest.raises(ValueError, match="weight_spec"):
+            CooWeights(((0, FixedPointValue(1, FixedPointSpec(8, 2))),), n_in=1, n_out=1,
+                       weight_spec=FixedPointSpec(8, 4))
+
 
 class TestSparseDenseEquivalence:
     def test_dense_weights_degenerate_sparsity(self):
@@ -254,3 +260,30 @@ class TestRunInference:
         got, _ = run_inference(g, x)
         want, _ = run_inference(jet_float_model, x)
         assert [float(v) for v in got.data] == [float(v) for v in want.data]
+
+
+class TestMaterializeSign:
+    def chain(self, in_spec):
+        return ModelGraph.chain([
+            LayerNode("input", "input", precision=uniform_precision(in_spec)),
+            LayerNode("tt", "ternary_tanh", {"threshold": Tensor((2,), (0.3, 100.0))},
+                      precision=uniform_precision("fixed<4,2>")),
+        ], (2,))
+
+    def test_thresholds_and_modes_filled_in_once(self):
+        node = kernels.materialize_quantized(self.chain("fixed<8,4>")).node("tt")
+        # Round half up on the incoming grid; 100 saturates to its largest raw.
+        assert node.param("threshold").spec == FixedPointSpec(8, 4, rounding=ROUND_HALF_UP,
+                                                              overflow=SATURATE)
+        assert node.param("threshold").array.tolist() == [5, 127]
+        assert node.param("mode").array.tolist() == [0.0, 0.0]
+        again = kernels.materialize_quantized(
+            ModelGraph.chain([self.chain("fixed<8,4>").nodes[0], node], (2,))).node("tt")
+        assert again.param("threshold") is node.param("threshold")
+        assert kernels.sign_levels(node) == (8, 4, 0, -4)
+
+    def test_threshold_on_another_grid_names_layer(self):
+        node = kernels.materialize_quantized(self.chain("fixed<8,4>")).node("tt")
+        regridded = ModelGraph.chain([self.chain("fixed<10,4>").nodes[0], node], (2,))
+        with pytest.raises(ValueError, match="'tt'"):
+            kernels.materialize_quantized(regridded)
