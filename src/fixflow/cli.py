@@ -19,6 +19,7 @@ bundled 16-feature 5-class task.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -136,9 +137,11 @@ def cmd_convert(args, config):
             print(f"error: {p}", file=sys.stderr)
         return 1
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), serialize_model(graph))
+    text = serialize_model(graph)
+    _write_text(os.path.join(out, "model.json"), text)
     _write_json(os.path.join(out, "report.json"),
-                codegen.emit_report(graph, pass_reports=reports))
+                codegen.emit_report(graph, pass_reports=reports,
+                                    model_hash=hashlib.sha256(text.encode()).hexdigest()))
     applied = sum(len(r.rewrites) for r in reports)
     print(f"converted: {len(graph.nodes)} layers, {applied} rewrites")
     return 0
@@ -228,34 +231,25 @@ def cmd_emulate(args, config):
             f"model expects {graph.input_width}"
         )
     graph = kernels.materialize_quantized(graph)
-    input_spec = graph.nodes[0].precision.result
+    quantized = Tensor.from_numpy(rows).quantized(graph.nodes[0].precision.result)
+    result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
     out = _out_dir(args)
-    tap_dir = os.path.join(out, "taps")
+    _write_text(os.path.join(out, "outputs.txt"), _format_rows(result))
+    _write_text(os.path.join(out, "inputs_raw.txt"), _format_rows(quantized))
     if args.taps:
+        tap_dir = os.path.join(out, "taps")
         os.makedirs(tap_dir, exist_ok=True)
-    outputs, raw_inputs = [], []
-    tap_rows = {}
-    for x in rows:
-        quantized = Tensor.from_numpy(x).quantized(input_spec)
-        raw_inputs.append(_format_vector(quantized))
-        result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
-        outputs.append(_format_vector(result))
-        for tap in taps:
-            tap_rows.setdefault(tap.layer, []).append(_format_vector(tap.output))
-    _write_text(os.path.join(out, "outputs.txt"), "".join(outputs))
-    _write_text(os.path.join(out, "inputs_raw.txt"), "".join(raw_inputs))
-    if args.taps:
-        for idx, node in enumerate(graph.nodes):
-            if node.name in tap_rows:
-                path = os.path.join(tap_dir, f"tap_{idx:02d}_{node.name}.txt")
-                _write_text(path, "".join(tap_rows[node.name]))
+        for idx, tap in enumerate(taps):
+            path = os.path.join(tap_dir, f"tap_{idx:02d}_{tap.layer}.txt")
+            _write_text(path, _format_rows(tap.output))
     print(f"emulated {len(rows)} inputs")
     return 0
 
 
-def _format_vector(t: Tensor) -> str:
-    """Raws of a quantized tensor, reals of a real one, on one line."""
-    return " ".join(map(str if t.is_quantized() else repr, t.array.tolist())) + "\n"
+def _format_rows(t: Tensor) -> str:
+    """Raws of a quantized block of rows, reals of a real one, one line per row."""
+    fmt = str if t.is_quantized() else repr
+    return "".join(" ".join(map(fmt, row)) + "\n" for row in t.array.reshape(-1, t.shape[-1]).tolist())
 
 
 def cmd_estimate(args, config):
@@ -441,7 +435,7 @@ def run(argv) -> int:
     try:
         config = _load_config(args.config)
         return args.handler(args, config)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         log.debug("failure detail", exc_info=True)
         return 1

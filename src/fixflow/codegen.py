@@ -509,12 +509,19 @@ REPORT_SCHEMA = {
 }
 
 
-def emit_report(graph: ModelGraph, estimates=None, profile=None, pass_reports=None) -> dict:
-    """One structured document aggregating everything the pipeline measured."""
+def emit_report(graph: ModelGraph, estimates=None, profile=None, pass_reports=None,
+                model_hash: str = None) -> dict:
+    """One structured document aggregating everything the pipeline measured.
+
+    ``model_hash`` is the sha256 of ``serialize_model(graph)``; a caller
+    that already holds that text passes its hash so it is not serialized again.
+    """
+    if model_hash is None:
+        model_hash = hashlib.sha256(serialize_model(graph).encode()).hexdigest()
     doc = {
         "schema_version": "1",
         "model": {
-            "hash": hashlib.sha256(serialize_model(graph).encode()).hexdigest(),
+            "hash": model_hash,
             "input_shape": list(graph.input_shape),
             "layers": [
                 {"name": node.name, "kind": node.kind, "output_width": width}

@@ -14,7 +14,8 @@ arithmetic, so results are exact and platform independent:
 and pure-integer formats), following the ``ap_fixed`` convention.
 User-facing widths are capped at 64 bits; exact products of two such
 values may be up to 128 bits wide and are represented with the same
-machinery.
+machinery. ``apply_overflow_array`` and ``cast_raw_array`` apply the same
+rules to every element of an int64 or object (Python int) array of raws.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 TRUNCATE = "truncate"
 ROUND_HALF_UP = "round_half_up"
@@ -153,10 +156,10 @@ def _raw_to_real(raw: int, fraction_bits: int) -> Fraction:
 
 
 def shift_round(raw: int, shift: int, rounding: str) -> int:
-    """Scale ``raw`` by ``2**shift``, rounding per mode when shift < 0.
+    """Scale ``raw`` (an int or integer array) by ``2**shift``, rounding when shift < 0.
 
-    Right shifts of negative ints floor in Python, which is exactly the
-    truncate-toward-negative-infinity semantics.
+    Right shifts of negative ints floor in Python and in numpy, which is
+    exactly the truncate-toward-negative-infinity semantics.
     """
     if shift >= 0:
         return raw << shift
@@ -176,6 +179,30 @@ def apply_overflow(raw: int, spec: FixedPointSpec) -> int:
     if spec.signed and wrapped > spec.max_raw:
         wrapped -= 1 << spec.width_bits
     return wrapped
+
+
+def apply_overflow_array(raws: np.ndarray, spec: FixedPointSpec) -> np.ndarray:
+    """``apply_overflow`` on every element of an int64 or object array.
+
+    An int64 array moves to Python ints for a 64-bit spec, whose wrap
+    mask and unsigned range int64 cannot hold; otherwise the caller keeps
+    every value it passes, and their sums, inside int64.
+    """
+    if spec.width_bits >= 64 and raws.dtype != object:
+        raws = raws.astype(object)
+    if spec.overflow == SATURATE:
+        return np.minimum(np.maximum(raws, spec.min_raw), spec.max_raw)
+    wrapped = raws & ((1 << spec.width_bits) - 1)
+    if not spec.signed:
+        return wrapped
+    half = 1 << (spec.width_bits - 1)
+    return (wrapped ^ half) - half
+
+
+def cast_raw_array(raws: np.ndarray, fraction_bits: int, spec: FixedPointSpec) -> np.ndarray:
+    """``cast_raw`` on every element of an int64 or object array."""
+    shift = spec.fraction_bits - fraction_bits
+    return apply_overflow_array(shift_round(raws, shift, spec.rounding), spec)
 
 
 def quantize_ratio(num: int, den: int, spec: FixedPointSpec) -> int:

@@ -12,16 +12,19 @@ and the test oracles all agree:
 
 ``_mac`` is the one statement of this convention: ``dense_mv``,
 ``sparse_mv_coo`` and batch norm (a diagonal dense layer) all call it.
-Sparse COO execution groups entries by output row; within a row, the
+Sparse COO execution runs the decompressed matrix; within a row, the
 ascending packed index (``out * n_in + in``) is the ascending input
 index of the dense order, so dense and sparse results are bit-identical.
 Softmax is evaluated in real arithmetic at the output only.
 
-The emulator's per-row state between layers, and every tap, is a quantized
-``Tensor``: the raws of one layer output on that layer's result spec. The
-kernels take those raws once per call as Python ints (``array.tolist()``)
-and compute on them, so products up to 128 bits and 64-bit accumulators
-never wrap outside the spec's own overflow rule.
+The emulator runs a whole block of rows per call. Its state between
+layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
+(or ``(width,)`` for a single row): the raws of one layer output on that
+layer's result spec. Each layer computes on its ``[B, width]`` block as
+int64 when the bounds of every value it forms (products, shifted and
+rounded values, sums) fit int64, and otherwise runs the same code on
+object arrays of Python ints, so products up to 128 bits and 64-bit
+accumulators never wrap outside the spec's own overflow rule.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .fixed_point import (
     SATURATE,
     FixedPointSpec,
     FixedPointValue,
-    apply_overflow,
-    cast_raw,
+    apply_overflow_array,
+    cast_raw_array,
     quantize,
 )
 from .model_ir import (MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_LE, LayerNode, ModelGraph,
@@ -83,30 +86,74 @@ def _vector(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor((len(x),), x)
 
 
-def _mac(bias: int, bias_frac: int, terms, prod_frac: int, precision: PrecisionSet) -> int:
-    """One output raw under the frozen convention from a bias raw and (weight, input) raw pairs."""
-    acc_spec = precision.accumulator
-    acc = cast_raw(bias, bias_frac, acc_spec)
-    for w, v in terms:
-        if w:  # zero weights contribute nothing, bit-exactly
-            acc = apply_overflow(acc + cast_raw(w * v, prod_frac, acc_spec), acc_spec)
-    return cast_raw(acc, acc_spec.fraction_bits, precision.result)
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+
+
+def _dtype(*bounds):
+    """int64 when every bound fits it, else object (Python ints)."""
+    return np.int64 if all(_INT64[0] <= b <= _INT64[1] for b in bounds) else object
+
+
+def _extent(raws) -> tuple:
+    return int(raws.min()), int(raws.max())
+
+
+def _cast_bounds(lo: int, hi: int, fraction_bits: int, spec: FixedPointSpec) -> tuple:
+    """Bounds of the values ``cast_raw_array`` forms from raws in [lo, hi]."""
+    shift = spec.fraction_bits - fraction_bits
+    formed = (lo << shift, hi << shift) if shift >= 0 else (lo, hi + (1 << (-shift - 1)))
+    return (*formed, 1 << abs(shift), spec.min_raw, spec.max_raw)
+
+
+def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionSet):
+    """Result raws [B, m] under the frozen convention.
+
+    From bias raws [m], weight raws [m, n] and input raws [B, n]: the
+    accumulator starts at the cast bias; for j ascending, each exact
+    product is cast into the accumulator and added, with overflow after
+    the add; one final cast into the result spec.
+    """
+    acc_spec, res_spec = precision.accumulator, precision.result
+    (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
+    products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
+    dtype = _dtype(wlo, whi, xlo, xhi, *products,
+                   *_cast_bounds(min(products), max(products), prod_frac, acc_spec),
+                   *_cast_bounds(blo, bhi, bias_frac, acc_spec),
+                   2 * acc_spec.min_raw, 2 * acc_spec.max_raw,
+                   *_cast_bounds(acc_spec.min_raw, acc_spec.max_raw, acc_spec.fraction_bits, res_spec))
+    weights, x = weights.astype(dtype), x.astype(dtype)
+    acc = np.repeat(cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)[None, :], len(x), axis=0)
+    # Columns of zero weights are skipped. A zero weight inside a column adds
+    # an exact 0 to an in-range accumulator, which leaves it unchanged, and
+    # costs less than indexing around it.
+    for j in np.flatnonzero((weights != 0).any(axis=0)).tolist():
+        terms = cast_raw_array(x[:, j, None] * weights[:, j], prod_frac, acc_spec)
+        acc = apply_overflow_array(acc + terms, acc_spec)
+    return cast_raw_array(acc, acc_spec.fraction_bits, res_spec)
+
+
+def _rows(x: Tensor):
+    """The raws of a ``(n,)`` or ``(B, n)`` tensor as a [B, n] block."""
+    if len(x.shape) > 2:
+        raise ValueError(f"input must be one row or a block of rows, got shape {x.shape}")
+    return x.array.reshape(-1, x.shape[-1])
 
 
 def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
-    """Matrix-vector kernel under the frozen cast-point convention."""
+    """Matrix-vector kernel under the frozen cast-point convention.
+
+    ``x`` is one row ``(n,)`` or a block ``(B, n)``; the result has the
+    same leading shape.
+    """
     if len(weights.shape) != 2:
         raise ValueError(f"weight tensor must be 2-D, got shape {weights.shape}")
     m, n = weights.shape
     x = _vector(x)
-    if bias.size != m or x.size != n:
-        raise ValueError(f"shape mismatch: weight {m}x{n}, bias {bias.size}, input {x.size}")
-
-    prod_frac = weights.spec.fraction_bits + x.spec.fraction_bits
-    wraws, xraws = weights.array.tolist(), x.array.tolist()
-    out = [_mac(b, bias.spec.fraction_bits, zip(wraws[i * n:(i + 1) * n], xraws), prod_frac, precision)
-           for i, b in enumerate(bias.array.tolist())]
-    return Tensor((m,), out, precision.result)
+    if bias.size != m or x.shape[-1] != n:
+        raise ValueError(f"shape mismatch: weight {m}x{n}, bias {bias.size}, input {x.shape}")
+    out = _mac(bias.array, bias.spec.fraction_bits, weights.array.reshape(m, n), _rows(x),
+               weights.spec.fraction_bits + x.spec.fraction_bits, precision)
+    return Tensor(x.shape[:-1] + (m,), out, precision.result)
 
 
 def compress_coo(weights: Tensor) -> CooWeights:
@@ -127,20 +174,20 @@ def decompress_coo(coo: CooWeights) -> Tensor:
 
 
 def sparse_mv_coo(coo: CooWeights, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
-    """COO kernel; bit-identical to dense_mv on the decompressed matrix."""
+    """COO kernel; bit-identical to dense_mv on the decompressed matrix.
+
+    The dense order visits a row's entries in ascending input index, which
+    is their packed order; the zeros COO leaves out add nothing.
+    """
     x = _vector(x)
-    if bias.size != coo.n_out or x.size != coo.n_in:
+    if bias.size != coo.n_out or x.shape[-1] != coo.n_in:
         raise ValueError(
-            f"shape mismatch: COO {coo.n_out}x{coo.n_in}, bias {bias.size}, input {x.size}"
+            f"shape mismatch: COO {coo.n_out}x{coo.n_in}, bias {bias.size}, input {x.shape}"
         )
-    xraws, rows = x.array.tolist(), [[] for _ in range(coo.n_out)]
-    for packed, w in coo.entries:  # ascending packed index: ascending j within a row
-        i, j = divmod(packed, coo.n_in)
-        rows[i].append((w.raw, xraws[j]))
-    prod_frac = coo.weight_spec.fraction_bits + x.spec.fraction_bits
-    out = [_mac(b, bias.spec.fraction_bits, terms, prod_frac, precision)
-           for b, terms in zip(bias.array.tolist(), rows)]
-    return Tensor((coo.n_out,), out, precision.result)
+    weights = decompress_coo(coo).array.reshape(coo.n_out, coo.n_in)
+    out = _mac(bias.array, bias.spec.fraction_bits, weights, _rows(x),
+               coo.weight_spec.fraction_bits + x.spec.fraction_bits, precision)
+    return Tensor(x.shape[:-1] + (coo.n_out,), out, precision.result)
 
 
 def batch_norm_scale_shift(params: dict):
@@ -237,30 +284,45 @@ def sign_activation(x, thresholds, modes, half):
     one entry per channel (mode codes in ``model_ir``). With d = x - t
     (t - x under MODE_LE) the output is +1 when d >= half, -1 when
     d <= -half and 0 in between; binary tanh is the ternary with half = 0.
-    Raws must come as object arrays of Python ints so that x - t, which can
-    exceed 64 bits, is exact.
+    Raws come as int64 only when every x - t fits int64, and otherwise as
+    object arrays of Python ints, so that x - t is exact.
     """
     d = np.where(modes == MODE_LE, thresholds - x, x - thresholds)
     out = np.where(d >= half, 1.0, np.where(d <= -half, -1.0, 0.0))
     return np.where(modes == MODE_CONST_PLUS, 1.0, np.where(modes == MODE_CONST_MINUS, -1.0, out))
 
 
+def _sign_block(node: LayerNode, x: Tensor) -> np.ndarray:
+    """Raws of a materialized sign activation on a block of rows."""
+    half, *levels = sign_levels(node)
+    thresholds, modes = node.param("threshold").array, node.param("mode").array
+    (xlo, xhi), (tlo, thi) = _extent(x.array), _extent(thresholds)
+    dtype = _dtype(xlo, xhi, tlo, thi, xlo - thi, xhi - tlo, tlo - xhi, thi - xlo, half)
+    codes = sign_activation(_rows(x).astype(dtype), thresholds.astype(dtype), modes, half)
+    return np.array(levels, dtype=object)[(1.0 - codes).astype(int)]  # +1, 0, -1
+
+
 def _softmax_real(x: Tensor) -> Tensor:
-    reals = x.to_numpy().reshape(-1).tolist()
-    peak = max(reals)
-    exps = [math.exp(r - peak) for r in reals]
-    total = sum(exps)
-    return Tensor((len(exps),), [e / total for e in exps])
+    out = []
+    for reals in x.to_numpy().reshape(-1, x.shape[-1]).tolist():
+        peak = max(reals)
+        exps = [math.exp(r - peak) for r in reals]
+        total = sum(exps)
+        out.extend(e / total for e in exps)
+    return Tensor(x.shape, out)
 
 
 def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool = False):
     """Execute the graph bit-accurately; returns (output, taps).
 
-    Parameters are materialized on the fly when still real-valued. A real
-    input is quantized onto the input layer's result spec; a quantized one
-    is used as it is. Taps collect every layer output in chain order when
-    requested. Compressed dense layers run through ``dense_mv``: COO order
-    equals dense order, so the result is the same bit for bit.
+    The input is one row of the input width, or a ``(B, width)`` block of
+    rows that runs as one batch; the output and every tap keep its leading
+    shape, and row b of each equals a single-row call on row b, bit for bit.
+    Parameters are materialized once per call when still real-valued. A
+    real input is quantized onto the input layer's result spec; a quantized
+    one is used as it is. Taps collect every layer output in chain order
+    when requested. Compressed dense layers run through ``dense_mv``: COO
+    order equals dense order, so the result is the same bit for bit.
     """
     taps = []
     for node in materialize_quantized(graph).nodes:
@@ -271,24 +333,22 @@ def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool 
                 raise ValueError("graph input is not constant and no input tensor was provided")
             if not current.is_quantized():
                 current = current.quantized(res_spec)
+            if len(current.shape) > 1 and current.shape != (current.shape[0], graph.input_width):
+                current = Tensor((current.size,), current.array, current.spec)  # one row of any shape
         elif node.kind == "dense":
             current = dense_mv(node.param("weight"), node.param("bias"), current, node.precision)
         elif node.kind == "batch_norm":
             scale, shift = node.param("scale"), node.param("shift")
-            prod_frac = scale.spec.fraction_bits + current.spec.fraction_bits
-            out = [_mac(b, shift.spec.fraction_bits, ((s, v),), prod_frac, node.precision) for v, s, b
-                   in zip(current.array.tolist(), scale.array.tolist(), shift.array.tolist())]
-            current = Tensor((len(out),), out, res_spec)
+            out = _mac(shift.array, shift.spec.fraction_bits, np.diag(scale.array), _rows(current),
+                       scale.spec.fraction_bits + current.spec.fraction_bits, node.precision)
+            current = Tensor(current.shape, out, res_spec)
         elif node.kind == "relu":
             frac = current.spec.fraction_bits
-            current = Tensor(current.shape, [cast_raw(max(v, 0), frac, res_spec)
-                                             for v in current.array.tolist()], res_spec)
+            dtype = _dtype(*_cast_bounds(0, max(_extent(current.array)[1], 0), frac, res_spec))
+            out = cast_raw_array(np.maximum(current.array.astype(dtype), 0), frac, res_spec)
+            current = Tensor(current.shape, out, res_spec)
         elif node.kind in ("binary_tanh", "ternary_tanh"):
-            half, *levels = sign_levels(node)
-            thresholds = node.param("threshold").array.astype(object)
-            codes = sign_activation(current.array.astype(object), thresholds, node.param("mode").array, half)
-            level = dict(zip((1.0, 0.0, -1.0), levels))
-            current = Tensor(current.shape, [level[c] for c in codes.tolist()], res_spec)
+            current = Tensor(current.shape, _sign_block(node, current), res_spec)
         else:  # softmax, always the last layer
             current = _softmax_real(current)
         if tap_all:

@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixed_point import MAX_SPEC_WIDTH, FixedPointSpec, FixedPointValue, quantize
+from .fixed_point import (MAX_SPEC_WIDTH, ROUND_HALF_UP, FixedPointSpec, FixedPointValue,
+                          apply_overflow_array, quantize)
 
 FORMAT_VERSION = "1"
 DEFAULT_PRECISION = "fixed<16,6>"
@@ -65,9 +66,9 @@ class Tensor:
     tensor holds the integer raws of its elements, all on ``spec``: int64
     when the spec's raw range fits, Python ints in an object array
     otherwise (an unsigned 64-bit spec). ``data`` may be numbers or an
-    ndarray (real), raws together with ``spec``, or FixedPointValues that
-    share one spec. The input is always copied, so later writes to it never
-    reach the tensor.
+    ndarray (real), raws together with ``spec`` (an int64 or object ndarray
+    is read as it is), or FixedPointValues that share one spec. The input
+    is always copied, so later writes to it never reach the tensor.
     """
 
     def __init__(self, shape, data, spec: FixedPointSpec = None):
@@ -76,7 +77,11 @@ class Tensor:
             raise ValueError("tensor shape must be non-empty")
         if any(int(d) != d or d <= 0 for d in shape):
             raise ValueError(f"tensor shape must be positive integers, got {shape}")
-        values = data.reshape(-1).tolist() if isinstance(data, np.ndarray) else list(data)
+        is_array = isinstance(data, np.ndarray) and (data.dtype != object or spec is not None)
+        if is_array:
+            values = data.reshape(-1)
+        else:
+            values = data.reshape(-1).tolist() if isinstance(data, np.ndarray) else list(data)
         if math.prod(shape) != len(values):
             raise ValueError(f"tensor data length {len(values)} does not match shape {shape}")
         if spec is None and isinstance(values[0], FixedPointValue):
@@ -87,7 +92,8 @@ class Tensor:
         if spec is None:
             array = np.array(values, dtype=np.float64)
         else:
-            if min(values) < spec.min_raw or max(values) > spec.max_raw:
+            lo, hi = (values.min(), values.max()) if is_array else (min(values), max(values))
+            if lo < spec.min_raw or hi > spec.max_raw:
                 raise ValueError(f"raws outside the range of {spec}")
             fits = -(1 << 63) <= spec.min_raw and spec.max_raw < (1 << 63)
             array = np.array(values, dtype=np.int64 if fits else object)
@@ -130,10 +136,26 @@ class Tensor:
         return reals.reshape(self.shape)
 
     def quantized(self, spec: FixedPointSpec) -> "Tensor":
-        """This real tensor on ``spec``'s grid, quantizing element by element."""
+        """This real tensor on ``spec``'s grid, equal to ``quantize`` on every element.
+
+        y = x * 2**frac is exact while |frac| <= 900 and |y| < 2**62, and
+        then floor(y) is the truncated raw; round-half-up adds 1 where
+        y - floor(y) >= 0.5, a difference that is exact below 2**52 and 0
+        above. (floor(y + 0.5) is not: 0.5 - 2**-54 plus 0.5 rounds to 1.)
+        Other tensors, and non-finite values, which raise ValueError, go
+        through ``quantize`` element by element.
+        """
         if self.spec is not None:
             raise ValueError("tensor is already quantized")
-        return Tensor(self.shape, [quantize(v, spec).raw for v in self.array.tolist()], spec)
+        x, frac = self.array, spec.fraction_bits
+        y = np.ldexp(x, frac) if abs(frac) <= 900 else None
+        if y is None or not (np.abs(y) < 2.0 ** 62).all():
+            return Tensor(self.shape, [quantize(v, spec).raw for v in x.tolist()], spec)
+        raws = np.floor(y)
+        raws[(y == 0) & (x < 0)] = -1.0  # a negative x that ldexp underflowed to zero
+        if spec.rounding == ROUND_HALF_UP:
+            raws += y - raws >= 0.5
+        return Tensor(self.shape, apply_overflow_array(raws.astype(np.int64), spec), spec)
 
     @classmethod
     def from_numpy(cls, arr) -> "Tensor":

@@ -587,11 +587,14 @@ def evaluate(model: ModelGraph, data: Dataset, arithmetic: str = "real") -> Eval
 
 
 def emulate_batch(model: ModelGraph, features: np.ndarray) -> np.ndarray:
-    """Bit-accurate per-sample emulation; rows of real-valued outputs."""
-    model = kernels.materialize_quantized(model)
-    rows = [kernels.run_inference(model, Tensor.from_numpy(x))[0].to_numpy().reshape(-1)
-            for x in np.asarray(features, dtype=np.float64)]
-    return np.array(rows, dtype=np.float64)
+    """Bit-accurate emulation of a ``[N, d]`` block of samples in one batch.
+
+    Returns the ``[N, outputs]`` real-valued outputs; row i equals a
+    single-row ``run_inference`` call on sample i, bit for bit.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    out, _ = kernels.run_inference(model, Tensor.from_numpy(features))
+    return out.to_numpy().reshape(len(features), -1)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import os
 
 import pytest
 
+from fixflow import cli
 from fixflow.cli import run
 from fixflow.model_ir import parse_model, serialize_model
 from fixflow import trainer
@@ -37,6 +39,12 @@ class TestConvert:
         run(["convert", "--model", str(out1 / "model.json"), "--out", str(out2)])
         assert (out1 / "model.json").read_text() == (out2 / "model.json").read_text()
 
+    def test_report_hash_is_that_of_model_json(self, ref_model_path, tmp_path):
+        out = tmp_path / "out"
+        assert run(["convert", "--model", ref_model_path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["model"]["hash"] == hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+
     def test_input_file_not_mutated(self, ref_model_path, tmp_path):
         before = open(ref_model_path).read()
         run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o")])
@@ -51,6 +59,15 @@ class TestExitCodes:
     def test_domain_error_is_1(self, tmp_path):
         assert run(["convert", "--model", "/nonexistent.json",
                     "--out", str(tmp_path)]) == 1
+
+    def test_programming_error_propagates(self, ref_model_path, tmp_path, monkeypatch):
+        # A KeyError is a bug in the program, not a domain error with exit 1.
+        def broken(spec, seed):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "_load_model", broken)
+        with pytest.raises(KeyError):
+            run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o")])
 
     def test_validation_error_is_1(self, tmp_path):
         bad = tmp_path / "bad.json"

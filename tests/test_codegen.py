@@ -443,3 +443,80 @@ class TestFuzzCorpus:
                                      for j in range(n)), bias.data[i].to_fraction())
                         overflows += not acc.min_value <= exact <= acc.max_value
         assert overflows >= 1
+
+
+def int64_overflow_model() -> ModelGraph:
+    """A chain whose exact products leave int64 while its sums fit.
+
+    40-bit inputs times 32-bit weights accumulate in a saturating 60-bit
+    accumulator, then an unsigned 48-bit ReLU feeds 24-bit weights, so
+    each dense layer of a batch runs on Python ints only because of its
+    products.
+    """
+    rng = np.random.Generator(np.random.Philox(key=80))
+
+    def prec(weight, bias, acc, result):
+        return PrecisionSet.from_doc(
+            {"weight": weight, "bias": bias, "accumulator": acc, "result": result}, "$")
+
+    nodes = [
+        LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<40,20>")),
+        LayerNode("d0", "dense", {"weight": Tensor.from_numpy(rng.normal(0.0, 100.0, (4, 5))),
+                                  "bias": Tensor.from_numpy(rng.normal(0.0, 100.0, 4))},
+                  precision=prec("fixed<32,10>", "fixed<32,10>", "fixed<60,30,sat>", "fixed<48,30,rnd>")),
+        LayerNode("act", "relu", precision=PrecisionSet.uniform("fixed<48,30,u>")),
+        LayerNode("d1", "dense", {"weight": Tensor.from_numpy(rng.normal(0.0, 40.0, (3, 4))),
+                                  "bias": Tensor.from_numpy(rng.normal(0.0, 40.0, 3))},
+                  precision=prec("fixed<24,8,rnd>", "fixed<24,8>", "fixed<62,40>", "fixed<32,16,sat>")),
+    ]
+    return ModelGraph.chain(nodes, (5,))
+
+
+def assert_block_matches_rows(model, block: Tensor):
+    """run_inference on a (B, n) block equals B single-row calls, output and every tap."""
+    out, taps = run_inference(model, block, tap_all=True)
+    n = block.shape[1]
+    rows = [Tensor((n,), block.array[b * n:(b + 1) * n], block.spec) if block.is_quantized()
+            else Tensor.from_numpy(block.array[b * n:(b + 1) * n]) for b in range(block.shape[0])]
+    singles = [run_inference(model, row, tap_all=True) for row in rows]
+    for got, want in [(out, [o for o, _ in singles])] + [
+            (tap.output, [t[k].output for _, t in singles]) for k, tap in enumerate(taps)]:
+        assert got.shape == (len(rows),) + want[0].shape
+        assert got.spec == want[0].spec
+        assert got.array.reshape(len(rows), -1).tolist() == [w.array.tolist() for w in want]
+
+
+class TestBatchParity:
+    def test_every_kind_model(self):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        assert_block_matches_rows(every_kind_model(), Tensor.from_numpy(rng.normal(0, 2, (40, 6))))
+
+    def test_wide_model(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        assert_block_matches_rows(wide_model(), Tensor.from_numpy(rng.normal(0, 8, (40, 6))))
+
+    def test_fuzz_corpus(self, fuzz_corpus):
+        for model, all_taps in fuzz_corpus:
+            inputs = [taps[0].output for taps in all_taps]
+            block = Tensor((len(inputs), inputs[0].size), np.concatenate([t.array for t in inputs]),
+                           inputs[0].spec)
+            assert_block_matches_rows(model, block)
+
+    def test_products_beyond_int64(self):
+        model = materialize_quantized(int64_overflow_model())
+        rng = np.random.Generator(np.random.Philox(key=81))
+        rows = rng.normal(0.0, 2.0 ** 16, (30, 5))
+        rows[0] = 1e-3  # alone, this row's products fit int64
+        block = Tensor.from_numpy(rows)
+        assert_block_matches_rows(model, block)
+        _, taps = run_inference(model, block, tap_all=True)
+        for k in (1, 3):
+            node, x = model.nodes[k], taps[k - 1].output
+            n = x.shape[1]
+            w = node.param("weight").array.tolist()
+            assert max(map(abs, w)) * max(map(abs, x.array.tolist())) >= 1 << 63, node.name
+            xs = x.data
+            for b in range(x.shape[0]):
+                want = oracle_dense_mv_raws(node.param("weight"), node.param("bias"),
+                                            xs[b * n:(b + 1) * n], node.precision)
+                assert taps[k].output.array[b * len(want):(b + 1) * len(want)].tolist() == want

@@ -186,6 +186,25 @@ class TestSparseDenseEquivalence:
                 == [v.raw for v in sparse_mv_coo(coo, bias, x, prec).data])
 
 
+class TestBlocks:
+    def test_dense_and_coo_blocks_equal_rows(self):
+        """A (B, n) block through dense_mv or sparse_mv_coo equals B one-row calls and the oracle."""
+        rng = random.Random(13)
+        for sparsity in (0.0, 0.5, 0.9, 1.0):
+            for _ in range(10):
+                weights, bias, x, prec = random_case(rng, sparsity=sparsity)
+                xspec, n = x[0].spec, len(x)
+                rows = [x] + [[FixedPointValue(rng.randint(xspec.min_raw, xspec.max_raw), xspec)
+                               for _ in range(n)] for _ in range(4)]
+                block = Tensor((len(rows), n), [v for row in rows for v in row])
+                want = [[v.raw for v in dense_mv(weights, bias, row, prec).data] for row in rows]
+                assert want == [oracle_dense_mv_raws(weights, bias, row, prec) for row in rows]
+                for got in (dense_mv(weights, bias, block, prec),
+                            sparse_mv_coo(compress_coo(weights), bias, block, prec)):
+                    assert got.shape == (len(rows), weights.shape[0])
+                    assert got.array.reshape(len(rows), -1).tolist() == want
+
+
 class TestRunInference:
     def test_relu_zeroes_negatives(self):
         prec = uniform_precision("fixed<8,4>")

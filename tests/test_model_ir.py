@@ -259,3 +259,84 @@ class TestTensor:
         for t in (Tensor.from_numpy([1.0, 2.0]), Tensor((2,), [3, 4], FixedPointSpec(8, 4))):
             with pytest.raises(ValueError):
                 t.array[0] = 0
+
+    def test_ndarray_raws_out_of_range_rejected(self):
+        import numpy as np
+        from fixflow.fixed_point import FixedPointSpec
+
+        with pytest.raises(ValueError):
+            Tensor((2,), np.array([1, 128]), FixedPointSpec(8, 4))
+        with pytest.raises(ValueError):
+            Tensor((1,), np.array([1 << 70], dtype=object), FixedPointSpec(64, 2))
+
+
+# Ties k + 1/2, and values one ulp off 1/2 whose float sum with 0.5 rounds
+# onto an integer (0.5 - 2**-54 + 0.5 rounds to 1.0).
+_TIES = [k + 0.5 for k in range(-4, 4)] + [0.5 - 2.0 ** -54, -0.5 - 2.0 ** -53, -0.5 + 2.0 ** -54,
+                                           2.5 - 2.0 ** -51, -(2.5 - 2.0 ** -51)]
+_AT_2_52 = [2.0 ** 52 - 0.5, 2.0 ** 52 - 1.5, 2.0 ** 52, 2.0 ** 52 + 1, 2.0 ** 53 - 1, 2.0 ** 53 + 2,
+            -(2.0 ** 52) - 1, -(2.0 ** 52) + 0.5, 2.0 ** 62 - 1024, -(2.0 ** 62) + 512]
+_AT_2_63 = [2.0 ** 62, 2.0 ** 63 - 1024, 2.0 ** 63, 2.0 ** 63 + 2048, -(2.0 ** 63), -(2.0 ** 63) - 2048, 1.5]
+_TINY = [5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022, -(2.0 ** -1022), 0.0, -0.0, 0.75, -0.75]
+
+
+class TestQuantized:
+    """``Tensor.quantized`` equals element-wise ``quantize``; (spec, values,
+    whether the whole tensor takes the vectorized path)."""
+
+    CASES = [
+        ("fixed<8,8,rnd>", _TIES, True),
+        ("fixed<8,8>", _TIES, True),
+        ("fixed<10,8,rnd,sat>", [v / 4 for v in _TIES], True),
+        ("fixed<64,64,rnd>", _AT_2_52, True),
+        ("fixed<64,64>", _AT_2_52, True),
+        ("fixed<60,60,rnd>", _AT_2_52, True),
+        ("fixed<60,60,sat>", _AT_2_52, True),
+        ("fixed<64,64,u>", _AT_2_52, True),
+        ("fixed<64,64,u,rnd,sat>", _AT_2_52, True),
+        ("fixed<64,64,rnd>", _AT_2_63, False),
+        ("fixed<64,64,sat>", _AT_2_63, False),
+        ("fixed<64,64,u>", _AT_2_63, False),
+        ("fixed<60,60,rnd,sat>", _AT_2_63, False),
+        ("fixed<64,2,rnd,sat>", [0.1, -0.3, 0.999, -0.999999, -1e-17], True),
+        ("fixed<64,2,rnd,sat>", [0.1, 1.5, -3.75, 7.0], False),
+        ("fixed<60,10,rnd>", [511.9999, -512.0, 1000.25, -1e-7, 4000.0625], True),
+        ("fixed<8,12,rnd>", [17.0, -17.0, 8.0, -8.0, 24.0, 2000.0, -2000.0, 0.3, -0.3], True),
+        ("fixed<8,12,u,sat>", [17.0, -17.0, 8.0, -8.0, 24.0, 2000.0, 5000.0], True),
+        ("fixed<6,10>", [17.0, -17.0, 8.0, 2000.0, -2000.0, 0.3, -0.3], True),
+        ("fixed<8,4,u>", [-1.0, 3.3, 16.5, 15.99, -0.01], True),
+        ("fixed<8,4,u,rnd,sat>", [-1.0, 3.3, 16.5, 15.99, -0.01, 0.015625, 0.046875], True),
+        ("fixed<16,8>", _TINY, True),
+        ("fixed<16,8,rnd>", _TINY, True),
+        ("fixed<16,24>", _TINY, True),
+        ("fixed<16,24,rnd>", _TINY, True),
+        ("fixed<16,916>", _TINY + [1e-300, -1e-300], True),
+        ("fixed<16,-884,sat>", _TINY[:-2], True),
+        ("fixed<16,-890>", [1e-270, -1e-270, 0.0], False),
+    ]
+
+    @pytest.mark.parametrize("spec_text, values, vectorized", CASES)
+    def test_matches_elementwise_quantize(self, spec_text, values, vectorized, monkeypatch):
+        from fixflow import model_ir
+        from fixflow.fixed_point import FixedPointSpec, quantize
+
+        spec = FixedPointSpec.from_string(spec_text)
+        want = [quantize(v, spec).raw for v in values]
+        calls = []
+
+        def counting(x, s):
+            calls.append(x)
+            return quantize(x, s)
+
+        monkeypatch.setattr(model_ir, "quantize", counting)
+        got = Tensor((len(values),), values).quantized(spec)
+        assert got.spec == spec
+        assert got.array.tolist() == want
+        assert (not calls) == vectorized
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises(self, bad):
+        from fixflow.fixed_point import FixedPointSpec
+
+        with pytest.raises(ValueError):
+            Tensor((3,), (0.5, bad, 1.0)).quantized(FixedPointSpec(16, 8))
