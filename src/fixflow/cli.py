@@ -19,6 +19,8 @@ bundled 16-feature 5-class task.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import hashlib
 import json
 import logging
@@ -279,10 +281,8 @@ def cmd_estimate(args, config):
 
 
 def _write_sweep_csv(rows, path):
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["reuse_factor", "ii_cycles", "latency_cycles", "dsp_total",
                          "n_mult_total", "throughput_hz"])
         for row in rows:
@@ -332,7 +332,9 @@ def _parse_int_list(text: str):
     return [int(v) for v in text.split(",") if v]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fixflow",
         description="Compile trained MLPs to bit-accurate fixed-point implementations.",
@@ -427,9 +429,8 @@ def run(argv) -> int:
     """Parse argv and execute; returns the process exit code."""
     level = getattr(logging, os.environ.get("FIXFLOW_LOG", "WARNING").upper(), logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
 from .kernels import compress_coo, materialize_quantized, sign_levels
@@ -224,7 +226,7 @@ def _emit_dense(node, in_spec, index):
     acc, res = node.precision.accumulator, node.precision.result
     _check_widths(node.name, in_spec, wspec, bspec, acc, res)
     w_raws, b_raws = weight.array.tolist(), bias.array.tolist()
-    nz = sum(1 for r in w_raws if r != 0)
+    nz = np.count_nonzero(weight.array)
     prod_frac = wspec.fraction_bits + in_spec.fraction_bits
     comments = [
         f"weight {_spec_comment(wspec)}",
@@ -243,8 +245,8 @@ def _emit_dense(node, in_spec, index):
             f"COO records: packed index = out * {n} + in ({coo.index_bits} index bits)"
         )
         arrays = [
-            (f"coo_index_{index}", [p for p, _ in coo.entries]),
-            (f"coo_weight_{index}", [w.raw for _, w in coo.entries]),
+            (f"coo_index_{index}", coo.packed.tolist()),
+            (f"coo_weight_{index}", coo.raws.tolist()),
             (f"bias_{index}", b_raws),
         ]
         kernel += [
@@ -253,7 +255,7 @@ def _emit_dense(node, in_spec, index):
             f"    ff_wide_t acc[{m}];",
             f"    for (int i = 0; i < {m}; ++i)",
             f"        acc[i] = ff_cast((ff_wide_t)bias_{index}[i], {_cast_args(bspec.fraction_bits, acc)});",
-            f"    for (int e = 0; e < {len(coo.entries)}; ++e) {{",
+            f"    for (int e = 0; e < {coo.packed.size}; ++e) {{",
             f"        int i = (int)(coo_index_{index}[e] / {n});",
             f"        int j = (int)(coo_index_{index}[e] % {n});",
             f"        ff_wide_t p = (ff_wide_t)coo_weight_{index}[e] * (ff_wide_t)x[j];",

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .kernels import materialize_quantized
 from .model_ir import ModelGraph, walk
 from .pruning import compute_bops
@@ -93,7 +95,7 @@ def quantized_zero_fraction(node) -> float:
     so they allocate no hardware. The node's weights must be quantized.
     """
     weight = node.param("weight")
-    return weight.array.tolist().count(0) / weight.size
+    return (weight.size - np.count_nonzero(weight.array)) / weight.size
 
 
 def estimate_layer(node, f_p: float, activation_bits: int = None):

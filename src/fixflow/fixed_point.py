@@ -14,8 +14,10 @@ arithmetic, so results are exact and platform independent:
 and pure-integer formats), following the ``ap_fixed`` convention.
 User-facing widths are capped at 64 bits; exact products of two such
 values may be up to 128 bits wide and are represented with the same
-machinery. ``apply_overflow_array`` and ``cast_raw_array`` apply the same
-rules to every element of an int64 or object (Python int) array of raws.
+machinery. ``apply_overflow_array`` and ``cast_raw_array`` state the
+overflow and cast rules once, for a Python int or for every element of an
+int64 or object (Python int) array of raws; ``round_scaled`` states the
+rounding rule on float64 reals already scaled onto the raw grid.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ SATURATE = "saturate"
 MAX_SPEC_WIDTH = 64
 # Exact products of two <=64-bit operands.
 _MAX_INTERNAL_WIDTH = 2 * MAX_SPEC_WIDTH
+
+
+def int_dtype(*bounds):
+    """int64 when every bound fits it, else object (Python ints)."""
+    return np.int64 if all(-(1 << 63) <= b < (1 << 63) for b in bounds) else object
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,11 @@ class FixedPointSpec:
         if self.signed:
             return (1 << (self.width_bits - 1)) - 1
         return (1 << self.width_bits) - 1
+
+    @cached_property
+    def raw_dtype(self):
+        """The dtype of a ``Tensor`` holding raws of this spec."""
+        return int_dtype(self.min_raw, self.max_raw)
 
     @property
     def min_value(self) -> Fraction:
@@ -168,58 +180,51 @@ def shift_round(raw: int, shift: int, rounding: str) -> int:
     return raw >> (-shift)
 
 
-def apply_overflow(raw: int, spec: FixedPointSpec) -> int:
-    """Reduce an unbounded raw integer into the representable raw range."""
-    if spec.min_raw <= raw <= spec.max_raw:
-        return raw
-    if spec.overflow == SATURATE:
-        return spec.max_raw if raw > spec.max_raw else spec.min_raw
-    mask = (1 << spec.width_bits) - 1
-    wrapped = raw & mask
-    if spec.signed and wrapped > spec.max_raw:
-        wrapped -= 1 << spec.width_bits
-    return wrapped
+def round_scaled(y: np.ndarray, rounding: str) -> np.ndarray:
+    """Integer-valued float64 raws of the float64 reals ``y`` scaled by ``2**frac``.
 
-
-def apply_overflow_array(raws: np.ndarray, spec: FixedPointSpec) -> np.ndarray:
-    """``apply_overflow`` on every element of an int64 or object array.
-
-    An int64 array moves to Python ints for a 64-bit spec, whose wrap
-    mask and unsigned range int64 cannot hold; otherwise the caller keeps
-    every value it passes, and their sums, inside int64.
+    Truncation is floor(y). Round-half-up is floor(y) plus 1 where
+    y - floor(y) >= 0.5, computed as floor(2y) - floor(y), which is exact:
+    2y is, and so is the difference of the two integer-valued floors.
+    (floor(y + 0.5) is not: 0.5 - 2**-54 plus 0.5 rounds to 1.) Overflow
+    is the caller's.
     """
-    if spec.width_bits >= 64 and raws.dtype != object:
-        raws = raws.astype(object)
+    if rounding != ROUND_HALF_UP:
+        return np.floor(y)
+    raws = np.floor(2.0 * y)
+    raws -= np.floor(y)
+    return raws
+
+
+def apply_overflow_array(raws, spec: FixedPointSpec):
+    """Reduce unbounded raws into the spec's range: wrap or saturate.
+
+    ``raws`` is a Python int, or an int64 or object array reduced element
+    by element. An int64 array moves to Python ints for a 64-bit spec,
+    whose wrap mask and unsigned range int64 cannot hold; otherwise the
+    caller keeps every value it passes, and their sums, inside int64.
+    """
+    scalar = not isinstance(raws, np.ndarray)
+    if scalar or (spec.width_bits >= 64 and raws.dtype != object):
+        raws = np.array([raws] if scalar else raws, dtype=object)
     if spec.overflow == SATURATE:
-        return np.minimum(np.maximum(raws, spec.min_raw), spec.max_raw)
-    wrapped = raws & ((1 << spec.width_bits) - 1)
-    if not spec.signed:
-        return wrapped
-    half = 1 << (spec.width_bits - 1)
-    return (wrapped ^ half) - half
+        out = np.minimum(np.maximum(raws, spec.min_raw), spec.max_raw)
+    else:
+        out = raws & ((1 << spec.width_bits) - 1)
+        if spec.signed:
+            half = 1 << (spec.width_bits - 1)
+            out = (out ^ half) - half
+    return int(out[0]) if scalar else out
 
 
-def cast_raw_array(raws: np.ndarray, fraction_bits: int, spec: FixedPointSpec) -> np.ndarray:
-    """``cast_raw`` on every element of an int64 or object array."""
+def cast_raw_array(raws, fraction_bits: int, spec: FixedPointSpec):
+    """Re-express ``raws * 2**-fraction_bits`` under ``spec`` (raws in, raws out).
+
+    ``raws`` is a Python int or an int64 or object array, as for
+    ``apply_overflow_array``.
+    """
     shift = spec.fraction_bits - fraction_bits
     return apply_overflow_array(shift_round(raws, shift, spec.rounding), spec)
-
-
-def quantize_ratio(num: int, den: int, spec: FixedPointSpec) -> int:
-    """Quantize the exact rational num/den (den a power of two > 0) to a raw."""
-    # Target is round(num/den * 2**frac); fold the scale into the ratio.
-    frac = spec.fraction_bits
-    if frac >= 0:
-        num <<= frac
-    else:
-        den <<= -frac
-    if den == 1:
-        scaled = num
-    elif spec.rounding == ROUND_HALF_UP:
-        scaled = (2 * num + den) // (2 * den)
-    else:
-        scaled = num // den
-    return apply_overflow(scaled, spec)
 
 
 def quantize(x, spec: FixedPointSpec) -> FixedPointValue:
@@ -239,18 +244,13 @@ def quantize(x, spec: FixedPointSpec) -> FixedPointValue:
         if x != x or x in (float("inf"), float("-inf")):
             raise ValueError(f"cannot quantize non-finite value {x}")
         num, den = x.as_integer_ratio()
-    return FixedPointValue(quantize_ratio(num, den, spec), spec)
-
-
-def cast_raw(raw: int, fraction_bits: int, spec: FixedPointSpec) -> int:
-    """Re-express ``raw * 2**-fraction_bits`` under ``spec`` (raw in, raw out)."""
-    scaled = shift_round(raw, spec.fraction_bits - fraction_bits, spec.rounding)
-    return apply_overflow(scaled, spec)
+    # num / den is the exact raw num at fraction bits log2(den).
+    return FixedPointValue(cast_raw_array(num, den.bit_length() - 1, spec), spec)
 
 
 def cast(v: FixedPointValue, spec: FixedPointSpec) -> FixedPointValue:
     """Convert a value to another spec; equals quantize(exact real of v)."""
-    return FixedPointValue(cast_raw(v.raw, v.spec.fraction_bits, spec), spec)
+    return FixedPointValue(cast_raw_array(v.raw, v.spec.fraction_bits, spec), spec)
 
 
 def mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
@@ -275,7 +275,7 @@ def add(a: FixedPointValue, b: FixedPointValue, spec: FixedPointSpec) -> FixedPo
     fa, fb = a.spec.fraction_bits, b.spec.fraction_bits
     f = max(fa, fb)
     total = (a.raw << (f - fa)) + (b.raw << (f - fb))
-    return FixedPointValue(cast_raw(total, f, spec), spec)
+    return FixedPointValue(cast_raw_array(total, f, spec), spec)
 
 
 # Binary networks encode the arithmetical value -1 as bit 0 and +1 as bit 1,

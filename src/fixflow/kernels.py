@@ -10,9 +10,9 @@ and the test oracles all agree:
   accumulator spec's overflow handling at every add;
 * one final cast into the result spec.
 
-``_mac`` is the one statement of this convention: ``dense_mv``,
-``sparse_mv_coo`` and batch norm (a diagonal dense layer) all call it.
-Sparse COO execution runs the decompressed matrix; within a row, the
+``_mac`` is the one statement of this convention: ``dense_mv`` and batch
+norm (a diagonal dense layer) call it, and ``sparse_mv_coo`` runs
+``dense_mv`` on the decompressed matrix. Within a row, the
 ascending packed index (``out * n_in + in``) is the ascending input
 index of the dense order, so dense and sparse results are bit-identical.
 Softmax is evaluated in real arithmetic at the output only.
@@ -38,38 +38,46 @@ from .fixed_point import (
     ROUND_HALF_UP,
     SATURATE,
     FixedPointSpec,
-    FixedPointValue,
     apply_overflow_array,
     cast_raw_array,
+    int_dtype,
     quantize,
 )
 from .model_ir import (MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_LE, LayerNode, ModelGraph,
                        PrecisionSet, Tensor, walk)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CooWeights:
-    """Nonzero weights as (packed row-major index, value) pairs.
+    """Nonzero weights as a packed-index array and a raw array on ``weight_spec``.
 
-    ``packed = out_index * n_in + in_index``; entries are sorted by packed
-    index with no duplicates. The packed index occupies
-    ``ceil(log2(n_in * n_out))`` bits alongside the weight in one record.
+    ``packed = out_index * n_in + in_index``, strictly ascending, and
+    ``raws[k]`` is the weight raw at ``packed[k]``. The packed index
+    occupies ``ceil(log2(n_in * n_out))`` bits alongside the weight in one
+    record. Both arrays are read-only copies of what was passed.
     """
 
-    entries: tuple  # ((packed_index, FixedPointValue), ...)
+    packed: np.ndarray
+    raws: np.ndarray
     n_in: int
     n_out: int
     weight_spec: FixedPointSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        packed = [p for p, _ in self.entries]
-        if packed != sorted(packed) or len(set(packed)) != len(packed):
+        spec = self.weight_spec
+        packed = np.array(self.packed, dtype=np.int64).reshape(-1)
+        raws = np.array(self.raws, dtype=spec.raw_dtype).reshape(-1)
+        if packed.size != raws.size:
+            raise ValueError(f"{packed.size} packed indices but {raws.size} raws")
+        if (np.diff(packed) <= 0).any():
             raise ValueError("COO entries must be sorted by packed index without duplicates")
-        if packed and not 0 <= packed[-1] < self.n_in * self.n_out:
+        if packed.size and not (0 <= packed[0] and packed[-1] < self.n_in * self.n_out):
             raise ValueError("packed index out of range")
-        if any(w.spec != self.weight_spec for _, w in self.entries):
-            raise ValueError("COO entries must all be on weight_spec")
+        if raws.size and not (spec.min_raw <= raws.min() and raws.max() <= spec.max_raw):
+            raise ValueError(f"COO raws must lie in the range of weight_spec {spec}")
+        for name, array in (("packed", packed), ("raws", raws)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def index_bits(self) -> int:
@@ -80,18 +88,6 @@ class CooWeights:
 class LayerTap:
     layer: str
     output: Tensor
-
-
-def _vector(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor((len(x),), x)
-
-
-_INT64 = (-(1 << 63), (1 << 63) - 1)
-
-
-def _dtype(*bounds):
-    """int64 when every bound fits it, else object (Python ints)."""
-    return np.int64 if all(_INT64[0] <= b <= _INT64[1] for b in bounds) else object
 
 
 def _extent(raws) -> tuple:
@@ -116,7 +112,7 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     acc_spec, res_spec = precision.accumulator, precision.result
     (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
     products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
-    dtype = _dtype(wlo, whi, xlo, xhi, *products,
+    dtype = int_dtype(wlo, whi, xlo, xhi, *products,
                    *_cast_bounds(min(products), max(products), prod_frac, acc_spec),
                    *_cast_bounds(blo, bhi, bias_frac, acc_spec),
                    2 * acc_spec.min_raw, 2 * acc_spec.max_raw,
@@ -148,7 +144,7 @@ def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tenso
     if len(weights.shape) != 2:
         raise ValueError(f"weight tensor must be 2-D, got shape {weights.shape}")
     m, n = weights.shape
-    x = _vector(x)
+    x = x if isinstance(x, Tensor) else Tensor((len(x),), x)
     if bias.size != m or x.shape[-1] != n:
         raise ValueError(f"shape mismatch: weight {m}x{n}, bias {bias.size}, input {x.shape}")
     out = _mac(bias.array, bias.spec.fraction_bits, weights.array.reshape(m, n), _rows(x),
@@ -161,33 +157,24 @@ def compress_coo(weights: Tensor) -> CooWeights:
     if len(weights.shape) != 2:
         raise ValueError(f"weight tensor must be 2-D, got shape {weights.shape}")
     m, n = weights.shape
-    entries = tuple((p, FixedPointValue(raw, weights.spec))
-                    for p, raw in enumerate(weights.array.tolist()) if raw != 0)
-    return CooWeights(entries, n_in=n, n_out=m, weight_spec=weights.spec)
+    packed = np.flatnonzero(weights.array)
+    return CooWeights(packed, weights.array[packed], n_in=n, n_out=m, weight_spec=weights.spec)
 
 
 def decompress_coo(coo: CooWeights) -> Tensor:
-    raws = [0] * (coo.n_in * coo.n_out)
-    for packed, w in coo.entries:
-        raws[packed] = w.raw
+    raws = np.zeros(coo.n_in * coo.n_out, dtype=coo.raws.dtype)
+    raws[coo.packed] = coo.raws
     return Tensor((coo.n_out, coo.n_in), raws, coo.weight_spec)
 
 
 def sparse_mv_coo(coo: CooWeights, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
-    """COO kernel; bit-identical to dense_mv on the decompressed matrix.
+    """COO kernel: ``dense_mv`` on the decompressed matrix.
 
     The dense order visits a row's entries in ascending input index, which
-    is their packed order; the zeros COO leaves out add nothing.
+    is their packed order, and the zeros COO leaves out add nothing, so
+    this is what the emitted COO kernel computes.
     """
-    x = _vector(x)
-    if bias.size != coo.n_out or x.shape[-1] != coo.n_in:
-        raise ValueError(
-            f"shape mismatch: COO {coo.n_out}x{coo.n_in}, bias {bias.size}, input {x.shape}"
-        )
-    weights = decompress_coo(coo).array.reshape(coo.n_out, coo.n_in)
-    out = _mac(bias.array, bias.spec.fraction_bits, weights, _rows(x),
-               coo.weight_spec.fraction_bits + x.spec.fraction_bits, precision)
-    return Tensor(x.shape[:-1] + (coo.n_out,), out, precision.result)
+    return dense_mv(decompress_coo(coo), bias, x, precision)
 
 
 def batch_norm_scale_shift(params: dict):
@@ -297,7 +284,7 @@ def _sign_block(node: LayerNode, x: Tensor) -> np.ndarray:
     half, *levels = sign_levels(node)
     thresholds, modes = node.param("threshold").array, node.param("mode").array
     (xlo, xhi), (tlo, thi) = _extent(x.array), _extent(thresholds)
-    dtype = _dtype(xlo, xhi, tlo, thi, xlo - thi, xhi - tlo, tlo - xhi, thi - xlo, half)
+    dtype = int_dtype(xlo, xhi, tlo, thi, xlo - thi, xhi - tlo, tlo - xhi, thi - xlo, half)
     codes = sign_activation(_rows(x).astype(dtype), thresholds.astype(dtype), modes, half)
     return np.array(levels, dtype=object)[(1.0 - codes).astype(int)]  # +1, 0, -1
 
@@ -344,7 +331,7 @@ def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool 
             current = Tensor(current.shape, out, res_spec)
         elif node.kind == "relu":
             frac = current.spec.fraction_bits
-            dtype = _dtype(*_cast_bounds(0, max(_extent(current.array)[1], 0), frac, res_spec))
+            dtype = int_dtype(*_cast_bounds(0, max(_extent(current.array)[1], 0), frac, res_spec))
             out = cast_raw_array(np.maximum(current.array.astype(dtype), 0), frac, res_spec)
             current = Tensor(current.shape, out, res_spec)
         elif node.kind in ("binary_tanh", "ternary_tanh"):

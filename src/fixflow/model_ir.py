@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixed_point import (MAX_SPEC_WIDTH, ROUND_HALF_UP, FixedPointSpec, FixedPointValue,
-                          apply_overflow_array, quantize)
+from .fixed_point import (MAX_SPEC_WIDTH, TRUNCATE, FixedPointSpec, FixedPointValue,
+                          apply_overflow_array, quantize, round_scaled)
 
 FORMAT_VERSION = "1"
 DEFAULT_PRECISION = "fixed<16,6>"
@@ -95,8 +95,7 @@ class Tensor:
             lo, hi = (values.min(), values.max()) if is_array else (min(values), max(values))
             if lo < spec.min_raw or hi > spec.max_raw:
                 raise ValueError(f"raws outside the range of {spec}")
-            fits = -(1 << 63) <= spec.min_raw and spec.max_raw < (1 << 63)
-            array = np.array(values, dtype=np.int64 if fits else object)
+            array = np.array(values, dtype=spec.raw_dtype)
         array.setflags(write=False)
         self.shape = tuple(int(d) for d in shape)
         self.array = array
@@ -139,11 +138,9 @@ class Tensor:
         """This real tensor on ``spec``'s grid, equal to ``quantize`` on every element.
 
         y = x * 2**frac is exact while |frac| <= 900 and |y| < 2**62, and
-        then floor(y) is the truncated raw; round-half-up adds 1 where
-        y - floor(y) >= 0.5, a difference that is exact below 2**52 and 0
-        above. (floor(y + 0.5) is not: 0.5 - 2**-54 plus 0.5 rounds to 1.)
-        Other tensors, and non-finite values, which raise ValueError, go
-        through ``quantize`` element by element.
+        then ``round_scaled`` gives the raws exactly. Other tensors, and
+        non-finite values, which raise ValueError, go through ``quantize``
+        element by element.
         """
         if self.spec is not None:
             raise ValueError("tensor is already quantized")
@@ -151,10 +148,9 @@ class Tensor:
         y = np.ldexp(x, frac) if abs(frac) <= 900 else None
         if y is None or not (np.abs(y) < 2.0 ** 62).all():
             return Tensor(self.shape, [quantize(v, spec).raw for v in x.tolist()], spec)
-        raws = np.floor(y)
-        raws[(y == 0) & (x < 0)] = -1.0  # a negative x that ldexp underflowed to zero
-        if spec.rounding == ROUND_HALF_UP:
-            raws += y - raws >= 0.5
+        raws = round_scaled(y, spec.rounding)
+        if spec.rounding == TRUNCATE:
+            raws[(y == 0) & (x < 0)] = -1.0  # a negative x that ldexp underflowed to zero
         return Tensor(self.shape, apply_overflow_array(raws.astype(np.int64), spec), spec)
 
     @classmethod
@@ -310,17 +306,21 @@ def _expect(cond: bool, path: str, message: str):
         raise ParseError(f"{path}: {message}")
 
 
-def _all_finite(values) -> bool:
-    """JSON admits NaN, Infinity and integers beyond the float range."""
+def _finite_reals(values):
+    """The numbers as a float64 array, or None if one is not finite.
+
+    JSON admits NaN, Infinity and integers beyond the float range.
+    """
     try:
-        return all(map(math.isfinite, values))
+        reals = np.array(values, dtype=np.float64)
     except OverflowError:
-        return False
+        return None
+    return reals if np.isfinite(reals).all() else None
 
 
 def _parse_tensor(doc, path: str) -> Tensor:
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        _expect(_all_finite((doc,)), path, "param must be a finite number")
+        _expect(_finite_reals(doc) is not None, path, "param must be a finite number")
         return Tensor.scalar(float(doc))
     _expect(isinstance(doc, dict), path, "param must be a number or {shape, data} object")
     _expect("shape" in doc and "data" in doc, path, "param object needs shape and data")
@@ -328,13 +328,12 @@ def _parse_tensor(doc, path: str) -> Tensor:
     _expect(isinstance(shape, list) and shape, path, "shape must be a non-empty array")
     _expect(all(isinstance(d, int) and d > 0 for d in shape), path, "shape entries must be positive integers")
     _expect(isinstance(data, list), path, "data must be an array")
-    _expect(
-        all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data),
-        path, "data entries must be numbers",
-    )
-    _expect(_all_finite(data), path, "data entries must be finite numbers")
+    # JSON numbers load as exactly int or float; bool is a type of its own.
+    _expect(set(map(type, data)) <= {int, float}, path, "data entries must be numbers")
+    reals = _finite_reals(data)
+    _expect(reals is not None, path, "data entries must be finite numbers")
     try:
-        return Tensor(shape, data)
+        return Tensor(shape, reals)
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None
 

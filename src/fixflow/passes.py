@@ -120,7 +120,8 @@ def constant_fold(graph: ModelGraph):
     Batch-norm parameter blocks collapse to per-channel (scale, shift).
     When the graph input itself is a constant, the whole chain is folded
     through the bit-accurate emulator and replaced by its computed output,
-    so folding never changes emulation results.
+    so folding never changes emulation results; the input shape becomes
+    the output's when the chain changed the width.
     """
     rewrites = []
     folded_nodes = []
@@ -136,16 +137,17 @@ def constant_fold(graph: ModelGraph):
             folded_nodes.append(node)
     nodes = folded_nodes
 
-    head = nodes[0]
+    head, input_shape = nodes[0], graph.input_shape
     if head.kind == "input" and "value" in head.params and len(nodes) > 1:
-        sub = graph.replace_nodes(nodes)
-        output, _ = run_inference(sub)
+        output, _ = run_inference(graph.replace_nodes(nodes))
         removed = tuple(n.name for n in nodes[1:])
         nodes = [head.with_params(value=output)]
         rewrites.append((removed, head.name))
+        if output.size != graph.input_width:  # a dense layer changed the width
+            input_shape = output.shape
 
     report = PassReport("constant_fold", tuple(rewrites))
-    return (graph.replace_nodes(nodes) if rewrites else graph), report
+    return (ModelGraph.chain(nodes, input_shape) if rewrites else graph), report
 
 
 def run_standard_passes(graph: ModelGraph):

@@ -10,7 +10,8 @@ is weight-like (dense weight, batch-norm gain), kind 1 is bias-like.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .fixed_point import SATURATE, quantize
 from .model_ir import ModelGraph
@@ -134,20 +135,10 @@ class CoverageEntry:
     message: str
 
 
-def _saturating(spec):
-    return _dc_replace(spec, overflow=SATURATE)
-
-
 def spec_covers(value: float, spec) -> bool:
     """True when saturating quantization stays within one grid unit."""
-    q = quantize(value, _saturating(spec))
-    return abs(q.to_fraction() - _exact(value)) <= spec.resolution
-
-
-def _exact(value: float):
-    from fractions import Fraction
-
-    return Fraction(value)
+    q = quantize(value, replace(spec, overflow=SATURATE))
+    return abs(q.to_fraction() - Fraction(value)) <= spec.resolution
 
 
 def margin_bits(max_abs: float, spec) -> int:
@@ -176,7 +167,7 @@ def check_coverage(report: ProfileReport, graph: ModelGraph):
                 row.layer, row.param, "warning", False, margin,
                 f"max |value| {row.max_abs:g} exceeds {spec} range (headroom {margin} bits)",
             ))
-        elif row.min_abs_nonzero is not None and _exact(row.min_abs_nonzero) < spec.resolution:
+        elif row.min_abs_nonzero is not None and Fraction(row.min_abs_nonzero) < spec.resolution:
             entries.append(CoverageEntry(
                 row.layer, row.param, "info", True, margin,
                 f"smallest nonzero |value| {row.min_abs_nonzero:g} is below the "

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import FixedPointSpec
+from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
 from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, walk
 from . import kernels
 
@@ -46,6 +46,9 @@ def make_rng(seed: int) -> np.random.Generator:
 class QuantizerSpec:
     """Weight quantizer: values live on alpha * fixed<bits,integer_bits> grid.
 
+    The fixed mode rounds half up and saturates onto ``spec``,
+    fixed<bits,integer_bits,rnd,sat>, by the rounding rule of
+    ``Tensor.quantized``: with alpha = 1 it equals ``Tensor.quantized(spec)``.
     binary maps to {-alpha, +alpha} (sign(0) = +1) and ternary to
     {-alpha, 0, +alpha} with a dead band of alpha/2 around zero; their bit
     counts are fixed at 1 and 2.
@@ -67,15 +70,19 @@ class QuantizerSpec:
             raise ValueError("quantizer bits must be >= 1")
         if self.alpha <= 0:
             raise ValueError("quantizer alpha must be > 0")
+        # The fixed mode's grid, the real value of one raw step on it (alpha
+        # scaled) and the real limits, built once for every apply.
+        spec, step, limits = None, None, (-self.alpha, self.alpha)
+        if self.mode == "fixed":
+            spec = FixedPointSpec(self.bits, self.integer_bits, rounding=ROUND_HALF_UP, overflow=SATURATE)
+            step = math.ldexp(self.alpha, -spec.fraction_bits)
+            limits = (spec.min_raw * step, spec.max_raw * step)
+        for name, value in (("spec", spec), ("_step", step), ("_limits", limits)):
+            object.__setattr__(self, name, value)
 
     def grid_limits(self):
         """(min, max) representable weight values."""
-        if self.mode in ("binary", "ternary"):
-            return -self.alpha, self.alpha
-        step = 2.0 ** (self.integer_bits - self.bits)
-        max_raw = 2 ** (self.bits - 1) - 1
-        min_raw = -(2 ** (self.bits - 1))
-        return self.alpha * min_raw * step, self.alpha * max_raw * step
+        return self._limits
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         if self.mode == "binary":
@@ -83,14 +90,15 @@ class QuantizerSpec:
         if self.mode == "ternary":
             band = self.alpha / 2
             return np.where(w >= band, self.alpha, np.where(w <= -band, -self.alpha, 0.0))
-        step = 2.0 ** (self.integer_bits - self.bits)
-        max_raw = 2 ** (self.bits - 1) - 1
-        min_raw = -(2 ** (self.bits - 1))
-        raw = np.clip(np.floor(w / (self.alpha * step) + 0.5), min_raw, max_raw)
-        return raw * (self.alpha * step)
+        # Tensor.quantized on self.spec, in floats: the grid's raws times the step.
+        raws = round_scaled(w / self._step, ROUND_HALF_UP)
+        np.maximum(raws, self.spec.min_raw, out=raws)
+        np.minimum(raws, self.spec.max_raw, out=raws)
+        raws *= self._step
+        return raws
 
     def in_range(self, w: np.ndarray) -> np.ndarray:
-        lo, hi = self.grid_limits()
+        lo, hi = self._limits
         return (w >= lo) & (w <= hi)
 
 

@@ -104,13 +104,15 @@ class TestCoo:
         spec = FixedPointSpec(8, 4)
         weights = Tensor((2, 2), tuple(FixedPointValue(0, spec) for _ in range(4)))
         coo = compress_coo(weights)
-        assert coo.entries == ()
+        assert coo.packed.size == coo.raws.size == 0
 
     def test_packing_formula(self):
         spec = FixedPointSpec(8, 4)
         weights = qtensor((2, 2), [0.0, 2.0, 3.0, 0.0], spec)
         coo = compress_coo(weights)
-        assert [(p, w.to_float()) for p, w in coo.entries] == [(1, 2.0), (2, 3.0)]
+        assert coo.packed.tolist() == [1, 2]
+        assert coo.raws.tolist() == [quantize(2.0, spec).raw, quantize(3.0, spec).raw]
+        assert coo.weight_spec == spec
         assert coo.n_in == 2 and coo.n_out == 2
         assert coo.index_bits == 2
 
@@ -127,19 +129,24 @@ class TestCoo:
         weights, _, _, _ = random_case(rng, max_dim=8, sparsity=0.75)
         coo = compress_coo(weights)
         nonzero = sum(1 for v in weights.data if v.raw != 0)
-        assert len(coo.entries) == nonzero
+        assert coo.packed.size == coo.raws.size == nonzero
 
     def test_unsorted_entries_rejected(self):
         spec = FixedPointSpec(8, 4)
-        with pytest.raises(ValueError):
-            CooWeights(((2, FixedPointValue(1, spec)), (1, FixedPointValue(1, spec))),
-                       n_in=2, n_out=2, weight_spec=spec)
+        with pytest.raises(ValueError, match="sorted"):
+            CooWeights([2, 1], [1, 1], n_in=2, n_out=2, weight_spec=spec)
 
     def test_entries_off_weight_spec_rejected(self):
-        # sparse_mv_coo scales every product by weight_spec's fraction bits.
         with pytest.raises(ValueError, match="weight_spec"):
-            CooWeights(((0, FixedPointValue(1, FixedPointSpec(8, 2))),), n_in=1, n_out=1,
-                       weight_spec=FixedPointSpec(8, 4))
+            CooWeights([0], [128], n_in=1, n_out=1, weight_spec=FixedPointSpec(8, 4))
+
+    def test_arrays_are_read_only_copies(self):
+        packed, raws = np.array([0, 3]), np.array([5, -7])
+        coo = CooWeights(packed, raws, n_in=2, n_out=2, weight_spec=FixedPointSpec(8, 4))
+        packed[0], raws[0] = 1, 0
+        assert coo.packed.tolist() == [0, 3] and coo.raws.tolist() == [5, -7]
+        with pytest.raises(ValueError):
+            coo.raws[0] = 1
 
 
 class TestSparseDenseEquivalence:
@@ -160,7 +167,7 @@ class TestSparseDenseEquivalence:
     def test_empty_coo_returns_cast_bias(self):
         prec = uniform_precision("fixed<8,4>")
         spec = prec.weight
-        coo = CooWeights((), n_in=2, n_out=2, weight_spec=spec)
+        coo = CooWeights([], [], n_in=2, n_out=2, weight_spec=spec)
         bias = qtensor((2,), [0.25, -0.5], prec.bias)
         x = [quantize(1.0, spec)] * 2
         y = sparse_mv_coo(coo, bias, x, prec)
@@ -179,9 +186,12 @@ class TestSparseDenseEquivalence:
         rng = random.Random(12)
         weights, bias, x, prec = random_case(rng, sparsity=0.4)
         coo = compress_coo(weights)
-        entries = list(coo.entries)
-        rng.shuffle(entries)
-        resorted = CooWeights(tuple(sorted(entries)), coo.n_in, coo.n_out, coo.weight_spec)
+        order = list(range(coo.packed.size))
+        rng.shuffle(order)
+        shuffled = coo.packed[order]
+        resort = np.argsort(shuffled)
+        resorted = CooWeights(shuffled[resort], coo.raws[order][resort],
+                              coo.n_in, coo.n_out, coo.weight_spec)
         assert ([v.raw for v in sparse_mv_coo(resorted, bias, x, prec).data]
                 == [v.raw for v in sparse_mv_coo(coo, bias, x, prec).data])
 

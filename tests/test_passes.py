@@ -3,7 +3,8 @@ import pytest
 
 from fixflow import passes, trainer
 from fixflow.kernels import run_inference
-from fixflow.model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor
+from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, parse_model,
+                              serialize_model, validate)
 
 
 
@@ -165,6 +166,17 @@ class TestConstantFold:
         assert report.rewrites[-1] == (("d",), "input")
         value = folded.nodes[0].param("value")
         assert [v.to_float() for v in value.data] == [1.0, 2.0, 3.25]
+
+    def test_width_changing_fold_takes_value_shape(self):
+        """Folding 2 inputs through a 3x2 dense layer leaves a valid 3-wide input."""
+        g = ModelGraph.chain([
+            LayerNode("input", "input", {"value": Tensor((2,), (1.0, 2.0))}),
+            dense_node("d", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.25]),
+        ], (2,))
+        folded, _ = passes.run_standard_passes(g)
+        assert folded.input_shape == (3,)
+        assert validate(folded) == []
+        assert parse_model(serialize_model(folded)).input_shape == (3,)
 
     def test_fold_then_emulate_bit_exact(self):
         rng = np.random.Generator(np.random.Philox(key=33))

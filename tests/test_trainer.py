@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fixflow import trainer
+from fixflow.fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
+from fixflow.model_ir import Tensor
 from fixflow.trainer import (
     Dataset,
     EvaluationError,
@@ -149,10 +151,16 @@ class TestQat:
     def test_alpha_rescales_fixed_grid(self):
         plain = QuantizerSpec(4, 1, alpha=1.0)
         scaled = QuantizerSpec(4, 1, alpha=2.0)
-        w = np.array([0.3, -0.55, 1.4, 3.0])
+        w = np.array([0.3, -0.55, 1.4, 3.0, 0.5 - 2**-54])
         assert list(scaled.apply(w)) == [v * 2 for v in plain.apply(w / 2)]
         lo, hi = scaled.grid_limits()
         assert (lo, hi) == (-2.0, 1.75)
+        # With alpha = 1 the fixed mode is the deployment grid's quantizer.
+        # floor(w + 0.5) would give 1.0 for 0.5 - 2**-54.
+        deployed = FixedPointSpec(8, 8, rounding=ROUND_HALF_UP, overflow=SATURATE)
+        raws = Tensor.from_numpy(w).quantized(deployed).array.tolist()
+        assert list(QuantizerSpec(8, 8).apply(w)) == raws
+        assert raws[-1] == 0
 
     def test_activation_fake_quant_applies_grid(self):
         data = two_blob_data()
