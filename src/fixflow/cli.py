@@ -24,8 +24,11 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +39,15 @@ from .model_ir import ModelGraph, Tensor, parse_model, serialize_model, validate
 log = logging.getLogger("fixflow")
 
 _METHODS = {"l1": "l1_retrain", "lt": "lt_rewind", "qap": "qap"}
+
+
+@contextmanager
+def timed(stage: str):
+    """Log the wall time of ``stage`` at INFO; with INFO off it costs one level check."""
+    start = time.perf_counter() if log.isEnabledFor(logging.INFO) else None
+    yield
+    if start is not None:
+        log.info("%s: %.1f ms", stage, (time.perf_counter() - start) * 1e3)
 
 
 def _load_config(path):
@@ -70,7 +82,7 @@ def _load_model(spec: str, seed: int) -> ModelGraph:
         if len(dims) < 2:
             raise ValueError(f"{spec}: need at least input and output widths")
         return trainer.build_classifier(dims[0], dims[1:-1], dims[-1], seed=seed)
-    with open(spec) as fh:
+    with timed(f"load {spec}"), open(spec) as fh:
         return parse_model(fh.read())
 
 
@@ -88,10 +100,17 @@ def _load_input_rows(spec: str, seed: int) -> np.ndarray:
         return _load_dataset(spec, seed).features
     rows = []
     with open(spec) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split()])
+        for number, line in enumerate(fh, 1):
+            try:
+                row = [float(v) for v in line.split()]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"non-finite value in {line.strip()!r}")
+                if rows and row and len(row) != len(rows[0]):
+                    raise ValueError(f"{len(row)} values, the first row has {len(rows[0])}")
+            except ValueError as exc:
+                raise ValueError(f"{spec}:{number}: {exc}") from None
+            if row:  # blank lines are skipped
+                rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 
@@ -101,9 +120,8 @@ def _out_dir(args) -> str:
 
 
 def _write_text(path, text):
-    with open(path, "w") as fh:
+    with timed(f"write {path}"), open(path, "w") as fh:
         fh.write(text)
-    log.info("wrote %s", path)
 
 
 def _write_json(path, doc):
@@ -132,18 +150,21 @@ def _quantizer(args, config) -> trainer.QuantizerSpec:
 
 def cmd_convert(args, config):
     graph = _load_model(args.model, args.seed)
-    graph, reports = passes.run_standard_passes(graph)
-    problems = validate(graph)
+    with timed("passes"):
+        graph, reports = passes.run_standard_passes(graph)
+        problems = validate(graph)
     if problems:
         for p in problems:
             print(f"error: {p}", file=sys.stderr)
         return 1
     out = _out_dir(args)
-    text = serialize_model(graph)
+    with timed("serialize"):
+        text = serialize_model(graph)
     _write_text(os.path.join(out, "model.json"), text)
-    _write_json(os.path.join(out, "report.json"),
-                codegen.emit_report(graph, pass_reports=reports,
-                                    model_hash=hashlib.sha256(text.encode()).hexdigest()))
+    with timed("emit"):
+        report = codegen.emit_report(graph, pass_reports=reports,
+                                     model_hash=hashlib.sha256(text.encode()).hexdigest())
+    _write_json(os.path.join(out, "report.json"), report)
     applied = sum(len(r.rewrites) for r in reports)
     print(f"converted: {len(graph.nodes)} layers, {applied} rewrites")
     return 0
@@ -151,8 +172,9 @@ def cmd_convert(args, config):
 
 def cmd_profile(args, config):
     graph = _load_model(args.model, args.seed)
-    report = profiler.profile_weights(graph)
-    coverage = profiler.check_coverage(report, graph)
+    with timed("profile"):
+        report = profiler.profile_weights(graph)
+        coverage = profiler.check_coverage(report, graph)
     out = _out_dir(args)
     _write_json(os.path.join(out, "profile.json"), report.to_doc())
     _write_json(os.path.join(out, "coverage.json"),
@@ -261,16 +283,19 @@ def cmd_estimate(args, config):
     # One quantized copy serves the estimates and the sweep. It is dropped
     # before the real-valued graph is profiled and serialized, which keeps
     # peak memory at that of the other commands.
-    quantized = graph if args.assume_dense else kernels.materialize_quantized(graph)
-    estimates = estimator.estimate_model(quantized, clock_mhz=clock,
-                                         assume_dense=args.assume_dense)
-    sweep = estimator.reuse_sweep(quantized, factors, clock_mhz=clock,
-                                  assume_dense=args.assume_dense)
+    with timed("estimate"):
+        quantized = graph if args.assume_dense else kernels.materialize_quantized(graph)
+        estimates = estimator.estimate_model(quantized, clock_mhz=clock,
+                                             assume_dense=args.assume_dense)
+        sweep = estimator.reuse_sweep(quantized, factors, clock_mhz=clock,
+                                      assume_dense=args.assume_dense)
     del quantized
     out = _out_dir(args)
-    profile = profiler.profile_weights(graph)
-    _write_json(os.path.join(out, "report.json"),
-                codegen.emit_report(graph, estimates, profile))
+    with timed("profile"):
+        profile = profiler.profile_weights(graph)
+    with timed("emit"):
+        report = codegen.emit_report(graph, estimates, profile)
+    _write_json(os.path.join(out, "report.json"), report)
     resource, timing = estimates
     if factors:
         _write_sweep_csv(sweep, os.path.join(out, "reuse_scan.csv"))
@@ -316,9 +341,11 @@ def cmd_scan(args, config):
 
 def cmd_codegen(args, config):
     graph = _load_model(args.model, args.seed)
-    tree = codegen.emit_project(graph, codegen.CodegenConfig(project_name=args.name))
+    with timed("emit"):
+        tree = codegen.emit_project(graph, codegen.CodegenConfig(project_name=args.name))
     out = _out_dir(args)
-    tree.write_to(out)
+    with timed(f"write {out}"):
+        tree.write_to(out)
     print(f"emitted {len(tree.files) + 1} files to {out}")
     return 0
 

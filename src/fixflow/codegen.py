@@ -196,16 +196,10 @@ def _check_widths(layer: str, in_spec, weight_spec, bias_spec, acc_spec, result_
 
 
 def _literal_rows(values, per_row=12):
-    if not values:
-        return ""
-    rows = []
-    for start in range(0, len(values), per_row):
-        rows.append(", ".join(str(int(v)) for v in values[start:start + per_row]))
-    return "    " + ",\n    ".join(rows)
-
-
-def _array(name: str, values) -> list:
-    return [f"static const long long {name}[] = {{", _literal_rows(values), "};"]
+    # int() matters: sign-layer mode codes arrive as floats, and a braced
+    # long long initializer rejects the narrowing 1.0.
+    return ",\n".join("    " + ", ".join(map(str, map(int, values[start:start + per_row])))
+                      for start in range(0, len(values), per_row))
 
 
 def _weight_header(index: int, title: str, comments: list, arrays: list) -> str:
@@ -214,7 +208,7 @@ def _weight_header(index: int, title: str, comments: list, arrays: list) -> str:
     lines += [f"// {c}" for c in comments]
     lines.append("")
     for name, values in arrays:
-        lines += _array(name, values)
+        lines += [f"static const long long {name}[] = {{", _literal_rows(values), "};"]
     lines += ["", f"#endif  // {guard}", ""]
     return "\n".join(lines)
 

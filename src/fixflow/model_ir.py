@@ -500,4 +500,31 @@ def serialize_model(graph: ModelGraph) -> str:
         "input_shape": list(graph.input_shape),
         "layers": layers,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    parts = []
+    _dump(doc, "", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _dump(obj, pad: str, parts: list) -> None:
+    """Append ``json.dumps(obj, indent=2)`` at indentation ``pad`` (string keys only) to
+    ``parts``. The stdlib's indent path is pure Python; here each flat list of scalars
+    is one C-encoder call whose separator carries the indent, and the caller joins once."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        parts.append(json.dumps(obj))
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    parts.append(brackets[0] + "\n" + inner)
+    if isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(f"{sep if i else ''}{json.dumps(key)}: ")
+            _dump(value, inner, parts)
+    elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
+        for i, value in enumerate(obj):
+            parts.append(sep if i else "")
+            _dump(value, inner, parts)
+    else:
+        parts.append(json.dumps(obj, separators=(sep, ": "))[1:-1])
+    parts.append("\n" + pad + brackets[1])

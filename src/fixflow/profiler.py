@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .fixed_point import SATURATE, quantize
 from .model_ir import ModelGraph
 
@@ -85,9 +87,10 @@ class ProfileReport:
 
 
 def _profile_tensor(layer: str, param: str, kind: int, tensor) -> TensorProfile:
-    reals = tensor.to_numpy().reshape(-1).tolist()
-    magnitudes = sorted(abs(v) for v in reals)
-    nonzero = [v for v in magnitudes if v != 0.0]
+    flat = tensor.to_numpy().reshape(-1)
+    reals = flat.tolist()
+    magnitudes = np.sort(np.abs(flat)).tolist()
+    zeros = len(reals) - int(np.count_nonzero(flat))  # the nonzero magnitudes follow them
     q25 = percentile(magnitudes, 0.25)
     q50 = percentile(magnitudes, 0.50)
     q75 = percentile(magnitudes, 0.75)
@@ -97,8 +100,8 @@ def _profile_tensor(layer: str, param: str, kind: int, tensor) -> TensorProfile:
         param=param,
         kind=kind,
         count=len(reals),
-        zero_fraction=(len(reals) - len(nonzero)) / len(reals),
-        min_abs_nonzero=nonzero[0] if nonzero else None,
+        zero_fraction=zeros / len(reals),
+        min_abs_nonzero=magnitudes[zeros] if zeros < len(reals) else None,
         max_abs=magnitudes[-1],
         q25=q25,
         q50=q50,

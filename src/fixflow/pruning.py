@@ -110,36 +110,32 @@ def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> Prun
     if fraction < current - 1e-12:
         raise ValueError(f"fraction {fraction} is below the already-pruned {current}")
 
-    total = state.total_weights
-    target_zeros = int(round(fraction * total))
+    target_zeros = int(round(fraction * state.total_weights))
     current_zeros = sum(m.size - int(m.sum()) for m in state.masks.values())
     needed = target_zeros - current_zeros
     new_masks = {name: m.copy() for name, m in state.masks.items()}
     if needed <= 0:
         return PruneState(new_masks, state.initial_weights, list(state.history))
 
-    candidates = []  # (normalized magnitude, layer index, flat index, name)
-    layer_idx = 0
+    # Survivors' normalized magnitudes in (layer, flat index) order: a stable
+    # sort breaks ties as the (ratio, layer, flat index) tuple does.
+    survivors, ratios = {}, []
     for node in model.nodes:
-        if node.kind != "dense":
-            continue
-        mask = state.masks[node.name].reshape(-1)
-        w = np.abs(node.param("weight").to_numpy().reshape(-1))
-        survivors = np.flatnonzero(mask)
-        if survivors.size:
-            peak = float(w[survivors].max())
-            for flat in survivors:
-                ratio = float(w[flat]) / peak if peak > 0 else 0.0
-                candidates.append((ratio, layer_idx, int(flat), node.name))
-        layer_idx += 1
-
-    if needed > len(candidates):
-        raise ValueError(
-            f"cannot prune {needed} more weights: only {len(candidates)} survivors remain"
-        )
-    candidates.sort()
-    for ratio, _, flat, name in candidates[:needed]:
-        new_masks[name].reshape(-1)[flat] = 0.0
+        if node.kind == "dense":
+            kept = np.flatnonzero(state.masks[node.name].reshape(-1))
+            w = np.abs(node.param("weight").to_numpy().reshape(-1))[kept]
+            peak = w.max(initial=0.0)
+            ratios.append(w / peak if peak > 0 else np.zeros(w.size))
+            survivors[node.name] = kept
+    ratio = np.concatenate(ratios)
+    if needed > ratio.size:
+        raise ValueError(f"cannot prune {needed} more weights: only {ratio.size} survivors remain")
+    pruned = np.zeros(ratio.size, dtype=bool)
+    pruned[np.argsort(ratio, kind="stable")[:needed]] = True
+    start = 0
+    for name, kept in survivors.items():
+        new_masks[name].reshape(-1)[kept[pruned[start:start + kept.size]]] = 0.0
+        start += kept.size
     return PruneState(new_masks, state.initial_weights, list(state.history))
 
 

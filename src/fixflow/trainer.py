@@ -344,10 +344,6 @@ class _Net:
         self.has_softmax = False
         act_quant = cfg.activation_quantizers or {}
         for node, *_ in walk(graph):
-            if node.kind == "input":
-                if node.name in act_quant:
-                    self.layers.append(_FakeQuant(node.name, act_quant[node.name]))
-                continue
             if node.kind == "dense":
                 self.layers.append(_Dense(node, cfg.quantizer_for(node.name),
                                           None if cfg.masks is None else cfg.masks.get(node.name)))
@@ -358,7 +354,7 @@ class _Net:
             elif node.kind == "softmax":
                 self.has_softmax = True
                 continue
-            else:
+            elif node.kind != "input":
                 raise ValueError(f"layer {node.name!r}: kind {node.kind!r} is not trainable")
             if node.name in act_quant:
                 self.layers.append(_FakeQuant(node.name, act_quant[node.name]))
@@ -553,15 +549,10 @@ def _rank_auc(scores: np.ndarray, is_positive: np.ndarray) -> float:
     """One-vs-rest AUC by the Mann-Whitney rank statistic with midranks."""
     n = len(scores)
     order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
+    # A run of tied scores at sorted positions i..j shares the rank (i + j) / 2 + 1.
+    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     p = int(is_positive.sum())
     q = n - p
     if p == 0 or q == 0:

@@ -217,6 +217,46 @@ class TestEmulate:
         assert not (tmp_path / "o" / "outputs.txt").exists()
 
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("1 2 3\n4 5\n", 2, "2 values, the first row has 3"),
+        ("\n1 x\n", 2, "could not convert string to float: 'x'"),
+        ("1 2\n\n1 nan\n", 3, "non-finite value"),
+        ("1 inf\n", 1, "non-finite value"),
+        ("1 -inf\n", 1, "non-finite value"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, rows, line, message):
+        path = write_doc(tmp_path, [{"name": "r", "kind": "relu"}])
+        data = tmp_path / "x.txt"
+        data.write_text(rows)
+        assert run(["emulate", "--model", path, "--data", str(data),
+                    "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:{line}: ") and message in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "outputs.txt").exists()
+
+
+class TestTimedStages:
+    def test_info_logs_each_stage(self, ref_model_path, tmp_path, caplog):
+        with caplog.at_level("INFO", logger="fixflow"):
+            assert run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o")]) == 0
+        stages = [r.getMessage().split(":")[0] for r in caplog.records]
+        assert stages == [f"load {ref_model_path}", "passes", "serialize",
+                          f"write {tmp_path / 'o' / 'model.json'}", "emit",
+                          f"write {tmp_path / 'o' / 'report.json'}"]
+        assert all(r.getMessage().endswith(" ms") for r in caplog.records)
+
+    def test_silent_and_artifacts_unchanged_without_info(self, ref_model_path, tmp_path, caplog):
+        outs = {}
+        for level in ("INFO", "WARNING"):
+            with caplog.at_level(level, logger="fixflow"):
+                caplog.clear()
+                assert run(["convert", "--model", ref_model_path, "--out", str(tmp_path / level)]) == 0
+            outs[level] = [(tmp_path / level / f).read_bytes() for f in ("model.json", "report.json")]
+        assert caplog.records == []
+        assert outs["INFO"] == outs["WARNING"]
+
+
 class TestTrainAndScan:
     def test_train_on_synthetic(self, tmp_path):
         out = tmp_path / "run"

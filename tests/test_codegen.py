@@ -25,6 +25,28 @@ from oracles import oracle_dense_mv_raws
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "ref_project")
 
 
+def build_and_run(project, input_lines) -> list:
+    """Build an emitted project with its build.sh, feed it raw rows, return its output lines.
+
+    With FIXFLOW_UBSAN=1 the build adds -fsanitize=undefined
+    -fno-sanitize-recover=all, so undefined behaviour stops the run with
+    UBSan's report. Skips when no C++ compiler is installed.
+    """
+    compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
+    if compiler is None:
+        pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
+    env = None
+    if os.environ.get("FIXFLOW_UBSAN") == "1":
+        env = {**os.environ, "CXX": f"{compiler} -fsanitize=undefined -fno-sanitize-recover=all"}
+    (project / "in.txt").write_text("".join(line + "\n" for line in input_lines))
+    for argv in (["sh", str(project / "build.sh")],
+                 [str(project / "build" / "testbench"), str(project / "in.txt"),
+                  str(project / "out.txt")]):
+        done = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert done.returncode == 0, f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}"
+    return (project / "out.txt").read_text().splitlines()
+
+
 class TestDeterminism:
     def test_same_inputs_identical_files(self):
         a = emit_reference_tree()
@@ -248,21 +270,13 @@ def wide_model() -> ModelGraph:
 
 class TestWideSpecsCompile:
     def test_compiled_project_bit_matches_emulator(self, tmp_path):
-        compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
-        if compiler is None:
-            pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
         model = materialize_quantized(wide_model())
         emit_project(model, CodegenConfig("wide")).write_to(tmp_path)
-        subprocess.run(["sh", str(tmp_path / "build.sh")], check=True, capture_output=True)
         rng = np.random.Generator(np.random.Philox(key=11))
         all_taps = [run_inference(model, Tensor.from_numpy(rng.normal(0, 8, 6)), tap_all=True)[1]
                     for _ in range(100)]
-        (tmp_path / "in.txt").write_text(
-            "".join(" ".join(map(str, taps[0].output.array.tolist())) + "\n" for taps in all_taps))
-        subprocess.run([str(tmp_path / "build" / "testbench"),
-                        str(tmp_path / "in.txt"), str(tmp_path / "out.txt")],
-                       check=True, capture_output=True)
-        got = (tmp_path / "out.txt").read_text().splitlines()
+        got = build_and_run(tmp_path, [" ".join(map(str, taps[0].output.array.tolist()))
+                                       for taps in all_taps])
         assert got == [" ".join(map(str, taps[-1].output.array.tolist())) for taps in all_taps]
 
         # The chain reaches what it is built for: d0's exact sums leave its
@@ -290,24 +304,15 @@ class TestEveryKindCompiles:
         assert list(tap_widths) == [n.name for n in model.nodes]
 
     def test_compiled_project_bit_matches_emulator(self, tmp_path):
-        compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
-        if compiler is None:
-            pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
         model = materialize_quantized(every_kind_model())
         emit_project(model, CodegenConfig("allkinds")).write_to(tmp_path)
-        subprocess.run(["sh", str(tmp_path / "build.sh")], check=True, capture_output=True)
         rng = np.random.Generator(np.random.Philox(key=7))
         in_lines, want_lines = [], []
         for _ in range(100):
             out, taps = run_inference(model, Tensor.from_numpy(rng.normal(0, 2, 6)), tap_all=True)
             in_lines.append(" ".join(str(v.raw) for v in taps[0].output.data))
             want_lines.append(" ".join(str(v.raw) for v in out.data))
-        (tmp_path / "in.txt").write_text("\n".join(in_lines) + "\n")
-        subprocess.run([str(tmp_path / "build" / "testbench"),
-                        str(tmp_path / "in.txt"), str(tmp_path / "out.txt")],
-                       check=True, capture_output=True)
-        got = (tmp_path / "out.txt").read_text().splitlines()
-        assert got == want_lines
+        assert build_and_run(tmp_path, in_lines) == want_lines
         # Outputs are a function of the sign layers' patterns, so they repeat.
         assert len(set(want_lines)) > 10
 
@@ -399,19 +404,11 @@ class TestFuzzCorpus:
                     assert taps[k].output.array.tolist() == want, node.name
 
     def test_compiled_projects_bit_match_emulator(self, fuzz_corpus, tmp_path):
-        compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
-        if compiler is None:
-            pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
         for c, (model, all_taps) in enumerate(fuzz_corpus):
             project = tmp_path / f"fuzz{c}"
             emit_project(model, CodegenConfig(f"fuzz{c}")).write_to(project)
-            subprocess.run(["sh", str(project / "build.sh")], check=True, capture_output=True)
-            (project / "in.txt").write_text(
-                "".join(" ".join(map(str, taps[0].output.array.tolist())) + "\n" for taps in all_taps))
-            subprocess.run([str(project / "build" / "testbench"),
-                            str(project / "in.txt"), str(project / "out.txt")],
-                           check=True, capture_output=True)
-            got = (project / "out.txt").read_text().splitlines()
+            got = build_and_run(project, [" ".join(map(str, taps[0].output.array.tolist()))
+                                          for taps in all_taps])
             assert got == [" ".join(map(str, taps[-1].output.array.tolist())) for taps in all_taps], c
 
     def test_corpus_coverage(self, fuzz_corpus):

@@ -118,6 +118,81 @@ class TestRoundTrip:
         assert validate(parse_model(jet_document())) == []
 
 
+def reindented(text):
+    """What the stdlib's indent=2 encoder writes for the same document."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def random_document(rng, depth=0):
+    """A random JSON value: nested containers, awkward keys, edge-case scalars."""
+    scalars = [-0.0, 0.0, 1e300, -1e-300, 2 ** 70, -(2 ** 63), True, False, None,
+               0.1, 5e-324, "", "q\"uo\\te", "\u00e9\u03bb\U0001f642\n\t"]
+    pick = rng.random()
+    if depth < 4 and pick < 0.2:
+        return {rng.choice(["data", "shape", "", "k\"", "\u00fc\u00df", "a\nb", "\x7f"]) + str(i):
+                random_document(rng, depth + 1) for i in range(rng.randrange(4))}
+    if depth < 4 and pick < 0.35:
+        return [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if pick < 0.5:  # a flat list of scalars, the serializer's fast path
+        return [rng.choice(scalars + [rng.uniform(-9, 9), rng.randrange(-99, 99)])
+                for _ in range(rng.randrange(6))]
+    if pick < 0.6:
+        return tuple(rng.uniform(-1, 1) for _ in range(rng.randrange(3)))
+    return rng.choice(scalars + [rng.gauss(0, 1), rng.randrange(-5, 5)])
+
+
+class TestSerializeText:
+    """``serialize_model`` writes exactly what ``json.dumps(indent=2)`` would."""
+
+    def test_reference_and_every_kind_models(self):
+        from golden_model import build_reference_model
+        from test_codegen import every_kind_model, wide_model
+
+        for graph in (build_reference_model(), every_kind_model(), wide_model(),
+                      parse_model(jet_document())):
+            text = serialize_model(graph)
+            assert text == reindented(text)
+
+    def test_quantized_tensors(self):
+        from fixflow.kernels import materialize_quantized
+        from test_codegen import every_kind_model, wide_model
+
+        for graph in (every_kind_model(), wide_model()):
+            quantized = materialize_quantized(graph)
+            assert any(t.is_quantized() for n in quantized.nodes for t in n.params.values())
+            text = serialize_model(quantized)
+            assert text == reindented(text)
+
+    def test_awkward_names_and_scalar_params(self):
+        import numpy as np
+
+        # Scalar params named like tensor fields must not confuse the writer.
+        graph = ModelGraph.chain([
+            LayerNode("input", "input"),
+            LayerNode('d\u00e9"\\\u03bb \U0001f642', "dense", {
+                "weight": Tensor.from_numpy(np.array([[0.5, -0.0], [1e300, 5e-324]])),
+                "bias": Tensor.from_numpy(np.array([-0.25, 0.0])),
+                "data": Tensor.scalar(0.0),
+                "shape": Tensor.scalar(-0.0),
+            }),
+        ], (2,))
+        text = serialize_model(graph)
+        assert text == reindented(text)
+        assert '"data": 0.0' in text and '"shape": -0.0' in text
+
+    def test_writer_matches_stdlib_on_random_documents(self):
+        import random
+
+        from fixflow.model_ir import _dump
+
+        rng = random.Random(2103)
+        for _ in range(3000):
+            doc = random_document(rng)
+            parts = []
+            _dump(doc, "", parts)
+            assert "".join(parts) == json.dumps(doc, indent=2), doc
+
+
 class TestValidate:
     def test_reuse_factor_zero(self):
         graph = parse_model(jet_document())

@@ -96,6 +96,25 @@ class TestProfileWeights:
             assert row.min_abs_nonzero <= row.q25 <= row.q50 <= row.q75 <= row.max_abs
             assert 0.0 <= row.zero_fraction <= 1.0
 
+    @pytest.mark.parametrize("weights, bias, want_weight, want_bias", [
+        # (value_min, value_max, min_abs_nonzero, zero_fraction, max_abs) as reprs:
+        # the first of equal signed zeros wins, as builtin min and max keep it.
+        ([[-0.0, 0.0], [0.25, -0.0]], [-0.0, 0.0], ("-0.0", "0.25", "0.25", 0.75, "0.25"),
+         ("-0.0", "-0.0", "None", 1.0, "0.0")),
+        ([[0.0, -0.0, -0.5, 0.0]], [0.0], ("-0.5", "0.0", "0.5", 0.75, "0.5"),
+         ("0.0", "0.0", "None", 1.0, "0.0")),
+        ([[-0.0, 0.0, -0.5, 0.0]], [1e-300], ("-0.5", "-0.0", "0.5", 0.75, "0.5"),
+         ("1e-300", "1e-300", "1e-300", 0.0, "1e-300")),
+    ])
+    def test_signed_zeros(self, weights, bias, want_weight, want_bias):
+        report = profile_weights(model_with_weights(weights, bias))
+        for param, want in (("weight", want_weight), ("bias", want_bias)):
+            row = report.row("d", param)
+            got = (repr(row.value_min), repr(row.value_max), repr(row.min_abs_nonzero),
+                   row.zero_fraction, repr(row.max_abs))
+            assert got == want, param
+            assert all(type(v) is float for v in (row.value_min, row.value_max, row.q50))
+
     def test_serialization_round_trip(self):
         g = model_with_weights([[1.0, -2.0], [0.0, 4.0]], [0.5, -0.25])
         report = profile_weights(g)

@@ -138,6 +138,66 @@ class TestRankAndMask:
         assert list(state.masks["d"].reshape(-1)) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
 
+    def test_cross_layer_tie_prunes_earlier_layer_first(self):
+        # Both layers hold ratio 0.5; d0's sits at a higher flat index than d1's.
+        model = two_layer_model([[1.0, 0.5]], [[0.5, 1.0]])
+        state = rank_and_mask(model, PruneState.fresh(model), 0.25)
+        assert list(state.masks["d0"].reshape(-1)) == [1.0, 0.0]
+        assert list(state.masks["d1"].reshape(-1)) == [1.0, 1.0]
+        state = rank_and_mask(model, state, 0.5)
+        assert list(state.masks["d1"].reshape(-1)) == [0.0, 1.0]
+
+    def test_matches_tuple_sort_reference(self):
+        rng = np.random.Generator(np.random.Philox(key=101))
+        shapes = [(6, 5), (4, 6), (3, 4), (2, 3)]
+        for trial in range(20):
+            # Coarse weights tie often; d2 is all zero (peak 0).
+            weights = [np.round(rng.normal(0, 1, s) * 4) / 4 for s in shapes]
+            weights[2][:] = 0.0
+            nodes = [LayerNode("input", "input")] + [
+                LayerNode(f"d{k}", "dense", {"weight": Tensor.from_numpy(w),
+                                             "bias": Tensor.from_numpy(np.zeros(w.shape[0]))})
+                for k, w in enumerate(weights)]
+            model = ModelGraph.chain(nodes, (5,))
+            state = PruneState.fresh(model)
+            for name, mask in state.masks.items():  # prior masks
+                mask[rng.random(mask.shape) < 0.2] = 0.0
+            if trial % 2:
+                state.masks["d3"][:] = 0.0  # a layer without survivors
+            fractions = sorted(rng.uniform(state.pruned_fraction, 1.0, 4)) + [1.0]
+            for fraction in fractions:
+                fraction = max(fraction, state.pruned_fraction)  # rounding may overshoot
+                want = tuple_sort_reference(model, state, fraction)
+                state = rank_and_mask(model, state, fraction)
+                for name in want:
+                    assert (state.masks[name] == want[name]).all(), (trial, fraction, name)
+
+    def test_more_needed_than_survivors_rejected(self):
+        # A mask of a layer the model lacks counts toward the total, but
+        # none of its entries can be ranked.
+        model = one_layer_model([0.1, 0.2])
+        state = PruneState({"d": np.ones((1, 2)), "gone": np.ones((1, 6))}, {})
+        with pytest.raises(ValueError, match="cannot prune 6 more weights: only 2 survivors remain"):
+            rank_and_mask(model, state, 0.75)
+
+
+def tuple_sort_reference(model, state, fraction):
+    """Masks after ranking one (ratio, layer index, flat index) tuple per survivor."""
+    needed = int(round(fraction * state.total_weights)) - sum(
+        m.size - int(m.sum()) for m in state.masks.values())
+    candidates = []
+    for layer_idx, node in enumerate(n for n in model.nodes if n.kind == "dense"):
+        w = np.abs(node.param("weight").to_numpy().reshape(-1))
+        survivors = [i for i, keep in enumerate(state.masks[node.name].reshape(-1)) if keep]
+        peak = max((float(w[i]) for i in survivors), default=0.0)
+        candidates += [(float(w[i]) / peak if peak > 0 else 0.0, layer_idx, i, node.name)
+                       for i in survivors]
+    masks = {name: m.copy() for name, m in state.masks.items()}
+    for _, _, i, name in sorted(candidates)[:max(needed, 0)]:
+        masks[name].reshape(-1)[i] = 0.0
+    return masks
+
+
 class TestMaskSemantics:
     def test_mask_transparency(self):
         rng = make_rng(8)

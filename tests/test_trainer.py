@@ -209,6 +209,32 @@ class TestEvaluate:
             want = oracle_auc_trapezoid(list(scores), list(labels))
             assert abs(got - want) < 1e-9
 
+    def test_rank_auc_equals_midrank_loop(self):
+        # The vectorized midranks give exactly what a loop over tied runs gives.
+        def loop_auc(scores, is_positive):
+            order = np.argsort(scores, kind="mergesort")
+            ranks = np.empty(len(scores))
+            i = 0
+            while i < len(scores):
+                j = i
+                while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+                    j += 1
+                ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            p = int(is_positive.sum())
+            q = len(scores) - p
+            return float((ranks[is_positive].sum() - p * (p + 1) / 2) / (p * q))
+
+        rng = make_rng(78)
+        for trial in range(200):
+            n = int(rng.integers(2, 80))
+            scores = rng.integers(-3, 4, n) * 0.25  # many ties, signed zeros among them
+            scores[rng.random(n) < 0.1] = -0.0
+            labels = rng.integers(0, 2, n).astype(bool)
+            if labels.all() or not labels.any():
+                continue
+            assert trainer._rank_auc(scores, labels) == loop_auc(scores, labels), trial
+
     def test_single_class_dataset_error(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=int), 2)
         model = build_classifier(2, [], 2, seed=0)
