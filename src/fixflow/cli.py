@@ -248,32 +248,36 @@ def cmd_emulate(args, config):
     if "value" in graph.nodes[0].params:
         raise ValueError(f"input layer {graph.nodes[0].name!r} carries a constant value, "
                          "so emulation would ignore the input rows")
-    rows = _load_input_rows(args.data, args.seed)
+    with timed(f"load {args.data}"):
+        rows = _load_input_rows(args.data, args.seed)
     if rows.ndim != 2 or rows.shape[1] != graph.input_width:
         raise ValueError(
             f"inputs have {rows.shape[-1] if rows.size else 0} values per row, "
             f"model expects {graph.input_width}"
         )
-    graph = kernels.materialize_quantized(graph)
-    quantized = Tensor.from_numpy(rows).quantized(graph.nodes[0].precision.result)
-    result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
+    with timed("materialize"):
+        graph = kernels.materialize_quantized(graph)
+        quantized = Tensor.from_numpy(rows).quantized(graph.nodes[0].precision.result)
+    with timed("run_inference"):
+        result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
     out = _out_dir(args)
-    _write_text(os.path.join(out, "outputs.txt"), _format_rows(result))
-    _write_text(os.path.join(out, "inputs_raw.txt"), _format_rows(quantized))
+    _write_rows(os.path.join(out, "outputs.txt"), result)
+    _write_rows(os.path.join(out, "inputs_raw.txt"), quantized)
     if args.taps:
         tap_dir = os.path.join(out, "taps")
         os.makedirs(tap_dir, exist_ok=True)
         for idx, tap in enumerate(taps):
-            path = os.path.join(tap_dir, f"tap_{idx:02d}_{tap.layer}.txt")
-            _write_text(path, _format_rows(tap.output))
+            _write_rows(os.path.join(tap_dir, f"tap_{idx:02d}_{tap.layer}.txt"), tap.output)
     print(f"emulated {len(rows)} inputs")
     return 0
 
 
-def _format_rows(t: Tensor) -> str:
-    """Raws of a quantized block of rows, reals of a real one, one line per row."""
-    fmt = str if t.is_quantized() else repr
-    return "".join(" ".join(map(fmt, row)) + "\n" for row in t.array.reshape(-1, t.shape[-1]).tolist())
+def _write_rows(path, t: Tensor):
+    """Write the raws of a quantized block of rows, or the reals of a real one, one line per row."""
+    with timed(f"format {path}"):
+        fmt = str if t.is_quantized() else repr
+        text = "".join(" ".join(map(fmt, row)) + "\n" for row in t.array.reshape(-1, t.shape[-1]).tolist())
+    _write_text(path, text)
 
 
 def cmd_estimate(args, config):

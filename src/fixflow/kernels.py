@@ -17,6 +17,13 @@ ascending packed index (``out * n_in + in``) is the ascending input
 index of the dense order, so dense and sparse results are bit-identical.
 Softmax is evaluated in real arithmetic at the output only.
 
+``_mac`` forms all products of a block of rows at once. A wrapping
+accumulator is computed as one wrap of the exact sum of the bias and the
+rounded products: wrapping is reduction mod ``2**W``, which commutes with
+addition, so this equals wrapping every product and every add. A
+saturating accumulator still clamps every product and every add, in
+ascending input index.
+
 The emulator runs a whole block of rows per call. Its state between
 layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
 (or ``(width,)`` for a single row): the raws of one layer output on that
@@ -42,6 +49,7 @@ from .fixed_point import (
     cast_raw_array,
     int_dtype,
     quantize,
+    shift_round,
 )
 from .model_ir import (MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_LE, LayerNode, ModelGraph,
                        PrecisionSet, Tensor, walk)
@@ -90,6 +98,11 @@ class LayerTap:
     output: Tensor
 
 
+# Elements of one [rows, m, k] block of products in ``_mac``: it bounds the
+# temporaries, so a long block of rows through a wide layer adds no memory.
+_BLOCK_ELEMENTS = 1 << 15
+
+
 def _extent(raws) -> tuple:
     return int(raws.min()), int(raws.max())
 
@@ -108,24 +121,45 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     accumulator starts at the cast bias; for j ascending, each exact
     product is cast into the accumulator and added, with overflow after
     the add; one final cast into the result spec.
+
+    Each block of rows shift-rounds its [b, m, k] exact products over the
+    k nonzero-weight columns into the accumulator at once. A wrapping
+    accumulator takes one wrap of the exact sum, which equals wrapping each
+    product and every add (mod 2**W); a saturating one clamps the products,
+    then every add.
     """
     acc_spec, res_spec = precision.accumulator, precision.result
     (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
+    # Zero-weight columns add exact zeros to an in-range accumulator, which
+    # leaves it unchanged. A zero weight inside a kept column does the same.
+    cols = np.flatnonzero((weights != 0).any(axis=0))
+    m, k = len(weights), len(cols)
     products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
-    dtype = int_dtype(wlo, whi, xlo, xhi, *products,
-                   *_cast_bounds(min(products), max(products), prod_frac, acc_spec),
-                   *_cast_bounds(blo, bhi, bias_frac, acc_spec),
-                   2 * acc_spec.min_raw, 2 * acc_spec.max_raw,
-                   *_cast_bounds(acc_spec.min_raw, acc_spec.max_raw, acc_spec.fraction_bits, res_spec))
-    weights, x = weights.astype(dtype), x.astype(dtype)
-    acc = np.repeat(cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)[None, :], len(x), axis=0)
-    # Columns of zero weights are skipped. A zero weight inside a column adds
-    # an exact 0 to an in-range accumulator, which leaves it unchanged, and
-    # costs less than indexing around it.
-    for j in np.flatnonzero((weights != 0).any(axis=0)).tolist():
-        terms = cast_raw_array(x[:, j, None] * weights[:, j], prod_frac, acc_spec)
-        acc = apply_overflow_array(acc + terms, acc_spec)
-    return cast_raw_array(acc, acc_spec.fraction_bits, res_spec)
+    terms = _cast_bounds(min(products), max(products), prod_frac, acc_spec)
+    acc_range = (acc_spec.min_raw, acc_spec.max_raw)
+    sums = (2 * acc_spec.min_raw, 2 * acc_spec.max_raw)
+    if acc_spec.overflow != SATURATE:  # the exact sum of k terms and the bias
+        reach = (k + 2) * max(map(abs, terms[:2] + acc_range))
+        sums = (-reach, reach)
+    dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, *sums,
+                      *_cast_bounds(blo, bhi, bias_frac, acc_spec),
+                      *_cast_bounds(*acc_range, acc_spec.fraction_bits, res_spec))
+    weights, x = weights[:, cols].astype(dtype), x[:, cols].astype(dtype)
+    acc0 = cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)
+    shift = acc_spec.fraction_bits - prod_frac
+    step = max(1, _BLOCK_ELEMENTS // max(1, m * k))
+    blocks = []
+    for r in range(0, len(x), step):
+        formed = shift_round(x[r:r + step, None, :] * weights, shift, acc_spec.rounding)
+        if acc_spec.overflow == SATURATE:
+            formed = apply_overflow_array(formed, acc_spec)
+            acc = np.repeat(acc0[None, :], len(formed), axis=0)
+            for j in range(k):
+                acc = apply_overflow_array(acc + formed[..., j], acc_spec)
+        else:
+            acc = apply_overflow_array(acc0 + formed.sum(axis=-1), acc_spec)
+        blocks.append(acc)
+    return cast_raw_array(np.concatenate(blocks), acc_spec.fraction_bits, res_spec)
 
 
 def _rows(x: Tensor):

@@ -151,21 +151,39 @@ class Dataset:
 
 
 def load_csv_dataset(path) -> Dataset:
-    """CSV with a header row, feature columns, then an integer label column."""
+    """CSV with a header row, feature columns, then an integer label column.
+
+    A bad row raises ValueError naming ``<path>:<line>``: another width than
+    the header, a feature that is not a finite number, or a label that is
+    not a non-negative integer. A file without data rows raises too.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[-1].strip() != "label":
             raise ValueError(f"{path}: last column must be named 'label'")
         feats, labels = [], []
         for row in reader:
             if not row:
                 continue
-            feats.append([float(v) for v in row[:-1]])
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} columns, the header has {len(header)}")
+                x = list(map(float, row[:-1]))
+                # The sum of finite features is finite unless it overflows.
+                if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
+                    raise ValueError(f"non-finite feature in {row}")
+                if not row[-1].strip().isdecimal():
+                    raise ValueError(f"label {row[-1]!r} is not a non-negative integer")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            feats.append(x)
             labels.append(int(row[-1]))
+    if not feats:
+        raise ValueError(f"{path}: no data rows")
     features = np.array(feats, dtype=np.float64)
     labels = np.array(labels, dtype=np.int64)
-    return Dataset(features, labels, int(labels.max()) + 1 if labels.size else 0)
+    return Dataset(features, labels, int(labels.max()) + 1)
 
 
 def save_csv_dataset(dataset: Dataset, path):

@@ -235,6 +235,22 @@ class TestEmulate:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "outputs.txt").exists()
 
+    @pytest.mark.parametrize("rows, line, message", [
+        ("1,2,0\n3,x,1\n", 3, "could not convert string to float: 'x'"),
+        ("1,2,0\n3,1\n", 3, "2 columns, the header has 3"),
+        ("1,nan,0\n", 2, "non-finite feature"),
+        ("1,2,1.5\n", 2, "label '1.5' is not a non-negative integer"),
+    ])
+    def test_bad_csv_row_names_file_and_line(self, tmp_path, capsys, rows, line, message):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n" + rows)
+        assert run(["train", "--model", "arch:2x4x2", "--data", str(data),
+                    "--out", str(tmp_path / "o"), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:{line}: ") and message in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "model.json").exists()
+
 
 class TestTimedStages:
     def test_info_logs_each_stage(self, ref_model_path, tmp_path, caplog):
@@ -244,6 +260,19 @@ class TestTimedStages:
         assert stages == [f"load {ref_model_path}", "passes", "serialize",
                           f"write {tmp_path / 'o' / 'model.json'}", "emit",
                           f"write {tmp_path / 'o' / 'report.json'}"]
+        assert all(r.getMessage().endswith(" ms") for r in caplog.records)
+
+    def test_emulate_logs_each_stage(self, ref_model_path, tmp_path, caplog):
+        data, out = tmp_path / "x.txt", tmp_path / "o"
+        width = build_reference_model().input_width
+        data.write_text(" ".join(["0.5"] * width) + "\n")
+        with caplog.at_level("INFO", logger="fixflow"):
+            assert run(["emulate", "--model", ref_model_path, "--data", str(data),
+                        "--out", str(out), "--taps"]) == 0
+        stages = [r.getMessage().rsplit(": ", 1)[0] for r in caplog.records]
+        files = [out / "outputs.txt", out / "inputs_raw.txt"] + sorted((out / "taps").iterdir())
+        assert stages == [f"load {ref_model_path}", f"load {data}", "materialize", "run_inference",
+                          *(f"{step} {path}" for path in files for step in ("format", "write"))]
         assert all(r.getMessage().endswith(" ms") for r in caplog.records)
 
     def test_silent_and_artifacts_unchanged_without_info(self, ref_model_path, tmp_path, caplog):

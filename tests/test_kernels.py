@@ -215,6 +215,124 @@ class TestBlocks:
                     assert got.array.reshape(len(rows), -1).tolist() == want
 
 
+def _cast(raw, fraction_bits, spec):
+    """``raw * 2**-fraction_bits`` rounded and overflowed onto ``spec``, in Python ints."""
+    shift = spec.fraction_bits - fraction_bits
+    if shift >= 0:
+        raw <<= shift
+    else:
+        raw = (raw + ((1 << (-shift - 1)) if spec.rounding == ROUND_HALF_UP else 0)) >> -shift
+    return _overflow(raw, spec)
+
+
+def _overflow(raw, spec):
+    if spec.overflow == SATURATE:
+        return min(max(raw, spec.min_raw), spec.max_raw)
+    raw &= (1 << spec.width_bits) - 1
+    return raw - (1 << spec.width_bits) if raw > spec.max_raw else raw
+
+
+def sequential_raws(weights, bias, rows, precision, events):
+    """Result raws of each row by the per-add rule, counting overflow events at the add.
+
+    The accumulator starts at the cast bias; every product, zero weights
+    included, is cast into the accumulator and added in ascending input
+    index, and the accumulator's overflow applies after each add. An add
+    whose exact sum leaves the accumulator's range counts one event of the
+    accumulator's overflow mode.
+    """
+    acc_spec = precision.accumulator
+    m, n = weights.shape
+    prod_frac = weights.spec.fraction_bits + rows.spec.fraction_bits
+    w = weights.array.reshape(m, n).tolist()
+    out = []
+    for x in rows.array.reshape(-1, n).tolist():
+        row = []
+        for i, b in enumerate(bias.array.tolist()):
+            acc = _cast(b, bias.spec.fraction_bits, acc_spec)
+            for j in range(n):
+                total = acc + _cast(w[i][j] * x[j], prod_frac, acc_spec)
+                if not acc_spec.min_raw <= total <= acc_spec.max_raw:
+                    events[acc_spec.overflow] += 1
+                acc = _overflow(total, acc_spec)
+            row.append(_cast(acc, acc_spec.fraction_bits, precision.result))
+        out.append(row)
+    return out
+
+
+class TestBlockPath:
+    """Blocks of rows through wide, sparse, unsigned and 64-bit layers."""
+
+    def spec(self, rng, width, overflow=None):
+        return FixedPointSpec(width, rng.randint(-2, width + 2), signed=rng.random() < 0.7,
+                              rounding=rng.choice([TRUNCATE, ROUND_HALF_UP]),
+                              overflow=overflow or rng.choice([WRAP, SATURATE]))
+
+    def raws(self, rng, spec, count, keep=1.0):
+        return [rng.randint(spec.min_raw, spec.max_raw) if rng.random() < keep else 0
+                for _ in range(count)]
+
+    def check(self, rng, weights, bias, rows, prec, events):
+        got = dense_mv(weights, bias, rows, prec).array.reshape(rows.shape[0], -1).tolist()
+        assert got == sequential_raws(weights, bias, rows, prec, events)
+        for b in {0, rows.shape[0] - 1, rng.randrange(rows.shape[0])}:
+            x = Tensor((rows.shape[1],), rows.array.reshape(rows.shape[0], -1)[b], rows.spec).data
+            assert got[b] == oracle_dense_mv_raws(weights, bias, x, prec)
+        if weights.size < 600:
+            coo = sparse_mv_coo(compress_coo(weights), bias, rows, prec)
+            assert coo.array.reshape(rows.shape[0], -1).tolist() == got
+
+    def test_random_blocks_match_oracle_and_per_add_reference(self, monkeypatch):
+        # A small element budget makes most calls span several row blocks,
+        # from one row per block up, with a short last block.
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 48)
+        rng = random.Random(808)
+        events = {WRAP: 0, SATURATE: 0}
+        for case in range(120):
+            m, n, batch = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 12)
+            wide = case % 6 == 0  # 64-bit weights and accumulator: the object path
+            wspec = self.spec(rng, 64 if wide else rng.randint(2, 16))
+            xspec, bspec = self.spec(rng, rng.randint(2, 16)), self.spec(rng, rng.randint(2, 24))
+            acc = self.spec(rng, 64 if wide else rng.randint(4, 24))
+            prec = PrecisionSet(wspec, bspec, acc, self.spec(rng, rng.randint(2, 24)))
+            keep = rng.choice([1.0, 0.6, 0.2])
+            wraws = self.raws(rng, wspec, m * n, keep)
+            for j in rng.sample(range(n), rng.randint(0, n)):  # zero columns, up to all of them
+                for i in range(m):
+                    wraws[i * n + j] = 0
+            weights = Tensor((m, n), wraws, wspec)
+            bias = Tensor((m,), self.raws(rng, bspec, m), bspec)
+            rows = Tensor((batch, n), self.raws(rng, xspec, batch * n), xspec)
+            self.check(rng, weights, bias, rows, prec, events)
+        assert events[WRAP] > 0 and events[SATURATE] > 0, events
+
+    @pytest.mark.parametrize("overflow", [WRAP, SATURATE])
+    def test_layer_wider_than_one_block(self, overflow):
+        # 20 rows of a 64x64 layer: 8 rows per block of at most 2**15 products.
+        rng = random.Random(809)
+        m = n = 64
+        assert kernels._BLOCK_ELEMENTS // (m * n) < 10
+        wspec, xspec = FixedPointSpec(8, 2), FixedPointSpec(8, 3, signed=False)
+        prec = PrecisionSet(wspec, wspec, FixedPointSpec(12, 6, overflow=overflow),
+                            FixedPointSpec(10, 5))
+        weights = Tensor((m, n), self.raws(rng, wspec, m * n, keep=0.8), wspec)
+        bias = Tensor((m,), self.raws(rng, wspec, m), wspec)
+        rows = Tensor((20, n), self.raws(rng, xspec, 20 * n), xspec)
+        events = {WRAP: 0, SATURATE: 0}
+        self.check(rng, weights, bias, rows, prec, events)
+        assert events[overflow] > 0
+
+    def test_all_zero_matrix_gives_cast_bias(self):
+        spec = FixedPointSpec(8, 4)
+        prec = PrecisionSet(spec, spec, FixedPointSpec(6, 3), FixedPointSpec(5, 2, overflow=SATURATE))
+        bias = Tensor((3,), [127, -128, 9], spec)
+        rows = Tensor((4, 2), list(range(8)), spec)
+        got = dense_mv(Tensor((3, 2), [0] * 6, spec), bias, rows, prec)
+        want = [oracle_dense_mv_raws(Tensor((3, 2), [0] * 6, spec), bias,
+                                     [FixedPointValue(0, spec)] * 2, prec)] * 4
+        assert got.array.reshape(4, 3).tolist() == want
+
+
 class TestRunInference:
     def test_relu_zeroes_negatives(self):
         prec = uniform_precision("fixed<8,4>")

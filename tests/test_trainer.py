@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,33 @@ class TestDataPlumbing:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("1,2,0\n3,x,1\n", 3, "could not convert string to float: 'x'"),
+        ("1,2,0\n\n3,1\n", 4, "2 columns, the header has 3"),
+        ("1,2,0,7\n", 2, "4 columns, the header has 3"),
+        ("1,nan,0\n", 2, "non-finite feature"),
+        ("-inf,1,0\n", 2, "non-finite feature"),
+        ("1,2,1.5\n", 2, "label '1.5' is not a non-negative integer"),
+        ("1,2,-1\n", 2, "label '-1' is not a non-negative integer"),
+        ("1,2,\n", 2, "label '' is not a non-negative integer"),
+    ])
+    def test_csv_bad_row_names_file_and_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,label\n" + rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: ')}") as info:
+            load_csv_dataset(path)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "last column must be named 'label'"),
+        ("a,b,label\n\n", "no data rows"),
+    ])
+    def test_csv_without_rows_names_file(self, tmp_path, text, message):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_csv_dataset(path)
 
     def test_synthetic_task_split_shares_task(self):
