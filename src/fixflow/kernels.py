@@ -17,12 +17,12 @@ ascending packed index (``out * n_in + in``) is the ascending input
 index of the dense order, so dense and sparse results are bit-identical.
 Softmax is evaluated in real arithmetic at the output only.
 
-``_mac`` forms all products of a block of rows at once. A wrapping
-accumulator is computed as one wrap of the exact sum of the bias and the
-rounded products: wrapping is reduction mod ``2**W``, which commutes with
-addition, so this equals wrapping every product and every add. A
-saturating accumulator still clamps every product and every add, in
-ascending input index.
+``_mac`` forms the products of all rows for a block of input columns at
+a time. A wrapping accumulator is computed as one wrap of the exact sum of
+the bias and the rounded products: wrapping is reduction mod ``2**W``,
+which commutes with addition, so this equals wrapping every product and
+every add. A saturating accumulator still clamps every product and every
+add, in ascending input index, once per add whatever the number of rows.
 
 The emulator runs a whole block of rows per call. Its state between
 layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
@@ -98,9 +98,13 @@ class LayerTap:
     output: Tensor
 
 
-# Elements of one [rows, m, k] block of products in ``_mac``: it bounds the
-# temporaries, so a long block of rows through a wide layer adds no memory.
-_BLOCK_ELEMENTS = 1 << 15
+# Elements of one [columns, B, m] block of products in ``_mac``: it bounds
+# the temporaries to at most this or one [B, m] accumulator, so a long block
+# of rows through a wide layer adds no memory. At 64 KB of int64 a block
+# stays below glibc's default mmap threshold (128 KB), above which every
+# temporary is mapped and faulted in afresh: 2**15 ran saturating layers of
+# 100 and 1000 rows up to 1.6x slower.
+_BLOCK_ELEMENTS = 1 << 13
 
 
 def _extent(raws) -> tuple:
@@ -122,44 +126,47 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     product is cast into the accumulator and added, with overflow after
     the add; one final cast into the result spec.
 
-    Each block of rows shift-rounds its [b, m, k] exact products over the
-    k nonzero-weight columns into the accumulator at once. A wrapping
-    accumulator takes one wrap of the exact sum, which equals wrapping each
-    product and every add (mod 2**W); a saturating one clamps the products,
-    then every add.
+    The exact products of every row with the k nonzero-weight columns are
+    shift-rounded into the accumulator a block of columns at a time. A
+    wrapping accumulator takes one wrap of the exact sum, which equals
+    wrapping each product and every add (mod 2**W); a saturating one clamps
+    the products, then every add.
     """
     acc_spec, res_spec = precision.accumulator, precision.result
     (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
     # Zero-weight columns add exact zeros to an in-range accumulator, which
     # leaves it unchanged. A zero weight inside a kept column does the same.
     cols = np.flatnonzero((weights != 0).any(axis=0))
-    m, k = len(weights), len(cols)
+    b, m, k = len(x), len(weights), len(cols)
     products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
     terms = _cast_bounds(min(products), max(products), prod_frac, acc_spec)
     acc_range = (acc_spec.min_raw, acc_spec.max_raw)
-    sums = (2 * acc_spec.min_raw, 2 * acc_spec.max_raw)
-    if acc_spec.overflow != SATURATE:  # the exact sum of k terms and the bias
-        reach = (k + 2) * max(map(abs, terms[:2] + acc_range))
-        sums = (-reach, reach)
-    dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, *sums,
+    saturate = acc_spec.overflow == SATURATE
+    # A clamped sum adds one term to an in-range accumulator; an exact one
+    # adds up to k terms to the cast bias.
+    span = max(map(abs, acc_range))
+    reach = 2 * span if saturate else span + k * max(map(abs, terms[:2]))
+    dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach,
                       *_cast_bounds(blo, bhi, bias_frac, acc_spec),
                       *_cast_bounds(*acc_range, acc_spec.fraction_bits, res_spec))
-    weights, x = weights[:, cols].astype(dtype), x[:, cols].astype(dtype)
-    acc0 = cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)
+    # Column-major copies, so each [columns, B, m] block and its [B, m]
+    # slices are contiguous.
+    weights = np.ascontiguousarray(weights[:, cols].T, dtype=dtype)[:, None, :]
+    x = np.ascontiguousarray(x[:, cols].T, dtype=dtype)[:, :, None]
+    acc = np.repeat(cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)[None, :], b, axis=0)
     shift = acc_spec.fraction_bits - prod_frac
-    step = max(1, _BLOCK_ELEMENTS // max(1, m * k))
-    blocks = []
-    for r in range(0, len(x), step):
-        formed = shift_round(x[r:r + step, None, :] * weights, shift, acc_spec.rounding)
-        if acc_spec.overflow == SATURATE:
+    step = max(1, _BLOCK_ELEMENTS // max(1, b * m))
+    for c in range(0, k, step):
+        formed = shift_round(x[c:c + step] * weights[c:c + step], shift, acc_spec.rounding)
+        if saturate:
             formed = apply_overflow_array(formed, acc_spec)
-            acc = np.repeat(acc0[None, :], len(formed), axis=0)
-            for j in range(k):
-                acc = apply_overflow_array(acc + formed[..., j], acc_spec)
+            for term in formed:
+                acc = apply_overflow_array(acc + term, acc_spec)
         else:
-            acc = apply_overflow_array(acc0 + formed.sum(axis=-1), acc_spec)
-        blocks.append(acc)
-    return cast_raw_array(np.concatenate(blocks), acc_spec.fraction_bits, res_spec)
+            acc = acc + formed.sum(axis=0)
+    if not saturate:
+        acc = apply_overflow_array(acc, acc_spec)
+    return cast_raw_array(acc, acc_spec.fraction_bits, res_spec)
 
 
 def _rows(x: Tensor):

@@ -154,34 +154,36 @@ def load_csv_dataset(path) -> Dataset:
     """CSV with a header row, feature columns, then an integer label column.
 
     A bad row raises ValueError naming ``<path>:<line>``: another width than
-    the header, a feature that is not a finite number, or a label that is
-    not a non-negative integer. A file without data rows raises too.
+    the header, a feature that is not a finite number, or a label that
+    ``int()`` does not parse or that is negative. A file without data rows
+    raises too.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1].strip() != "label":
             raise ValueError(f"{path}: last column must be named 'label'")
-        feats, labels = [], []
+        feats, labels, lines = [], [], []
         for row in reader:
             if not row:
                 continue
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} columns, the header has {len(header)}")
-                x = list(map(float, row[:-1]))
-                # The sum of finite features is finite unless it overflows.
-                if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
-                    raise ValueError(f"non-finite feature in {row}")
-                if not row[-1].strip().isdecimal():
-                    raise ValueError(f"label {row[-1]!r} is not a non-negative integer")
+                x, label = list(map(float, row[:-1])), int(row[-1])
+                if label < 0:
+                    raise ValueError(f"label {label} is negative")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             feats.append(x)
-            labels.append(int(row[-1]))
+            labels.append(label)
+            lines.append(reader.line_num)
     if not feats:
         raise ValueError(f"{path}: no data rows")
     features = np.array(feats, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{lines[bad[0]]}: non-finite feature in {feats[bad[0]]}")
     labels = np.array(labels, dtype=np.int64)
     return Dataset(features, labels, int(labels.max()) + 1)
 

@@ -239,7 +239,7 @@ class TestEmulate:
         ("1,2,0\n3,x,1\n", 3, "could not convert string to float: 'x'"),
         ("1,2,0\n3,1\n", 3, "2 columns, the header has 3"),
         ("1,nan,0\n", 2, "non-finite feature"),
-        ("1,2,1.5\n", 2, "label '1.5' is not a non-negative integer"),
+        ("1,2,-1\n", 2, "label -1 is negative"),
     ])
     def test_bad_csv_row_names_file_and_line(self, tmp_path, capsys, rows, line, message):
         data = tmp_path / "data.csv"

@@ -11,6 +11,7 @@ from fixflow.fixed_point import (
     WRAP,
     FixedPointSpec,
     FixedPointValue,
+    apply_overflow_array,
     quantize,
 )
 from fixflow.kernels import (
@@ -261,7 +262,7 @@ def sequential_raws(weights, bias, rows, precision, events):
 
 
 class TestBlockPath:
-    """Blocks of rows through wide, sparse, unsigned and 64-bit layers."""
+    """Blocks of rows and columns through wide, sparse, unsigned and 64-bit layers."""
 
     def spec(self, rng, width, overflow=None):
         return FixedPointSpec(width, rng.randint(-2, width + 2), signed=rng.random() < 0.7,
@@ -283,8 +284,8 @@ class TestBlockPath:
             assert coo.array.reshape(rows.shape[0], -1).tolist() == got
 
     def test_random_blocks_match_oracle_and_per_add_reference(self, monkeypatch):
-        # A small element budget makes most calls span several row blocks,
-        # from one row per block up, with a short last block.
+        # A small element budget makes most calls span several column blocks,
+        # from one column per block up, with a short last block.
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 48)
         rng = random.Random(808)
         events = {WRAP: 0, SATURATE: 0}
@@ -308,10 +309,10 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("overflow", [WRAP, SATURATE])
     def test_layer_wider_than_one_block(self, overflow):
-        # 20 rows of a 64x64 layer: 8 rows per block of at most 2**15 products.
+        # 20 rows of a 64x64 layer: 6 columns per block of at most 2**13 products.
         rng = random.Random(809)
         m = n = 64
-        assert kernels._BLOCK_ELEMENTS // (m * n) < 10
+        assert kernels._BLOCK_ELEMENTS // (20 * m) < n // 2
         wspec, xspec = FixedPointSpec(8, 2), FixedPointSpec(8, 3, signed=False)
         prec = PrecisionSet(wspec, wspec, FixedPointSpec(12, 6, overflow=overflow),
                             FixedPointSpec(10, 5))
@@ -321,6 +322,39 @@ class TestBlockPath:
         events = {WRAP: 0, SATURATE: 0}
         self.check(rng, weights, bias, rows, prec, events)
         assert events[overflow] > 0
+
+    def test_saturating_clamps_do_not_grow_with_rows(self, monkeypatch):
+        # One clamp per add and at most one per block of products: a long
+        # block of rows costs k adds, not k per block of rows.
+        calls = []
+        monkeypatch.setattr(kernels, "apply_overflow_array",
+                            lambda raws, spec: calls.append(1) or apply_overflow_array(raws, spec))
+        spec = FixedPointSpec(8, 3)
+        prec = PrecisionSet(spec, spec, FixedPointSpec(10, 6, overflow=SATURATE), spec)
+        weights = Tensor((64, 16), [1 + i % 5 for i in range(64 * 16)], spec)
+        for batch in (1, 40, 2000):
+            calls.clear()
+            dense_mv(weights, Tensor((64,), [0] * 64, spec),
+                     Tensor((batch, 16), [100] * (batch * 16), spec), prec)
+            assert 16 < len(calls) <= 2 * 16, (batch, len(calls))
+
+    def test_wide_wrapping_sum_stays_int64(self):
+        # A 60-bit accumulator adding 32 products of 16-bit raws: the exact
+        # sum is bounded by 2**59 + 32 * 2**30 and needs no Python ints.
+        rng = random.Random(810)
+        wspec = FixedPointSpec(16, 4)
+        acc = FixedPointSpec(60, 36)  # 24 fraction bits, as the products
+        prec = PrecisionSet(wspec, wspec, acc, FixedPointSpec(32, 24))
+        weights = np.array(self.raws(rng, wspec, 4 * 32), dtype=np.int64).reshape(4, 32)
+        x = np.array(self.raws(rng, wspec, 3 * 32), dtype=np.int64).reshape(3, 32)
+        bias = np.array(self.raws(rng, wspec, 4), dtype=np.int64)
+        out = kernels._mac(bias, 12, weights, x, 24, prec)
+        assert out.dtype == np.int64
+        want = sequential_raws(Tensor((4, 32), weights.reshape(-1).tolist(), wspec),
+                               Tensor((4,), bias.tolist(), wspec),
+                               Tensor((3, 32), x.reshape(-1).tolist(), wspec), prec,
+                               {WRAP: 0, SATURATE: 0})
+        assert out.tolist() == want
 
     def test_all_zero_matrix_gives_cast_bias(self):
         spec = FixedPointSpec(8, 4)

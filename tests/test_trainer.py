@@ -272,9 +272,10 @@ class TestDataPlumbing:
         ("1,2,0,7\n", 2, "4 columns, the header has 3"),
         ("1,nan,0\n", 2, "non-finite feature"),
         ("-inf,1,0\n", 2, "non-finite feature"),
-        ("1,2,1.5\n", 2, "label '1.5' is not a non-negative integer"),
-        ("1,2,-1\n", 2, "label '-1' is not a non-negative integer"),
-        ("1,2,\n", 2, "label '' is not a non-negative integer"),
+        ("1,2,0\n1e400,1,0\n", 3, "non-finite feature"),
+        ("1,2,1.5\n", 2, "invalid literal for int() with base 10: '1.5'"),
+        ("1,2,-1\n", 2, "label -1 is negative"),
+        ("1,2,\n", 2, "invalid literal for int() with base 10: ''"),
     ])
     def test_csv_bad_row_names_file_and_line(self, tmp_path, rows, line, message):
         path = tmp_path / "bad.csv"
@@ -282,6 +283,11 @@ class TestDataPlumbing:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: ')}") as info:
             load_csv_dataset(path)
         assert message in str(info.value)
+
+    def test_csv_labels_are_what_int_parses(self, tmp_path):
+        path = tmp_path / "signs.csv"
+        path.write_text("a,label\n1,+1\n2, 2\n3,0\n")
+        assert load_csv_dataset(path).labels.tolist() == [1, 2, 0]
 
     @pytest.mark.parametrize("text, message", [
         ("", "last column must be named 'label'"),
