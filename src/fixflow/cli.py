@@ -19,9 +19,7 @@ bundled 16-feature 5-class task.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import json
 import logging
 import math
@@ -86,17 +84,21 @@ def _load_model(spec: str, seed: int) -> ModelGraph:
         return parse_model(fh.read())
 
 
+def _synthetic(spec: str, seed: int):
+    """``(task seed, samples)`` of a ``synthetic[:seed[:samples]]`` dataset argument, else None."""
+    if spec != "synthetic" and not spec.startswith("synthetic:"):
+        return None
+    given = [int(p) for p in spec.split(":")[1:3]]
+    return tuple(given + [seed, 2000][len(given):])
+
+
 def _load_dataset(spec: str, seed: int) -> trainer.Dataset:
-    if spec == "synthetic" or spec.startswith("synthetic:"):
-        parts = spec.split(":")
-        data_seed = int(parts[1]) if len(parts) > 1 else seed
-        samples = int(parts[2]) if len(parts) > 2 else 2000
-        return trainer.synthetic_task(seed=data_seed, n_samples=samples)
-    return trainer.load_csv_dataset(spec)
+    synthetic = _synthetic(spec, seed)
+    return trainer.load_csv_dataset(spec) if synthetic is None else trainer.synthetic_task(*synthetic)
 
 
 def _load_input_rows(spec: str, seed: int) -> np.ndarray:
-    if spec == "synthetic" or spec.startswith("synthetic:") or spec.endswith(".csv"):
+    if _synthetic(spec, seed) is not None or spec.endswith(".csv"):
         return _load_dataset(spec, seed).features
     rows = []
     with open(spec) as fh:
@@ -126,6 +128,19 @@ def _write_text(path, text):
 
 def _write_json(path, doc):
     _write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _training_inputs(args, config):
+    """(model, dataset, training config) of a training command. The labels are
+    checked before any training: evaluation needs two or more, and rows of each
+    label from 0 to the largest."""
+    graph = _load_model(args.model, args.seed)
+    data = _load_dataset(args.data, args.seed)
+    present = np.unique(data.labels).tolist()
+    if len(present) < 2 or len(present) != data.class_count:
+        raise ValueError(f"{args.data}: evaluation needs rows of two labels or more and of each "
+                         f"label from 0 to the largest, found labels {present[:10]}")
+    return graph, data, _training_config(args, config)
 
 
 def _training_config(args, config) -> trainer.TrainingConfig:
@@ -163,7 +178,7 @@ def cmd_convert(args, config):
     _write_text(os.path.join(out, "model.json"), text)
     with timed("emit"):
         report = codegen.emit_report(graph, pass_reports=reports,
-                                     model_hash=hashlib.sha256(text.encode()).hexdigest())
+                                     model_hash=codegen._model_hash(text))
     _write_json(os.path.join(out, "report.json"), report)
     applied = sum(len(r.rewrites) for r in reports)
     print(f"converted: {len(graph.nodes)} layers, {applied} rewrites")
@@ -186,9 +201,7 @@ def cmd_profile(args, config):
 
 
 def cmd_train(args, config):
-    graph = _load_model(args.model, args.seed)
-    data = _load_dataset(args.data, args.seed)
-    cfg = _training_config(args, config)
+    graph, data, cfg = _training_inputs(args, config)
     trained, trace = trainer.train(graph, data, cfg)
     out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), serialize_model(trained))
@@ -200,9 +213,7 @@ def cmd_train(args, config):
 
 
 def cmd_qat(args, config):
-    graph = _load_model(args.model, args.seed)
-    data = _load_dataset(args.data, args.seed)
-    cfg = _training_config(args, config)
+    graph, data, cfg = _training_inputs(args, config)
     quantizer = _quantizer(args, config)
     cfg = replace(cfg, quantizers=quantizer)
     trained, trace = trainer.train_qat(graph, data, cfg)
@@ -218,9 +229,7 @@ def cmd_qat(args, config):
 
 
 def cmd_prune(args, config):
-    graph = _load_model(args.model, args.seed)
-    data = _load_dataset(args.data, args.seed)
-    cfg = _training_config(args, config)
+    graph, data, cfg = _training_inputs(args, config)
     method = _METHODS[args.method]
     schedule = pruning.PruneSchedule(
         target_fraction=_pick(args, config, "target_fraction", 0.8),
@@ -310,26 +319,17 @@ def cmd_estimate(args, config):
 
 
 def _write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["reuse_factor", "ii_cycles", "latency_cycles", "dsp_total",
-                         "n_mult_total", "throughput_hz"])
-        for row in rows:
-            writer.writerow([row["reuse_factor"], row["model_ii_cycles"],
-                             row["total_latency_cycles"], row["dsp_total"],
-                             row["n_mult_total"], repr(row["throughput_hz"])])
+    trainer._write_csv(path, ["reuse_factor", "ii_cycles", "latency_cycles", "dsp_total",
+                              "n_mult_total", "throughput_hz"], (
+        [row["reuse_factor"], row["model_ii_cycles"], row["total_latency_cycles"], row["dsp_total"],
+         row["n_mult_total"], repr(row["throughput_hz"])] for row in rows))
 
 
 def cmd_scan(args, config):
-    graph = _load_model(args.model, args.seed)
-    data = _load_dataset(args.data, args.seed)
-    if args.data.startswith("synthetic"):
-        parts = args.data.split(":")
-        task_seed = int(parts[1]) if len(parts) > 1 else args.seed
-        eval_data = trainer.synthetic_task(seed=task_seed, sample_seed=task_seed + 10_000)
-    else:
-        eval_data = data
-    cfg = _training_config(args, config)
+    graph, data, cfg = _training_inputs(args, config)
+    synthetic = _synthetic(args.data, args.seed)
+    eval_data = data if synthetic is None else trainer.synthetic_task(
+        seed=synthetic[0], sample_seed=synthetic[0] + 10_000)
     bits = _parse_int_list(args.bits)
     baseline, rows = trainer.ptq_qat_scan(
         graph, data, eval_data, bits, cfg,
@@ -372,72 +372,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, data=False, out=True):
-        if model:
-            p.add_argument("--model", required=True,
-                           help="model document path or arch:INxH1x...xOUT")
+    def command(handler, help, *flag_groups, data=False):
+        """Add the sub-command ``<name>`` that runs ``handler`` (``cmd_<name>``), with the shared flags."""
+        p = sub.add_parser(handler.__name__[len("cmd_"):], help=help)
+        p.add_argument("--model", required=True, help="model document path or arch:INxH1x...xOUT")
         if data:
             p.add_argument("--data", required=True,
                            help="dataset CSV path or synthetic[:seed[:samples]]")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config document; flags override leaves")
         p.add_argument("--seed", type=int, default=0)
+        for flags in flag_groups:
+            flags(p)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("convert", help="parse, optimize, validate, write canonical model")
-    common(p)
-    p.set_defaults(handler=cmd_convert)
+    command(cmd_convert, "parse, optimize, validate, write canonical model")
+    command(cmd_profile, "weight distribution and precision coverage")
+    command(cmd_train, "float training", _train_flags, data=True)
+    command(cmd_qat, "quantization-aware training", _train_flags, _quant_flags, data=True)
 
-    p = sub.add_parser("profile", help="weight distribution and precision coverage")
-    common(p)
-    p.set_defaults(handler=cmd_profile)
-
-    p = sub.add_parser("train", help="float training")
-    common(p, data=True)
-    _train_flags(p)
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("qat", help="quantization-aware training")
-    common(p, data=True)
-    _train_flags(p)
-    _quant_flags(p)
-    p.set_defaults(handler=cmd_qat)
-
-    p = sub.add_parser("prune", help="iterative pruning driver")
-    common(p, data=True)
-    _train_flags(p)
-    _quant_flags(p)
+    p = command(cmd_prune, "iterative pruning driver", _train_flags, _quant_flags, data=True)
     p.add_argument("--method", choices=sorted(_METHODS), default="l1")
     p.add_argument("--target-fraction", dest="target_fraction", type=float)
     p.add_argument("--increment", type=float)
     p.add_argument("--retrain-epochs", dest="retrain_epochs", type=int)
-    p.set_defaults(handler=cmd_prune)
 
-    p = sub.add_parser("emulate", help="bit-accurate batch inference")
-    common(p, data=True)
+    p = command(cmd_emulate, "bit-accurate batch inference", data=True)
     p.add_argument("--taps", action="store_true", help="write every layer output")
-    p.set_defaults(handler=cmd_emulate)
 
-    p = sub.add_parser("estimate", help="resource and timing estimates")
-    common(p)
+    p = command(cmd_estimate, "resource and timing estimates")
     p.add_argument("--clock-mhz", dest="clock_mhz", type=float)
     p.add_argument("--reuse", help="comma list or lo..hi of reuse factors to sweep")
     p.add_argument("--assume-dense", dest="assume_dense", action="store_true",
                    help="count every weight as a multiplier (architecture study)")
-    p.set_defaults(handler=cmd_estimate)
 
-    p = sub.add_parser("scan", help="PTQ vs QAT bit-width sweep")
-    common(p, data=True)
-    _train_flags(p)
+    p = command(cmd_scan, "PTQ vs QAT bit-width sweep", _train_flags, data=True)
     p.add_argument("--bits", required=True, help="comma list or lo..hi, e.g. 3..16")
     p.add_argument("--fixed-eval-limit", dest="fixed_eval_limit", type=int,
                    help="samples used for the bit-accurate evaluations")
-    p.set_defaults(handler=cmd_scan)
 
-    p = sub.add_parser("codegen", help="emit the HLS-style C++ project")
-    common(p)
+    p = command(cmd_codegen, "emit the HLS-style C++ project")
     p.add_argument("--name", default="model", help="project / entry-point name")
-    p.set_defaults(handler=cmd_codegen)
     return parser
 
 

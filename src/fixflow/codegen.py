@@ -351,9 +351,14 @@ def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
     return header, lines
 
 
+def _model_hash(text: str) -> str:
+    """The model hash of manifests and reports: sha256 of the ``serialize_model`` text."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> ProjectTree:
     """Emit the full project tree for a validated, pass-optimized graph."""
-    source_hash = hashlib.sha256(serialize_model(graph).encode()).hexdigest()
+    source_hash = _model_hash(serialize_model(graph))
     graph = materialize_quantized(graph)
     steps = walk(graph)
     name = config.project_name
@@ -513,7 +518,7 @@ def emit_report(graph: ModelGraph, estimates=None, profile=None, pass_reports=No
     that already holds that text passes its hash so it is not serialized again.
     """
     if model_hash is None:
-        model_hash = hashlib.sha256(serialize_model(graph).encode()).hexdigest()
+        model_hash = _model_hash(serialize_model(graph))
     doc = {
         "schema_version": "1",
         "model": {

@@ -98,6 +98,16 @@ def quantized_zero_fraction(node) -> float:
     return (weight.size - np.count_nonzero(weight.array)) / weight.size
 
 
+def _multiplier_cost(node, multipliers: int, b_a: int, accumulators: int):
+    """(DSP, LUT) of the layer's weight-width x b_a multipliers and its accumulators."""
+    b_w = node.precision.weight.width_bits
+    per_mult = dsp_per_multiply(b_w, b_a)
+    lut_mults = multipliers if per_mult == 0 else 0
+    lut = round(LUT_PER_MULT_BIT * lut_mults * b_w * b_a
+                + LUT_PER_ACCUM_BIT * accumulators * node.precision.accumulator.width_bits)
+    return multipliers * per_mult, lut
+
+
 def estimate_layer(node, f_p: float, activation_bits: int = None):
     """(resource row, timing row) for one dense layer at pruned fraction f_p."""
     if node.kind != "dense":
@@ -108,26 +118,19 @@ def estimate_layer(node, f_p: float, activation_bits: int = None):
     n_mult = int(round((1.0 - f_p) * n * m))
     r = node.reuse_factor
     multipliers = math.ceil(n_mult / r) if n_mult else 0
-    b_w = node.precision.weight.width_bits
     b_a = node.precision.result.width_bits if activation_bits is None else activation_bits
-    per_mult = dsp_per_multiply(b_w, b_a)
-    lut_mults = multipliers if per_mult == 0 else 0
-    lut = round(LUT_PER_MULT_BIT * lut_mults * b_w * b_a
-                + LUT_PER_ACCUM_BIT * m * node.precision.accumulator.width_bits)
-    resource = LayerResource(node.name, n_mult, multipliers, multipliers * per_mult,
-                             lut, compute_bops(n, m, b_w, b_a, f_p))
+    resource = LayerResource(node.name, n_mult, multipliers, *_multiplier_cost(node, multipliers, b_a, m),
+                             compute_bops(n, m, node.precision.weight.width_bits, b_a, f_p))
     latency = r + math.ceil(math.log2(n)) if n > 1 else r
     timing = LayerTiming(node.name, r, latency + PIPELINE_CONSTANT)
     return resource, timing
 
 
-def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
-                   assume_dense: bool = False):
+def estimate_model(graph: ModelGraph, *, clock_mhz: float = 200.0, assume_dense: bool = False):
     """Roll up per-layer estimates over the chain.
 
-    Dense pruned fractions come from prune-state masks when given,
-    otherwise from the zero count of the quantized weights;
-    ``assume_dense`` forces f_p = 0 everywhere (architecture studies).
+    Dense pruned fractions come from the zero count of the quantized
+    weights; ``assume_dense`` forces f_p = 0 everywhere (architecture studies).
     Batch norm scales count as one multiply per channel at reuse 1;
     activations cost one cycle; softmax and the input node are excluded
     from estimation. Real-valued weights are quantized first; an already
@@ -141,23 +144,13 @@ def estimate_model(graph: ModelGraph, state=None, clock_mhz: float = 200.0,
             continue  # softmax is host-side
         activation_bits = in_spec.width_bits
         if node.kind == "dense":
-            if assume_dense:
-                f_p = 0.0
-            elif state is not None and node.name in state.masks:
-                mask = state.masks[node.name]
-                f_p = 1.0 - float(mask.sum()) / mask.size
-            else:
-                f_p = quantized_zero_fraction(node)
+            f_p = 0.0 if assume_dense else quantized_zero_fraction(node)
             res, tim = estimate_layer(node, f_p, activation_bits)
             resources.append(res)
             timings.append(tim)
         elif node.kind == "batch_norm":
-            b_w = node.precision.weight.width_bits
-            per_mult = dsp_per_multiply(b_w, activation_bits)
-            lut_mults = width if per_mult == 0 else 0
-            lut = round(LUT_PER_MULT_BIT * lut_mults * b_w * activation_bits
-                        + LUT_PER_ACCUM_BIT * width * node.precision.accumulator.width_bits)
-            resources.append(LayerResource(node.name, width, width, width * per_mult, lut, 0.0))
+            dsp, lut = _multiplier_cost(node, width, activation_bits, width)
+            resources.append(LayerResource(node.name, width, width, dsp, lut, 0.0))
             timings.append(LayerTiming(node.name, 1, 1 + PIPELINE_CONSTANT))
         else:  # relu, binary_tanh, ternary_tanh
             timings.append(LayerTiming(node.name, 1, 1))
@@ -193,7 +186,8 @@ def reuse_sweep(graph: ModelGraph, reuse_factors, clock_mhz: float = 200.0,
             replace(n, reuse_factor=r) if n.kind == "dense" else n
             for n in graph.nodes
         ]
-        res, tim = estimate_model(graph.replace_nodes(nodes), None, clock_mhz, assume_dense)
+        res, tim = estimate_model(graph.replace_nodes(nodes), clock_mhz=clock_mhz,
+                                  assume_dense=assume_dense)
         rows.append({
             "reuse_factor": r,
             "model_ii_cycles": tim.model_ii_cycles,

@@ -265,6 +265,16 @@ class ModelGraph:
         return ModelGraph.chain(nodes, self.input_shape)
 
 
+def _with_dense_weights(graph: ModelGraph, weight_for) -> ModelGraph:
+    """``graph`` with each dense weight replaced by the array ``weight_for(node)``
+    returns; a dense layer it returns None for, and every other layer, stays."""
+    nodes = []
+    for node in graph.nodes:
+        w = weight_for(node) if node.kind == "dense" else None
+        nodes.append(node if w is None else node.with_params(weight=Tensor.from_numpy(w)))
+    return graph.replace_nodes(nodes)
+
+
 def topo_order(graph: ModelGraph):
     """The chain's layers in execution order."""
     return list(graph.nodes)

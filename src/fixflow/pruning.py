@@ -10,13 +10,12 @@ Biases are never pruned.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model_ir import ModelGraph, Tensor
+from .model_ir import ModelGraph, _with_dense_weights
 from . import trainer as _trainer
 
 
@@ -54,12 +53,17 @@ def model_bops(graph: ModelGraph, state=None, weight_bits=None, activation_bits=
         node = graph.node(name)
         b_w = weight_bits if weight_bits is not None else node.precision.weight.width_bits
         b_a = activation_bits if activation_bits is not None else b_w
-        f_p = 0.0
-        if state is not None and name in state.masks:
-            mask = state.masks[name]
-            f_p = 1.0 - float(mask.sum()) / mask.size
+        mask = None if state is None else state.masks.get(name)
+        f_p = 0.0 if mask is None else 1.0 - _kept([mask]) / mask.size
         total += compute_bops(n, m, b_w, b_a, f_p)
     return total
+
+
+def _kept(masks) -> int:
+    """Entries the 0/1 masks keep. BOPs take a mask's pruned fraction as
+    1 - kept / size and the history as (size - kept) / size: their last bits
+    differ, and the artifacts pin both."""
+    return sum(int(m.sum()) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,7 @@ class PruneState:
     @property
     def pruned_fraction(self) -> float:
         total = self.total_weights
-        zeros = sum(m.size - int(m.sum()) for m in self.masks.values())
-        return zeros / total if total else 0.0
+        return (total - _kept(self.masks.values())) / total if total else 0.0
 
 
 def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> PruneState:
@@ -111,8 +114,7 @@ def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> Prun
         raise ValueError(f"fraction {fraction} is below the already-pruned {current}")
 
     target_zeros = int(round(fraction * state.total_weights))
-    current_zeros = sum(m.size - int(m.sum()) for m in state.masks.values())
-    needed = target_zeros - current_zeros
+    needed = target_zeros - (state.total_weights - _kept(state.masks.values()))
     new_masks = {name: m.copy() for name, m in state.masks.items()}
     if needed <= 0:
         return PruneState(new_masks, state.initial_weights, list(state.history))
@@ -141,26 +143,14 @@ def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> Prun
 
 def apply_masks(model: ModelGraph, state: PruneState) -> ModelGraph:
     """Zero the masked weights in the graph itself (mask transparency)."""
-    nodes = []
-    for node in model.nodes:
-        if node.kind == "dense" and node.name in state.masks:
-            w = node.param("weight").to_numpy() * state.masks[node.name]
-            nodes.append(node.with_params(weight=Tensor.from_numpy(w)))
-        else:
-            nodes.append(node)
-    return model.replace_nodes(nodes)
+    return _with_dense_weights(model, lambda node: node.param("weight").to_numpy() * state.masks[node.name]
+                               if node.name in state.masks else None)
 
 
 def rewind_to_initial(model: ModelGraph, state: PruneState) -> ModelGraph:
     """Reset surviving weights to their initialization snapshot."""
-    nodes = []
-    for node in model.nodes:
-        if node.kind == "dense" and node.name in state.masks:
-            w = state.initial_weights[node.name] * state.masks[node.name]
-            nodes.append(node.with_params(weight=Tensor.from_numpy(w)))
-        else:
-            nodes.append(node)
-    return model.replace_nodes(nodes)
+    return _with_dense_weights(model, lambda node: state.initial_weights[node.name] * state.masks[node.name]
+                               if node.name in state.masks else None)
 
 
 @dataclass(frozen=True)
@@ -243,9 +233,6 @@ def prune_iterative(model: ModelGraph, data, schedule: PruneSchedule,
 
 def write_prune_history(history, path):
     """History CSV: the data behind a pruning-curve plot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "pruned_fraction", "accuracy", "auc", "bops"])
-        for rec in history:
-            writer.writerow([rec.iteration, repr(rec.fraction), repr(rec.accuracy),
-                             repr(rec.auc), repr(rec.bops)])
+    _trainer._write_csv(path, ["iteration", "pruned_fraction", "accuracy", "auc", "bops"], (
+        [rec.iteration, repr(rec.fraction), repr(rec.accuracy), repr(rec.auc), repr(rec.bops)]
+        for rec in history))

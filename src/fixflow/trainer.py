@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
-from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, walk
+from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, walk
 from . import kernels
 
 BN_MOMENTUM = 0.9
@@ -188,12 +188,17 @@ def load_csv_dataset(path) -> Dataset:
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
-def save_csv_dataset(dataset: Dataset, path):
+def _write_csv(path, header, rows):
+    """Write a CSV artifact: the header row, then each row of cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.features.shape[1])] + ["label"])
-        for x, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv_dataset(dataset: Dataset, path):
+    _write_csv(path, [f"f{i}" for i in range(dataset.features.shape[1])] + ["label"],
+               ([*map(repr, x), y] for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())))
 
 
 def synthetic_task(seed: int = 7, n_samples: int = 2000, n_features: int = 16,
@@ -474,11 +479,8 @@ class EpochStats:
 
 
 def write_loss_trace(trace, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "accuracy"])
-        for row in trace:
-            writer.writerow([row.epoch, repr(row.loss), repr(row.accuracy)])
+    _write_csv(path, ["epoch", "loss", "accuracy"],
+               ([row.epoch, repr(row.loss), repr(row.accuracy)] for row in trace))
 
 
 def train(model: ModelGraph, data: Dataset, cfg: TrainingConfig):
@@ -524,15 +526,10 @@ def train_qat(model: ModelGraph, data: Dataset, cfg: TrainingConfig):
 def quantize_model_weights(model: ModelGraph, quantizer) -> ModelGraph:
     """Snap dense weights onto the quantizer grid (the PTQ step and the
     deployment step after QAT). Accepts one spec or a per-layer map."""
-    nodes = []
-    for node in model.nodes:
+    def weight_for(node):
         q = quantizer if isinstance(quantizer, QuantizerSpec) else quantizer.get(node.name)
-        if node.kind == "dense" and q is not None:
-            w = q.apply(node.param("weight").to_numpy())
-            nodes.append(node.with_params(weight=Tensor.from_numpy(w)))
-        else:
-            nodes.append(node)
-    return model.replace_nodes(nodes)
+        return None if q is None else q.apply(node.param("weight").to_numpy())
+    return _with_dense_weights(model, weight_for)
 
 
 def forward_real(model: ModelGraph, features: np.ndarray) -> np.ndarray:
@@ -713,8 +710,5 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
 
 
 def write_scan_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bits", "ptq_rel_acc", "qat_rel_acc"])
-        for row in rows:
-            writer.writerow([row.bits, repr(row.ptq_rel_acc), repr(row.qat_rel_acc)])
+    _write_csv(path, ["bits", "ptq_rel_acc", "qat_rel_acc"],
+               ([row.bits, repr(row.ptq_rel_acc), repr(row.qat_rel_acc)] for row in rows))

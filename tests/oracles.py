@@ -54,6 +54,32 @@ def oracle_dense_mv_raws(weights, bias, x, precision):
     return out
 
 
+def oracle_relu_raws(x, res_spec):
+    """Raws of max(0, x) cast onto the result spec, for x a FixedPointValue sequence."""
+    return [oracle_quantize_raw(max(Fraction(0), v.to_fraction()), res_spec) for v in x]
+
+
+def oracle_sign_raws(x, thresholds, modes, ternary, res_spec):
+    """Raws of binary or ternary tanh from the documented comparison.
+
+    With d = x - t, or t - x under mode 1, both exact: +1 when d >= half,
+    -1 when d <= -half, else 0, where half is 0.5 on the thresholds' grid for
+    ternary and 0 for binary (ties map to +1). Modes 2 and 3 give constant
+    +1 and -1. Each level is cast onto the result spec.
+    """
+    out = []
+    for v, t, mode in zip(x, thresholds, modes):
+        half = Fraction(0)
+        if ternary:
+            half = oracle_value(oracle_quantize_raw(Fraction(1, 2), t.spec), t.spec)
+        d = v.to_fraction() - t.to_fraction()
+        d = -d if mode == 1 else d
+        level = 1 if d >= half else (-1 if d <= -half else 0)
+        level = {2: 1, 3: -1}.get(mode, level)
+        out.append(oracle_quantize_raw(Fraction(level), res_spec))
+    return out
+
+
 def oracle_auc_trapezoid(scores, positives) -> float:
     """Area under the ROC curve by explicit threshold sweep + trapezoids."""
     pairs = sorted(zip(scores, positives), key=lambda t: -t[0])

@@ -251,6 +251,19 @@ class TestEmulate:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "qat", "prune", "scan"])
+    @pytest.mark.parametrize("rows", ["1,2,0\n3,4,0\n", "1,2,0\n3,4,2\n"])
+    def test_labels_checked_before_training(self, tmp_path, capsys, command, rows):
+        # One label leaves AUC undefined; so does a label below the largest without rows.
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n" + rows)
+        extra = ["--bits", "4"] if command == "scan" else []
+        assert run([command, "--model", "arch:2x4x2", "--data", str(data),
+                    "--out", str(tmp_path / "o"), "--epochs", "1", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: evaluation needs rows of two labels or more"), err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTimedStages:
     def test_info_logs_each_stage(self, ref_model_path, tmp_path, caplog):

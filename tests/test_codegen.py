@@ -20,7 +20,7 @@ from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, Valid
                               topo_order)
 
 from golden_model import build_reference_model, emit_reference_tree
-from oracles import oracle_dense_mv_raws
+from oracles import oracle_dense_mv_raws, oracle_relu_raws, oracle_sign_raws
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "ref_project")
 
@@ -402,6 +402,28 @@ class TestFuzzCorpus:
                     want = oracle_dense_mv_raws(node.param("weight"), node.param("bias"),
                                                 taps[k - 1].output.data, node.precision)
                     assert taps[k].output.array.tolist() == want, node.name
+
+    def test_other_kind_taps_match_rational_oracle(self, fuzz_corpus):
+        checked = set()
+        for model, all_taps in fuzz_corpus:
+            for k, node in enumerate(model.nodes):
+                if node.kind in ("input", "dense"):
+                    continue
+                checked.add(node.kind)
+                for taps in all_taps:
+                    x = taps[k - 1].output.data
+                    if node.kind == "batch_norm":  # a diagonal dense layer
+                        scale = node.param("scale")
+                        diag = Tensor((scale.size, scale.size), np.diag(scale.array), scale.spec)
+                        want = oracle_dense_mv_raws(diag, node.param("shift"), x, node.precision)
+                    elif node.kind == "relu":
+                        want = oracle_relu_raws(x, node.precision.result)
+                    else:
+                        want = oracle_sign_raws(x, node.param("threshold").data,
+                                                node.param("mode").array.tolist(),
+                                                node.kind == "ternary_tanh", node.precision.result)
+                    assert taps[k].output.array.tolist() == want, node.name
+        assert checked == {"batch_norm", "relu", "binary_tanh", "ternary_tanh"}
 
     def test_compiled_projects_bit_match_emulator(self, fuzz_corpus, tmp_path):
         for c, (model, all_taps) in enumerate(fuzz_corpus):

@@ -14,7 +14,6 @@ from fixflow.estimator import (
     reuse_sweep,
 )
 from fixflow.model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor
-from fixflow.trainer import build_classifier
 
 
 def mnist_model(reuse=1):
@@ -139,14 +138,9 @@ class TestEstimateModel:
         per_layer = sum(t.latency_cycles for t in tim.per_layer)
         assert tim.total_latency_cycles == per_layer + 1 * (len(tim.per_layer) - 1)
 
-    def test_mask_state_sets_pruned_fraction(self):
-        model = build_classifier(4, [8], 2, seed=5)
-        state = pruning.rank_and_mask(model, pruning.PruneState.fresh(model), 0.5)
-        res, _ = estimate_model(model, state)
-        by_layer = {r.layer: r for r in res.per_layer}
-        for name, mask in state.masks.items():
-            expected = int(round(mask.sum()))
-            assert by_layer[name].n_mult == expected
+    def test_options_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            estimate_model(mnist_model(), 100.0)
 
     def test_quantized_zero_counting(self):
         # weights below one grid step truncate to zero and free their
