@@ -136,10 +136,7 @@ def _training_inputs(args, config):
     label from 0 to the largest."""
     graph = _load_model(args.model, args.seed)
     data = _load_dataset(args.data, args.seed)
-    present = np.unique(data.labels).tolist()
-    if len(present) < 2 or len(present) != data.class_count:
-        raise ValueError(f"{args.data}: evaluation needs rows of two labels or more and of each "
-                         f"label from 0 to the largest, found labels {present[:10]}")
+    trainer.check_labels(data, args.data)
     return graph, data, _training_config(args, config)
 
 
@@ -331,10 +328,13 @@ def cmd_scan(args, config):
     eval_data = data if synthetic is None else trainer.synthetic_task(
         seed=synthetic[0], sample_seed=synthetic[0] + 10_000)
     bits = _parse_int_list(args.bits)
-    baseline, rows = trainer.ptq_qat_scan(
-        graph, data, eval_data, bits, cfg,
-        fixed_eval_limit=_pick(args, config, "fixed_eval_limit", 1000),
-    )
+    try:  # raised on the evaluation rows' labels, before any training
+        baseline, rows = trainer.ptq_qat_scan(
+            graph, data, eval_data, bits, cfg,
+            fixed_eval_limit=_pick(args, config, "fixed_eval_limit", 1000),
+        )
+    except trainer.EvaluationError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     out = _out_dir(args)
     trainer.write_scan_csv(rows, os.path.join(out, "scan.csv"))
     print(f"baseline accuracy {baseline.accuracy:.4f}")

@@ -22,7 +22,9 @@ a time. A wrapping accumulator is computed as one wrap of the exact sum of
 the bias and the rounded products: wrapping is reduction mod ``2**W``,
 which commutes with addition, so this equals wrapping every product and
 every add. A saturating accumulator still clamps every product and every
-add, in ascending input index, once per add whatever the number of rows.
+add, in ascending input index, once per add whatever the number of rows,
+unless the bounds of the cast bias and products prove that no clamp can
+fire: then it is the exact sum too.
 
 The emulator runs a whole block of rows per call. Its state between
 layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
@@ -129,8 +131,9 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     The exact products of every row with the k nonzero-weight columns are
     shift-rounded into the accumulator a block of columns at a time. A
     wrapping accumulator takes one wrap of the exact sum, which equals
-    wrapping each product and every add (mod 2**W); a saturating one clamps
-    the products, then every add.
+    wrapping each product and every add (mod 2**W); so does a saturating
+    one whose worst-case sums stay in range. Any other saturating one
+    clamps the products, then every add.
     """
     acc_spec, res_spec = precision.accumulator, precision.result
     (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
@@ -140,14 +143,22 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     b, m, k = len(x), len(weights), len(cols)
     products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
     terms = _cast_bounds(min(products), max(products), prod_frac, acc_spec)
+    bias_terms = _cast_bounds(blo, bhi, bias_frac, acc_spec)
     acc_range = (acc_spec.min_raw, acc_spec.max_raw)
-    saturate = acc_spec.overflow == SATURATE
+    # A right shift moves a value towards 0 and at most to 0, so the formed
+    # bounds widened to take in 0 bound every cast value. Every partial sum
+    # of the cast bias and up to k products then lies in [lowest, highest];
+    # when that is in range no clamp fires and the exact sum is the result.
+    lowest = min(bias_terms[0], 0) + k * min(terms[0], 0)
+    highest = max(bias_terms[1], 0) + k * max(terms[1], 0)
+    saturate = (acc_spec.overflow == SATURATE
+                and not acc_range[0] <= lowest <= highest <= acc_range[1])
     # A clamped sum adds one term to an in-range accumulator; an exact one
     # adds up to k terms to the cast bias.
     span = max(map(abs, acc_range))
     reach = 2 * span if saturate else span + k * max(map(abs, terms[:2]))
     dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach,
-                      *_cast_bounds(blo, bhi, bias_frac, acc_spec),
+                      *bias_terms,
                       *_cast_bounds(*acc_range, acc_spec.fraction_bits, res_spec))
     # Column-major copies, so each [columns, B, m] block and its [B, m]
     # slices are contiguous.

@@ -383,6 +383,15 @@ class _Net:
                 raise ValueError(f"layer {node.name!r}: kind {node.kind!r} is not trainable")
             if node.name in act_quant:
                 self.layers.append(_FakeQuant(node.name, act_quant[node.name]))
+        # Every trainable array becomes a view of one flat buffer, so the
+        # optimizer updates all of them with one set of elementwise calls.
+        params = [(layer, *param) for layer in self.layers for param in layer.params()]
+        self.grads = [grad for *_, grad in params]
+        self.theta = np.concatenate([value for _, _, value, _ in params] or [np.empty(0)], axis=None)
+        start = 0
+        for layer, name, value, _ in params:
+            setattr(layer, name, self.theta[start:start + value.size].reshape(value.shape))
+            start += value.size
 
     def logits(self, x, training=False):
         for layer in self.layers:
@@ -437,38 +446,32 @@ class _Net:
 
 
 class _Optimizer:
+    """SGD or Adam on the net's flat parameter buffer, one update per step."""
+
     def __init__(self, cfg: TrainingConfig, net: _Net):
         self.cfg = cfg
         self.step_count = 0
-        if cfg.optimizer == "adam":
-            self.m = {}
-            self.v = {}
-            for i, layer in enumerate(net.layers):
-                for pname, value, _ in layer.params():
-                    self.m[(i, pname)] = np.zeros_like(value)
-                    self.v[(i, pname)] = np.zeros_like(value)
+        self.m = np.zeros_like(net.theta)
+        self.v = np.zeros_like(net.theta)
+        self.masked = [layer for layer in net.dense_layers() if layer.mask is not None]
 
     def step(self, net: _Net):
         cfg = self.cfg
         self.step_count += 1
-        for i, layer in enumerate(net.layers):
-            for pname, value, grad_fn in layer.params():
-                g = grad_fn()
-                if cfg.optimizer == "sgd":
-                    value -= cfg.learning_rate * g
-                else:
-                    m = self.m[(i, pname)]
-                    v = self.v[(i, pname)]
-                    m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * g * g
-                    mhat = m / (1 - ADAM_BETA1 ** self.step_count)
-                    vhat = v / (1 - ADAM_BETA2 ** self.step_count)
-                    value -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        for layer in net.dense_layers():
-            if layer.mask is not None:
-                layer.w *= layer.mask
+        g = np.concatenate([grad() for grad in net.grads], axis=None)
+        if cfg.optimizer == "sgd":
+            net.theta -= cfg.learning_rate * g
+        else:
+            m, v = self.m, self.v
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            mhat = m / (1 - ADAM_BETA1 ** self.step_count)
+            vhat = v / (1 - ADAM_BETA2 ** self.step_count)
+            net.theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        for layer in self.masked:
+            layer.w *= layer.mask
 
 
 @dataclass(frozen=True)
@@ -584,10 +587,18 @@ class EvalReport:
     mean_auc: float
 
 
+def check_labels(data: Dataset, where: str):
+    """Raise EvaluationError, naming ``where``, unless ``data`` holds rows of
+    two labels or more and of every label below its class count."""
+    present = np.unique(data.labels).tolist()
+    if len(present) < 2 or len(present) != data.class_count:
+        raise EvaluationError(f"{where}: evaluation needs rows of two labels or more and of each "
+                              f"label from 0 to {data.class_count - 1}, found labels {present[:10]}")
+
+
 def evaluate(model: ModelGraph, data: Dataset, arithmetic: str = "real") -> EvalReport:
     """Accuracy and per-class one-vs-rest AUC under real or fixed arithmetic."""
-    if data.class_count < 2 or len(np.unique(data.labels)) < 2:
-        raise EvaluationError("AUC undefined on a single-class dataset")
+    check_labels(data, "evaluation data")
     if arithmetic == "real":
         scores = forward_real(model, data.features)
     elif arithmetic == "fixed":
@@ -672,12 +683,14 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     (half the epochs, half the learning rate), snaps the weights, and is
     evaluated the same way. Accuracies are relative to the
     real-arithmetic float baseline on the same samples. Returns
-    (baseline EvalReport, [ScanRow ...]).
+    (baseline EvalReport, [ScanRow ...]). Evaluation rows that
+    ``check_labels`` rejects raise EvaluationError before any training.
     """
-    if float_model is None:
-        float_model, _ = train(model, train_data, cfg)
     subset = Dataset(eval_data.features[:fixed_eval_limit],
                      eval_data.labels[:fixed_eval_limit], eval_data.class_count)
+    check_labels(subset, f"the first {fixed_eval_limit} evaluation rows (fixed_eval_limit)")
+    if float_model is None:
+        float_model, _ = train(model, train_data, cfg)
     baseline = evaluate(float_model, subset)
     qat_cfg_base = replace(cfg, learning_rate=cfg.learning_rate / 2, epochs=max(1, cfg.epochs // 2))
     rows = []

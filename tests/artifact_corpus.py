@@ -10,8 +10,11 @@ the golden reference, a 16x64x32x32x5 jet classifier (trained, pruned 70%,
 chains. Every model goes through convert, profile, ``estimate --reuse
 2,8``, ``estimate --assume-dense``, codegen, and emulate with and without
 ``--taps``; the two trainable ones also through train (on a synthetic task
-and on a CSV file), qat, prune (each method) and scan. Each command's
-console output and exit code land in its ``console.txt``.
+and on a CSV file), qat, prune (each method) and scan. The jet model at
+``trainer.scan_precisions`` for 4 and 8 bits (saturating, round-half-up
+slots with accumulators sized never to clamp) goes through emulate with
+and without ``--taps`` too. Each command's console output and exit code
+land in its ``console.txt``.
 
 The printout, one ``sha256  path`` line per file in path order, leaves the
 manifest's ``generated_at`` out and depends only on the ``fixflow`` that
@@ -29,7 +32,7 @@ import sys
 import numpy as np
 
 from fixflow import cli, trainer
-from fixflow.model_ir import serialize_model
+from fixflow.model_ir import parse_model, serialize_model
 
 from golden_model import build_reference_model
 from test_codegen import FUZZ_ROWS, every_kind_model, fuzz_chain, wide_model
@@ -110,6 +113,17 @@ def build(out):
         fixflow(out, f"{name}/emulate", "emulate", *model, "--data", rows)
         fixflow(out, f"{name}/emulate_taps", "emulate", *model, "--data", rows, "--taps")
     fixflow(out, "jet/emulate_csv", "emulate", "--model", paths["jet"], "--data", csv_path, "--taps")
+
+    with open(paths["jet"]) as fh:
+        jet = parse_model(fh.read())
+    features = trainer.synthetic_task(seed=7, n_samples=400).features  # DATA
+    rows = os.path.join(inputs, "jet_rows.txt")
+    for bits in (4, 8):
+        path = os.path.join(inputs, f"jet_scan{bits}.json")
+        with open(path, "w") as fh:
+            fh.write(serialize_model(trainer.scan_precisions(jet, features, bits)))
+        fixflow(out, f"jet_scan{bits}/emulate", "emulate", "--model", path, "--data", rows)
+        fixflow(out, f"jet_scan{bits}/emulate_taps", "emulate", "--model", path, "--data", rows, "--taps")
 
 
 def digests(out):

@@ -264,6 +264,21 @@ class TestEmulate:
         assert err.startswith(f"error: {data}: evaluation needs rows of two labels or more"), err
         assert not (tmp_path / "o").exists()
 
+    def test_scan_checks_evaluation_rows_before_training(self, tmp_path, capsys, monkeypatch):
+        # Both labels are in the file, but the first 10 rows that the fixed
+        # evaluation reads carry label 0 only.
+        data = tmp_path / "late.csv"
+        data.write_text("a,b,label\n" + "".join(f"{i},{-i},{i // 20}\n" for i in range(40)))
+        trained = []
+        monkeypatch.setattr(trainer, "train", lambda *args: trained.append(1))
+        assert run(["scan", "--model", "arch:2x4x2", "--data", str(data), "--out", str(tmp_path / "o"),
+                    "--epochs", "1", "--bits", "4", "--fixed-eval-limit", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: the first 10 evaluation rows (fixed_eval_limit): "
+                              "evaluation needs rows of two labels or more"), err
+        assert "found labels [0]" in err
+        assert not trained and not (tmp_path / "o").exists()
+
 
 class TestTimedStages:
     def test_info_logs_each_stage(self, ref_model_path, tmp_path, caplog):

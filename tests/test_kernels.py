@@ -338,6 +338,51 @@ class TestBlockPath:
                      Tensor((batch, 16), [100] * (batch * 16), spec), prec)
             assert 16 < len(calls) <= 2 * 16, (batch, len(calls))
 
+    def test_saturating_sum_in_bounds_is_exact(self, monkeypatch):
+        # Weight raws in [-3, 3] and input raws in [-5, 5], on an accumulator
+        # with the products' fraction bits: a bias raw of max_raw - 15k takes
+        # the worst-case sum of row 0 to max_raw exactly. No clamp can fire,
+        # and the layer is one exact sum with the same number of overflow
+        # calls whatever k is. One raw more and the last add clamps.
+        calls = []
+        monkeypatch.setattr(kernels, "apply_overflow_array",
+                            lambda raws, spec: calls.append(1) or apply_overflow_array(raws, spec))
+        spec, bspec = FixedPointSpec(8, 4), FixedPointSpec(16, 8)
+        acc = FixedPointSpec(12, 4, overflow=SATURATE)
+        prec = PrecisionSet(spec, bspec, acc, FixedPointSpec(10, 6, overflow=SATURATE))
+        in_bound_calls = set()
+        for k in (2, 16, 128):
+            weights = Tensor((3, k), [3] * k + [-3] * k + [(-3, 1, 3)[j % 3] for j in range(k)], spec)
+            rows = Tensor((2, k), [5] * k + [-5] * k, spec)
+            for past in (0, 1):
+                bias = Tensor((3,), [acc.max_raw - 15 * k + past, -5, 0], bspec)
+                calls.clear()
+                dense_mv(weights, bias, rows, prec)
+                if past:
+                    assert len(calls) > k, (k, len(calls))
+                else:
+                    in_bound_calls.add(len(calls))
+                events = {WRAP: 0, SATURATE: 0}
+                self.check(random.Random(k), weights, bias, rows, prec, events)
+                assert events[SATURATE] == past, (k, events)
+        assert len(in_bound_calls) == 1, in_bound_calls
+
+    @pytest.mark.parametrize("sign, want", [(1, -126), (-1, 125)])
+    def test_bias_cast_towards_zero_keeps_the_bound(self, sign, want):
+        # The bias raw 64 with four fraction bits more than the accumulator
+        # casts to 4: its bound on the cast value is 0, not 64. Fourteen
+        # products of -10 then pass min_raw, and two of +1 follow, so the
+        # per-add clamp gives -126 where the exact sum would give -128; the
+        # mirror image clamps at 127 and ends at 125.
+        spec, acc = FixedPointSpec(8, 8), FixedPointSpec(8, 8, overflow=SATURATE)
+        prec = PrecisionSet(spec, FixedPointSpec(12, 8), acc, spec)
+        weights = Tensor((1, 16), [-10 * sign] * 14 + [sign] * 2, spec)
+        bias = Tensor((1,), [64 * sign], prec.bias)
+        rows = Tensor((1, 16), [1] * 16, spec)
+        events = {WRAP: 0, SATURATE: 0}
+        self.check(random.Random(0), weights, bias, rows, prec, events)
+        assert dense_mv(weights, bias, rows, prec).array.tolist() == [want]
+
     def test_wide_wrapping_sum_stays_int64(self):
         # A 60-bit accumulator adding 32 products of 16-bit raws: the exact
         # sum is bounded by 2**59 + 32 * 2**30 and needs no Python ints.

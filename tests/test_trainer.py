@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,71 @@ class TestTrain:
         train(model, data, TrainingConfig(epochs=5, seed=1))
         for name, w in weights_of(model).items():
             assert (w == before[name]).all()
+
+
+class _ParameterLoopOptimizer:
+    """The per-parameter SGD/Adam loop, on arrays of their own: the reference
+    for the flat update of ``trainer._Optimizer``."""
+
+    def __init__(self, cfg, net):
+        self.cfg = cfg
+        self.step_count = 0
+        self.m, self.v = {}, {}
+        for i, layer in enumerate(net.layers):
+            for pname, value, _ in layer.params():
+                setattr(layer, pname, value.copy())  # off the flat buffer
+                self.m[(i, pname)] = np.zeros_like(value)
+                self.v[(i, pname)] = np.zeros_like(value)
+
+    def step(self, net):
+        cfg = self.cfg
+        self.step_count += 1
+        for i, layer in enumerate(net.layers):
+            for pname, value, grad_fn in layer.params():
+                g = grad_fn()
+                if cfg.optimizer == "sgd":
+                    value -= cfg.learning_rate * g
+                else:
+                    m = self.m[(i, pname)]
+                    v = self.v[(i, pname)]
+                    m *= trainer.ADAM_BETA1
+                    m += (1 - trainer.ADAM_BETA1) * g
+                    v *= trainer.ADAM_BETA2
+                    v += (1 - trainer.ADAM_BETA2) * g * g
+                    mhat = m / (1 - trainer.ADAM_BETA1 ** self.step_count)
+                    vhat = v / (1 - trainer.ADAM_BETA2 ** self.step_count)
+                    value -= cfg.learning_rate * mhat / (np.sqrt(vhat) + trainer.ADAM_EPS)
+        for layer in net.dense_layers():
+            if layer.mask is not None:
+                layer.w *= layer.mask
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("case", [
+        "adam", "adam_l1", "sgd", "sgd_l1", "masks", "batch_norm", "qat", "binary", "ternary"])
+    def test_flat_update_equals_parameter_loop(self, monkeypatch, case):
+        data = two_blob_data(n=160)
+        model = build_classifier(2, [8, 6], 2, seed=3, batch_norm=case == "batch_norm")
+        cfg = TrainingConfig(epochs=3, batch_size=32, seed=5, learning_rate=0.05,
+                             optimizer="sgd" if case.startswith("sgd") else "adam",
+                             l1_lambda=0.01 if case.endswith("_l1") else 0.0)
+        if case == "masks":
+            rng = make_rng(6)
+            cfg = replace(cfg, masks={name: rng.random(w.shape) < 0.6
+                                      for name, w in weights_of(model).items()})
+        elif case == "qat":
+            cfg = replace(cfg, quantizers=QuantizerSpec(4, 2),
+                          activation_quantizers={"relu0": QuantizerSpec(5, 3), "dense2": QuantizerSpec(6, 4)})
+        elif case in ("binary", "ternary"):
+            cfg = replace(cfg, quantizers=QuantizerSpec(1, mode=case, alpha=0.5))
+        got, got_trace = train(model, data, cfg)
+        monkeypatch.setattr(trainer, "_Optimizer", _ParameterLoopOptimizer)
+        want, want_trace = train(model, data, cfg)
+        assert got_trace == want_trace
+        for a, b in zip(got.nodes, want.nodes):
+            assert a.params.keys() == b.params.keys()
+            for key in a.params:
+                assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
 
 
 class TestQat:
