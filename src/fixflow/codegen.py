@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -178,21 +178,32 @@ def _overflow_args(spec: FixedPointSpec) -> str:
     return f"{spec.width_bits}, {int(spec.signed)}, {int(spec.overflow == SATURATE)}"
 
 
-def _check_widths(layer: str, in_spec, weight_spec, bias_spec, acc_spec, result_spec):
-    for spec in (in_spec, weight_spec, bias_spec, acc_spec, result_spec):
+def _check_widths(node, in_spec):
+    prec = node.precision
+    for spec in (in_spec, prec.weight, prec.bias, prec.accumulator, prec.result):
         # Raw values are stored in long long.
         if not spec.signed and spec.width_bits > 63:
             raise CodegenError(
-                f"layer {layer!r}: unsigned width {spec.width_bits} does not fit the "
+                f"layer {node.name!r}: unsigned width {spec.width_bits} does not fit the "
                 "generated 64-bit storage"
             )
-    product_bits = weight_spec.width_bits + in_spec.width_bits
-    shift_up = max(0, acc_spec.fraction_bits - (weight_spec.fraction_bits + in_spec.fraction_bits))
+    product_bits = prec.weight.width_bits + in_spec.width_bits
+    shift_up = max(0, prec.accumulator.fraction_bits - (prec.weight.fraction_bits + in_spec.fraction_bits))
     if product_bits + shift_up > _WIDE_BITS:
         raise CodegenError(
-            f"layer {layer!r}: intermediate needs {product_bits + shift_up} bits, "
+            f"layer {node.name!r}: intermediate needs {product_bits + shift_up} bits, "
             f"generated arithmetic supports {_WIDE_BITS}"
         )
+
+
+def _mac_exprs(node, in_spec):
+    """The MAC's C++ text: (bias_cast(bias), add(acc) of the product p, result_cast(acc))."""
+    _check_widths(node, in_spec)
+    prec, acc = node.precision, node.precision.accumulator
+    prod_frac = prec.weight.fraction_bits + in_spec.fraction_bits
+    return (lambda b: f"ff_cast((ff_wide_t){b}, {_cast_args(prec.bias.fraction_bits, acc)})",
+            lambda a: f"{a} = ff_overflow({a} + ff_cast(p, {_cast_args(prod_frac, acc)}), {_overflow_args(acc)});",
+            lambda a: f"(long long)ff_cast({a}, {_cast_args(acc.fraction_bits, prec.result)})")
 
 
 def _literal_rows(values, per_row=12):
@@ -216,15 +227,12 @@ def _weight_header(index: int, title: str, comments: list, arrays: list) -> str:
 def _emit_dense(node, in_spec, index):
     weight, bias = node.param("weight"), node.param("bias")
     m, n = weight.shape
-    wspec, bspec = node.precision.weight, node.precision.bias
-    acc, res = node.precision.accumulator, node.precision.result
-    _check_widths(node.name, in_spec, wspec, bspec, acc, res)
+    bias_cast, add, result_cast = _mac_exprs(node, in_spec)
     w_raws, b_raws = weight.array.tolist(), bias.array.tolist()
     nz = np.count_nonzero(weight.array)
-    prod_frac = wspec.fraction_bits + in_spec.fraction_bits
     comments = [
-        f"weight {_spec_comment(wspec)}",
-        f"bias   {_spec_comment(bspec)}",
+        f"weight {_spec_comment(node.precision.weight)}",
+        f"bias   {_spec_comment(node.precision.bias)}",
         f"nonzero weights: {nz} of {m * n}",
     ]
     kernel = [
@@ -248,15 +256,15 @@ def _emit_dense(node, in_spec, index):
             f"static void {node.name}_kernel(const long long x[{n}], long long y[{m}]) {{",
             f"    ff_wide_t acc[{m}];",
             f"    for (int i = 0; i < {m}; ++i)",
-            f"        acc[i] = ff_cast((ff_wide_t)bias_{index}[i], {_cast_args(bspec.fraction_bits, acc)});",
+            f"        acc[i] = {bias_cast(f'bias_{index}[i]')};",
             f"    for (int e = 0; e < {coo.packed.size}; ++e) {{",
             f"        int i = (int)(coo_index_{index}[e] / {n});",
             f"        int j = (int)(coo_index_{index}[e] % {n});",
             f"        ff_wide_t p = (ff_wide_t)coo_weight_{index}[e] * (ff_wide_t)x[j];",
-            f"        acc[i] = ff_overflow(acc[i] + ff_cast(p, {_cast_args(prod_frac, acc)}), {_overflow_args(acc)});",
+            f"        {add('acc[i]')}",
             "    }",
             f"    for (int i = 0; i < {m}; ++i)",
-            f"        y[i] = (long long)ff_cast(acc[i], {_cast_args(acc.fraction_bits, res)});",
+            f"        y[i] = {result_cast('acc[i]')};",
             "}",
         ]
     else:
@@ -264,13 +272,13 @@ def _emit_dense(node, in_spec, index):
         kernel += [
             f"static void {node.name}_kernel(const long long x[{n}], long long y[{m}]) {{",
             f"    for (int i = 0; i < {m}; ++i) {{",
-            f"        ff_wide_t acc = ff_cast((ff_wide_t)bias_{index}[i], {_cast_args(bspec.fraction_bits, acc)});",
+            f"        ff_wide_t acc = {bias_cast(f'bias_{index}[i]')};",
             f"        for (int j = 0; j < {n}; ++j) {{",
             f"            if (weight_{index}[i * {n} + j] == 0) continue;  // zero weights skipped",
             f"            ff_wide_t p = (ff_wide_t)weight_{index}[i * {n} + j] * (ff_wide_t)x[j];",
-            f"            acc = ff_overflow(acc + ff_cast(p, {_cast_args(prod_frac, acc)}), {_overflow_args(acc)});",
+            f"            {add('acc')}",
             "        }",
-            f"        y[i] = (long long)ff_cast(acc, {_cast_args(acc.fraction_bits, res)});",
+            f"        y[i] = {result_cast('acc')};",
             "    }",
             "}",
         ]
@@ -280,14 +288,11 @@ def _emit_dense(node, in_spec, index):
 
 def _emit_batch_norm(node, in_spec, index, width):
     scale, shift = node.param("scale"), node.param("shift")
-    wspec, bspec = node.precision.weight, node.precision.bias
-    acc, res = node.precision.accumulator, node.precision.result
-    _check_widths(node.name, in_spec, wspec, bspec, acc, res)
-    prod_frac = wspec.fraction_bits + in_spec.fraction_bits
+    bias_cast, add, result_cast = _mac_exprs(node, in_spec)
     header = _weight_header(
         index,
         f"layer {node.name}: batch_norm over {width} channels (folded scale/shift)",
-        [f"scale {_spec_comment(wspec)}", f"shift {_spec_comment(bspec)}"],
+        [f"scale {_spec_comment(node.precision.weight)}", f"shift {_spec_comment(node.precision.bias)}"],
         [(f"scale_{index}", scale.array.tolist()),
          (f"shift_{index}", shift.array.tolist())],
     )
@@ -295,10 +300,10 @@ def _emit_batch_norm(node, in_spec, index, width):
         f"// {node.name}: batch_norm, one multiply per channel",
         f"static void {node.name}_kernel(const long long x[{width}], long long y[{width}]) {{",
         f"    for (int i = 0; i < {width}; ++i) {{",
-        f"        ff_wide_t acc = ff_cast((ff_wide_t)shift_{index}[i], {_cast_args(bspec.fraction_bits, acc)});",
+        f"        ff_wide_t acc = {bias_cast(f'shift_{index}[i]')};",
         f"        ff_wide_t p = (ff_wide_t)scale_{index}[i] * (ff_wide_t)x[i];",
-        f"        acc = ff_overflow(acc + ff_cast(p, {_cast_args(prod_frac, acc)}), {_overflow_args(acc)});",
-        f"        y[i] = (long long)ff_cast(acc, {_cast_args(acc.fraction_bits, res)});",
+        f"        {add('acc')}",
+        f"        y[i] = {result_cast('acc')};",
         "    }",
         "}",
     ]
@@ -541,20 +546,13 @@ def emit_report(graph: ModelGraph, estimates=None, profile=None, pass_reports=No
             "dsp_total": resource.dsp_total,
             "lut_estimate": resource.lut_estimate,
             "bops_total": resource.bops_total,
-            "per_layer": [
-                {"layer": r.layer, "n_mult": r.n_mult, "multipliers": r.multipliers,
-                 "dsp": r.dsp, "lut": r.lut, "bops": r.bops}
-                for r in resource.per_layer
-            ],
+            "per_layer": [asdict(r) for r in resource.per_layer],
         }
         doc["timing"] = {
             "clock_mhz": timing.clock_mhz,
             "model_ii_cycles": timing.model_ii_cycles,
             "total_latency_cycles": timing.total_latency_cycles,
             "throughput_inferences_per_second": timing.throughput_inferences_per_second,
-            "per_layer": [
-                {"layer": t.layer, "ii_cycles": t.ii_cycles, "latency_cycles": t.latency_cycles}
-                for t in timing.per_layer
-            ],
+            "per_layer": [asdict(t) for t in timing.per_layer],
         }
     return doc

@@ -17,7 +17,8 @@ values may be up to 128 bits wide and are represented with the same
 machinery. ``apply_overflow_array`` and ``cast_raw_array`` state the
 overflow and cast rules once, for a Python int or for every element of an
 int64 or object (Python int) array of raws; ``round_scaled`` states the
-rounding rule on float64 reals already scaled onto the raw grid.
+rounding rule on float64 reals already scaled onto the raw grid. The
+scalar API is ``quantize`` and ``FixedPointValue`` only.
 """
 
 from __future__ import annotations
@@ -246,36 +247,6 @@ def quantize(x, spec: FixedPointSpec) -> FixedPointValue:
         num, den = x.as_integer_ratio()
     # num / den is the exact raw num at fraction bits log2(den).
     return FixedPointValue(cast_raw_array(num, den.bit_length() - 1, spec), spec)
-
-
-def cast(v: FixedPointValue, spec: FixedPointSpec) -> FixedPointValue:
-    """Convert a value to another spec; equals quantize(exact real of v)."""
-    return FixedPointValue(cast_raw_array(v.raw, v.spec.fraction_bits, spec), spec)
-
-
-def mul(a: FixedPointValue, b: FixedPointValue) -> FixedPointValue:
-    """Exact product: width a.W+b.W, fraction a.frac+b.frac, no rounding."""
-    spec = FixedPointSpec(
-        a.spec.width_bits + b.spec.width_bits,
-        a.spec.integer_bits + b.spec.integer_bits,
-        signed=a.spec.signed or b.spec.signed,
-        rounding=TRUNCATE,
-        overflow=WRAP,
-    )
-    return FixedPointValue(a.raw * b.raw, spec)
-
-
-def add(a: FixedPointValue, b: FixedPointValue, spec: FixedPointSpec) -> FixedPointValue:
-    """Exact sum of a and b, then rounded/reduced once into ``spec``.
-
-    When both operands already carry ``spec`` this is a plain raw addition
-    with the spec's overflow handling, which is the accumulation step the
-    kernels contract builds on.
-    """
-    fa, fb = a.spec.fraction_bits, b.spec.fraction_bits
-    f = max(fa, fb)
-    total = (a.raw << (f - fa)) + (b.raw << (f - fb))
-    return FixedPointValue(cast_raw_array(total, f, spec), spec)
 
 
 # Binary networks encode the arithmetical value -1 as bit 0 and +1 as bit 1,

@@ -9,8 +9,9 @@ rewrite, and is idempotent: a second application reports no rewrites.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .kernels import batch_norm_scale_shift, run_inference
 from .model_ir import MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_GE, MODE_LE, ModelGraph, Tensor
@@ -98,18 +99,12 @@ def fuse_batchnorm_into_binary_tanh(graph: ModelGraph):
                 and "threshold" not in nxt.params and _real_params(node)):
             return None
         scale, shift = batch_norm_scale_shift(node.params)
-        thresholds, modes = [], []
-        for s, sh in zip(scale.tolist(), shift.tolist()):
-            if s == 0.0:
-                thresholds.append(0.0)
-                modes.append(MODE_CONST_PLUS if sh >= 0 else MODE_CONST_MINUS)
-            else:
-                thresholds.append(-sh / s)
-                modes.append(MODE_GE if s > 0 else MODE_LE)
-        return nxt.with_params(
-            threshold=Tensor((len(thresholds),), thresholds),
-            mode=Tensor((len(modes),), modes),
-        ), node.name
+        zero = scale == 0.0
+        thresholds = np.divide(-shift, scale, out=np.zeros_like(shift), where=~zero)
+        modes = np.where(zero, np.where(shift >= 0, MODE_CONST_PLUS, MODE_CONST_MINUS),
+                         np.where(scale > 0, MODE_GE, MODE_LE))
+        return nxt.with_params(threshold=Tensor.from_numpy(thresholds),
+                               mode=Tensor.from_numpy(modes)), node.name
 
     return _fuse_pairs(graph, "fuse_batchnorm_into_binary_tanh", fuse)
 

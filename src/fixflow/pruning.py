@@ -217,9 +217,7 @@ def prune_iterative(model: ModelGraph, data, schedule: PruneSchedule,
     while fraction < schedule.target_fraction - 1e-12:
         iteration += 1
         fraction = min(fraction + schedule.increment, schedule.target_fraction)
-        history = state.history
         state = rank_and_mask(graph, state, fraction)
-        state.history = history
         if schedule.method in ("lt_rewind", "qap"):
             graph = rewind_to_initial(graph, state)
             if observer:

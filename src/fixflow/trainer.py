@@ -80,10 +80,6 @@ class QuantizerSpec:
         for name, value in (("spec", spec), ("_step", step), ("_limits", limits)):
             object.__setattr__(self, name, value)
 
-    def grid_limits(self):
-        """(min, max) representable weight values."""
-        return self._limits
-
     def apply(self, w: np.ndarray) -> np.ndarray:
         if self.mode == "binary":
             return np.where(w >= 0, self.alpha, -self.alpha)

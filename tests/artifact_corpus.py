@@ -2,14 +2,15 @@
 
     python tests/artifact_corpus.py OUT_DIR
 
-The corpus runs ``fixflow`` sub-commands (``cli.run``) on eleven models:
+The corpus runs ``fixflow`` sub-commands (``cli.run``) on twelve models:
 the golden reference, a 16x64x32x32x5 jet classifier (trained, pruned 70%,
 ``dense1``/``dense2`` COO-compressed), a 16x32x16x5 batch-norm classifier
 (as initialized),
-``every_kind_model``, ``wide_model`` and the six ``TestFuzzCorpus``
-chains. Every model goes through convert, profile, ``estimate --reuse
-2,8``, ``estimate --assume-dense``, codegen, and emulate with and without
-``--taps``; the two trainable ones also through train (on a synthetic task
+``every_kind_model``, ``wide_model``, the six ``TestFuzzCorpus``
+chains and ``bn_sign_model`` (batch_norm -> binary_tanh, the input of
+``fuse_batchnorm_into_binary_tanh``). Every model goes through convert,
+profile, ``estimate --reuse 2,8``, ``estimate --assume-dense``, codegen,
+and emulate with and without ``--taps``; the two trainable ones also through train (on a synthetic task
 and on a CSV file), qat, prune (each method) and scan. The jet model at
 ``trainer.scan_precisions`` for 4 and 8 bits (saturating, round-half-up
 slots with accumulators sized never to clamp) goes through emulate with
@@ -36,6 +37,7 @@ from fixflow.model_ir import parse_model, serialize_model
 
 from golden_model import build_reference_model
 from test_codegen import FUZZ_ROWS, every_kind_model, fuzz_chain, wide_model
+from test_passes import bn_sign_model
 
 DATA = "synthetic:7:400"
 TRAIN = ["--epochs", "2", "--batch-size", "32"]
@@ -65,7 +67,8 @@ def build(out):
     fuzz = [fuzz_chain(rng, FUZZ_ROWS)[0] for _ in range(6)]
     models = {"ref": build_reference_model(), "every_kind": every_kind_model(), "wide": wide_model(),
               **{f"fuzz{i}": g for i, g in enumerate(fuzz)},
-              "bn_init": trainer.build_classifier(16, [32, 16], 5, seed=1, batch_norm=True)}
+              "bn_init": trainer.build_classifier(16, [32, 16], 5, seed=1, batch_norm=True),
+              "bn_sign": bn_sign_model()}
     paths = {}
     for name, graph in models.items():
         paths[name] = os.path.join(inputs, f"{name}.json")
@@ -87,6 +90,9 @@ def build(out):
     paths["jet"] = os.path.join(inputs, "jet.json")
     with open(paths["jet"], "w") as fh:
         json.dump(doc, fh, indent=2)
+    # The rows below come from one generator in path order: a model added
+    # to the corpus goes last, so every earlier model keeps its rows.
+    paths["bn_sign"] = paths.pop("bn_sign")
 
     for name, trainable in (("jet_init", "arch:16x64x32x32x5"), ("bn_init", paths["bn_init"])):
         fixflow(out, f"{name}/train_csv", "train", "--model", trainable, "--data", csv_path, *TRAIN)

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,44 @@ class TestEveryKindCompiles:
         assert build_and_run(tmp_path, in_lines) == want_lines
         # Outputs are a function of the sign layers' patterns, so they repeat.
         assert len(set(want_lines)) > 10
+
+
+class TestMacText:
+    """The dense, COO and batch-norm kernels state the MAC's casts once."""
+
+    @staticmethod
+    def mac_lines(cpp):
+        """Each MAC kernel's bias cast, add and final cast, operand names normalized."""
+        kernels = {}
+        for name, body in re.findall(r"static void (\w+)_kernel\(.*?\n(.*?)\n\}\n", cpp, re.S):
+            lines = [line.strip().replace("ff_wide_t acc =", "acc =").replace("acc[i]", "acc")
+                     for line in body.splitlines() if "ff_cast(" in line and "acc" in line]
+            if lines:
+                kernels[name] = tuple(re.sub(r"\b(bias|shift)_\d+\[i\]", "B", line) for line in lines)
+        return kernels
+
+    def test_equal_specs_give_equal_text(self):
+        # Every node on one spec, so each MAC layer also sees the same
+        # incoming spec; then each dense layer once more with its
+        # compression flipped, so every dense layer is emitted both ways.
+        uniform = [replace(n, precision=PrecisionSet.uniform("fixed<16,6>"))
+                   for n in every_kind_model().nodes]
+        flipped = [replace(n, compression=not n.compression) if n.kind == "dense" else n
+                   for n in uniform]
+        kernels, kinds = {}, set()
+        for nodes in (uniform, flipped):
+            cpp = emit_project(ModelGraph.chain(nodes, (6,))).file("firmware/model.cpp")
+            for name, lines in self.mac_lines(cpp).items():
+                node = next(n for n in nodes if n.name == name)
+                kinds.add("coo" if node.compression else node.kind)
+                kernels[name, node.compression] = lines
+        assert kinds == {"dense", "coo", "batch_norm"}
+        assert len(kernels) == 9  # bn, and four dense layers each way
+        assert len(set(kernels.values())) == 1
+        bias, add, result = next(iter(kernels.values()))
+        assert bias.startswith("acc = ff_cast((ff_wide_t)B, ")
+        assert add.startswith("acc = ff_overflow(acc + ff_cast(p, ")
+        assert result.startswith("y[i] = (long long)ff_cast(acc, ")
 
 
 def random_spec(rng, min_width=2) -> str:

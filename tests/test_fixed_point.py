@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fixflow.fixed_point import (
@@ -11,11 +12,11 @@ from fixflow.fixed_point import (
     WRAP,
     FixedPointSpec,
     FixedPointValue,
-    add,
-    cast,
+    apply_overflow_array,
+    cast_raw_array,
     decode_binary,
     encode_binary,
-    mul,
+    int_dtype,
     quantize,
     xnor_product,
 )
@@ -138,75 +139,71 @@ class TestWrap:
 
 
 class TestCast:
+    """``cast_raw_array`` on a Python int and on an int64 array of raws."""
+
     def test_identity(self):
         s = spec("fixed<8,4>")
-        v = FixedPointValue(12, s)
-        assert cast(v, s).raw == 12
+        assert cast_raw_array(12, s.fraction_bits, s) == 12
+        raws = np.array([12, s.min_raw, s.max_raw], dtype=np.int64)
+        assert cast_raw_array(raws, s.fraction_bits, s).tolist() == raws.tolist()
 
     def test_exact_widening(self):
-        v = FixedPointValue(12, spec("fixed<8,4>"))
-        assert cast(v, spec("fixed<16,8>")).raw == 192
-        assert cast(v, spec("fixed<16,8>")).to_float() == 0.75
+        wide = spec("fixed<16,8>")
+        assert cast_raw_array(12, 4, wide) == 192
+        assert cast_raw_array(np.array([12, -12], dtype=np.int64), 4, wide).tolist() == [192, -192]
+        assert FixedPointValue(192, wide).to_float() == 0.75
 
     def test_equals_quantize_of_exact_real(self):
         rng = random.Random(23)
+        in_int64 = 0
         for _ in range(1500):
             src = random_spec(rng)
             dst = random_spec(rng)
-            raw = rng.randint(src.min_raw, src.max_raw)
-            v = FixedPointValue(raw, src)
-            assert cast(v, dst).raw == oracle_quantize_raw(v.to_fraction(), dst)
+            raws = [rng.randint(src.min_raw, src.max_raw), src.min_raw, src.max_raw]
+            want = [oracle_quantize_raw(FixedPointValue(r, src).to_fraction(), dst) for r in raws]
+            assert cast_raw_array(raws[0], src.fraction_bits, dst) == want[0]
+            # An int64 array only where the left shift stays inside int64,
+            # as the emulator chooses it.
+            up = max(0, dst.fraction_bits - src.fraction_bits)
+            dtype = int_dtype(src.min_raw << up, src.max_raw << up)
+            in_int64 += dtype is np.int64
+            got = cast_raw_array(np.array(raws, dtype=dtype), src.fraction_bits, dst)
+            assert got.tolist() == want
+        assert in_int64 > 1000
 
     def test_narrowing_wrap_against_big_integer_oracle(self):
         wide = spec("fixed<16,8>")
         narrow = spec("fixed<6,3>")
-        for raw in range(-32768, 32767, 97):
-            got = cast(FixedPointValue(raw, wide), narrow).raw
-            want = oracle_quantize_raw(Fraction(raw, 256), narrow)
-            assert got == want
+        raws = range(-32768, 32767, 97)
+        want = [oracle_quantize_raw(Fraction(raw, 256), narrow) for raw in raws]
+        assert [cast_raw_array(raw, 8, narrow) for raw in raws] == want
+        assert cast_raw_array(np.array(raws, dtype=np.int64), 8, narrow).tolist() == want
 
 
 class TestMulAdd:
-    def test_mul_identity(self):
-        s = spec("fixed<8,4>")
-        one = quantize(1.0, s)
-        x = quantize(0.4375, s)
-        p = mul(one, x)
-        assert p.to_fraction() == x.to_fraction()
-        assert p.spec.width_bits == 16 and p.spec.fraction_bits == 8
-
-    def test_mul_example(self):
-        s = spec("fixed<8,4>")
-        p = mul(FixedPointValue(12, s), FixedPointValue(8, s))
-        assert p.raw == 96 and p.spec.width_bits == 16 and p.spec.fraction_bits == 8
-        assert p.to_float() == 0.375
-
-    def test_mul_always_exact(self):
-        rng = random.Random(31)
-        for _ in range(2000):
-            sa, sb = random_spec(rng), random_spec(rng)
-            a = FixedPointValue(rng.randint(sa.min_raw, sa.max_raw), sa)
-            b = FixedPointValue(rng.randint(sb.min_raw, sb.max_raw), sb)
-            assert mul(a, b).to_fraction() == a.to_fraction() * b.to_fraction()
+    """The accumulation rules behind ``kernels._mac``."""
 
     def test_add_chain_wrap_equals_rational_sum_with_single_cast(self):
+        # One wrap of the exact sum equals wrapping after every add: the
+        # identity behind the wrapping branch of _mac.
         rng = random.Random(41)
         for _ in range(200):
             s = random_spec(rng)
             s = FixedPointSpec(s.width_bits, s.integer_bits, s.signed, s.rounding, WRAP)
-            values = [FixedPointValue(rng.randint(s.min_raw, s.max_raw), s) for _ in range(12)]
-            acc = values[0]
-            for v in values[1:]:
-                acc = add(acc, v, s)
-            exact = sum(v.to_fraction() for v in values)
-            assert acc.raw == oracle_quantize_raw(exact, s)
+            raws = [rng.randint(s.min_raw, s.max_raw) for _ in range(12)]
+            acc = raws[0]
+            for raw in raws[1:]:
+                acc = apply_overflow_array(acc + raw, s)
+            exact = np.array(raws, dtype=np.int64).sum(keepdims=True)
+            assert apply_overflow_array(exact, s).tolist() == [acc]
+            assert acc == oracle_quantize_raw(sum(raws) * s.resolution, s)
 
     def test_add_rounds_once_when_narrowing(self):
         s = spec("fixed<8,4,rnd,sat>")
         a = quantize(0.5, spec("fixed<16,8>"))
         b = quantize(0.03125, spec("fixed<16,8>"))  # below the 8,4 resolution
-        out = add(a, b, s)
-        assert out.raw == oracle_quantize_raw(Fraction(0.53125), s)
+        out = cast_raw_array(a.raw + b.raw, 8, s)
+        assert out == oracle_quantize_raw(Fraction(0.53125), s)
 
 
 class TestXnor:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fixflow import passes, trainer
-from fixflow.kernels import run_inference
+from fixflow.kernels import batch_norm_scale_shift, run_inference
 from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, parse_model,
                               serialize_model, validate)
 
@@ -29,6 +31,24 @@ def dense_node(name, w, b):
 
 def chain(*nodes, input_width):
     return ModelGraph.chain([LayerNode("input", "input"), *nodes], (input_width,))
+
+
+# Gains positive, negative, 0.0 and -0.0, each zero gain with a beta >= 0
+# and a beta < 0, so the fusion meets every threshold and mode branch.
+SIGN_GAMMA = [1.5, -0.75, 0.0, 0.0, -0.0, -0.0, 2.0, -1.25]
+SIGN_BETA = [0.25, -0.5, 0.5, -0.25, 0.0, -0.625, -0.125, 0.0]
+
+
+def bn_sign_model() -> ModelGraph:
+    """batch_norm -> binary_tanh -> dense over SIGN_GAMMA's eight channels."""
+    rng = np.random.Generator(np.random.Philox(key=88))
+    return chain(
+        LayerNode("bn", "batch_norm", bn_params(SIGN_GAMMA, SIGN_BETA, rng.normal(0.0, 0.5, 8),
+                                                 rng.uniform(0.5, 2.0, 8), eps=1e-3)),
+        LayerNode("bt", "binary_tanh"),
+        dense_node("d", rng.normal(0.0, 0.5, (3, 8)), rng.normal(0.0, 0.25, 3)),
+        input_width=8,
+    )
 
 
 class TestFuseBatchnormIntoDense:
@@ -121,6 +141,27 @@ class TestFuseBatchnormIntoBinaryTanh:
         fused, _ = passes.fuse_batchnorm_into_binary_tanh(g)
         assert fused.node("bt").param("mode").data == (
             float(passes.MODE_CONST_PLUS), float(passes.MODE_CONST_MINUS))
+
+    def test_thresholds_and_modes_match_channel_loop(self):
+        model = bn_sign_model()
+        fused, report = passes.fuse_batchnorm_into_binary_tanh(model)
+        assert report.rewrites == ((("bn",), "bt"),)
+        scale, shift = batch_norm_scale_shift(model.node("bn").params)
+        # The per-channel statement of the rule, kept as the reference.
+        thresholds, modes = [], []
+        for s, sh in zip(scale.tolist(), shift.tolist()):
+            if s == 0.0:
+                thresholds.append(0.0)
+                modes.append(passes.MODE_CONST_PLUS if sh >= 0 else passes.MODE_CONST_MINUS)
+            else:
+                thresholds.append(-sh / s)
+                modes.append(passes.MODE_GE if s > 0 else passes.MODE_LE)
+        got = fused.node("bt").param("threshold").data
+        assert [(t, math.copysign(1.0, t)) for t in got] == [
+            (t, math.copysign(1.0, t)) for t in thresholds]
+        assert fused.node("bt").param("mode").data == tuple(map(float, modes))
+        assert set(modes) == {passes.MODE_GE, passes.MODE_LE,
+                              passes.MODE_CONST_PLUS, passes.MODE_CONST_MINUS}
 
     def test_composition_oracle_on_grid(self):
         rng = np.random.Generator(np.random.Philox(key=21))

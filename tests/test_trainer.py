@@ -221,8 +221,11 @@ class TestQat:
         scaled = QuantizerSpec(4, 1, alpha=2.0)
         w = np.array([0.3, -0.55, 1.4, 3.0, 0.5 - 2**-54])
         assert list(scaled.apply(w)) == [v * 2 for v in plain.apply(w / 2)]
-        lo, hi = scaled.grid_limits()
-        assert (lo, hi) == (-2.0, 1.75)
+        # The limits are spec.min_raw * step and spec.max_raw * step.
+        step = scaled.alpha * 2.0**-scaled.spec.fraction_bits
+        assert scaled.spec.min_raw * step == -2.0 and scaled.spec.max_raw * step == 1.75
+        limits = np.array([-2.0 - step, -2.0, 1.75, 1.75 + step])
+        assert scaled.in_range(limits).tolist() == [False, True, True, False]
         # With alpha = 1 the fixed mode is the deployment grid's quantizer.
         # floor(w + 0.5) would give 1.0 for 0.5 - 2**-54.
         deployed = FixedPointSpec(8, 8, rounding=ROUND_HALF_UP, overflow=SATURATE)
