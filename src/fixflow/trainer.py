@@ -3,19 +3,23 @@
 Supports dense / ReLU / batch-norm / softmax chains with backprop,
 SGD or Adam, L1 regularization, pruning masks, and quantization-aware
 training via the straight-through estimator: the forward pass applies
-the weight quantizer, the backward pass treats it as identity, and the
-gradient is clipped to zero where the master weight falls outside the
-quantizer's representable range.
+the weight quantizers and the activation quantizers, the backward pass
+treats each as identity, and the gradient is clipped to zero where the
+master weight or the activation falls outside its quantizer's
+representable range. The input's activation grid is applied once per
+``train`` call, to the whole dataset; every step starts after it.
 
-Training arithmetic is binary64 throughout; only the forward weights are
-quantized. Master weights stay real-valued. All randomness flows from a
-Philox counter-based generator keyed by the config seed, and summation
-order is fixed, so identical seeds give bit-identical trajectories.
+Training arithmetic is binary64 throughout; the forward weights and the
+chosen layer outputs are quantized, the master weights stay real-valued.
+All randomness flows from a Philox counter-based generator keyed by the
+config seed, and summation order is fixed, so identical seeds give
+bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -71,13 +75,15 @@ class QuantizerSpec:
         if self.alpha <= 0:
             raise ValueError("quantizer alpha must be > 0")
         # The fixed mode's grid, the real value of one raw step on it (alpha
-        # scaled) and the real limits, built once for every apply.
-        spec, step, limits = None, None, (-self.alpha, self.alpha)
+        # scaled) and the real limits, built once for every apply; ``_grid``
+        # holds the step and the real limits.
+        spec, step, limits, grid = None, None, (-self.alpha, self.alpha), None
         if self.mode == "fixed":
             spec = FixedPointSpec(self.bits, self.integer_bits, rounding=ROUND_HALF_UP, overflow=SATURATE)
             step = math.ldexp(self.alpha, -spec.fraction_bits)
             limits = (spec.min_raw * step, spec.max_raw * step)
-        for name, value in (("spec", spec), ("_step", step), ("_limits", limits)):
+            grid = (step, *limits)
+        for name, value in (("spec", spec), ("_step", step), ("_limits", limits), ("_grid", grid)):
             object.__setattr__(self, name, value)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -96,6 +102,35 @@ class QuantizerSpec:
     def in_range(self, w: np.ndarray) -> np.ndarray:
         lo, hi = self._limits
         return (w >= lo) & (w <= hi)
+
+    def fake_quant(self, x: np.ndarray):
+        """``(apply(x), in_range(x))``, bit for bit: the forward value and the STE mask."""
+        if self.mode != "fixed":
+            return self.apply(x), self.in_range(x)
+        return _fixed_fake_quant(x, *self._grid)
+
+
+def _fixed_fake_quant(x, step, lo, hi):
+    """``apply`` and ``in_range`` of the fixed mode in one call, bit for bit.
+
+    ``step`` and the real limits ``lo`` and ``hi`` are scalars, or vectors
+    with one entry per element of ``x`` (the stacked weights of several
+    layers). The rounded raws are scaled first and then clamped to the real
+    limits, which equals ``apply``'s clamp of the raws: the limits are the
+    raw limits times the step, and a rounded product keeps the order of its
+    factors. Clamping x before rounding would not: where x / step overflows,
+    ``apply`` gives NaN and that clamp gives the limit.
+    """
+    y = x / step
+    values = np.multiply(y, 2.0)  # round_scaled's half up, floor(2y) - floor(y), in place
+    np.floor(values, out=values)
+    values -= np.floor(y, out=y)
+    values *= step
+    np.maximum(values, lo, out=values)
+    np.minimum(values, hi, out=values)
+    mask = x >= lo
+    mask &= x <= hi
+    return values, mask
 
 
 @dataclass(frozen=True)
@@ -255,6 +290,9 @@ def build_classifier(n_features: int, hidden, n_classes: int, seed: int = 0,
 
 
 class _Dense:
+    """A dense layer. ``_Net._quantize_weights`` sets its forward weight
+    ``_w_eff`` and its STE mask ``_ste`` (None without a quantizer)."""
+
     def __init__(self, node: LayerNode, quantizer, mask):
         self.name = node.name
         self.w = node.param("weight").to_numpy()
@@ -265,24 +303,22 @@ class _Dense:
             if self.mask.shape != self.w.shape:
                 raise ValueError(f"{self.name}: mask shape {self.mask.shape} != weight shape {self.w.shape}")
             self.w *= self.mask  # pruned masters are pinned at zero
-
-    def effective_weight(self):
-        w = self.w if self.quantizer is None else self.quantizer.apply(self.w)
-        return w if self.mask is None else w * self.mask
+        self.input_grad = True  # False where no layer reads the input gradient
 
     def forward(self, x, training):
         self._x = x
-        self._w_eff = self.effective_weight()
-        return x @ self._w_eff.T + self.b
+        out = x @ self._w_eff.T
+        out += self.b
+        return out
 
     def backward(self, dy):
         dw = dy.T @ self._x
-        if self.quantizer is not None:
-            dw *= self.quantizer.in_range(self.w)  # STE with range clipping
+        if self._ste is not None:
+            dw *= self._ste  # STE with range clipping
         if self.mask is not None:
             dw *= self.mask
         self.dw, self.db = dw, dy.sum(axis=0)
-        return dy @ self._w_eff
+        return dy @ self._w_eff if self.input_grad else None
 
     def params(self):
         return [("w", self.w, lambda: self.dw), ("b", self.b, lambda: self.db)]
@@ -333,7 +369,8 @@ class _Relu:
         return x * self._pos
 
     def backward(self, dy):
-        return dy * self._pos
+        dy *= self._pos  # no other layer holds dy
+        return dy
 
     def params(self):
         return []
@@ -347,11 +384,12 @@ class _FakeQuant:
         self.quantizer = quantizer
 
     def forward(self, x, training):
-        self._mask = self.quantizer.in_range(x)
-        return self.quantizer.apply(x)
+        out, self._mask = self.quantizer.fake_quant(x)
+        return out
 
     def backward(self, dy):
-        return dy * self._mask
+        dy *= self._mask  # no other layer holds dy
+        return dy
 
     def params(self):
         return []
@@ -388,32 +426,72 @@ class _Net:
         for layer, name, value, _ in params:
             setattr(layer, name, self.theta[start:start + value.size].reshape(value.shape))
             start += value.size
+        # Backward stops at the first layer with parameters: no layer reads
+        # its input gradient.
+        self._first = self.layers.index(params[0][0]) if params else len(self.layers)
+        if params and isinstance(params[0][0], _Dense):
+            params[0][0].input_grad = False
+        # The fixed-mode weight quantizers run as one call on the stacked
+        # masters, with each layer's step and real limits repeated over its
+        # weights; binary and ternary layers quantize their own.
+        self._dense = self.dense_layers()
+        self._stacked = [l for l in self._dense if l.quantizer is not None and l.quantizer.mode == "fixed"]
+        self._per_layer = [l for l in self._dense if l not in self._stacked]
+        self._masked = [l for l in self._dense if l.mask is not None]
+        sizes = [l.w.size for l in self._stacked]
+        self._parts = [(slice(end - size, end), l.w.shape)
+                       for l, size, end in zip(self._stacked, sizes, itertools.accumulate(sizes))]
+        self._grid = [np.repeat(np.array(values, dtype=np.float64), sizes)
+                      for values in zip(*[l.quantizer._grid for l in self._stacked])]
+        self._quantize_weights()  # so a layer's forward also runs outside logits
 
-    def logits(self, x, training=False):
-        for layer in self.layers:
+    def _quantize_weights(self):
+        """Set each dense layer's forward weight and STE mask from its master."""
+        if self._stacked:
+            w, ste = _fixed_fake_quant(np.concatenate([l.w for l in self._stacked], axis=None), *self._grid)
+            for layer, (part, shape) in zip(self._stacked, self._parts):
+                layer._w_eff, layer._ste = w[part].reshape(shape), ste[part].reshape(shape)
+        for layer in self._per_layer:
+            q = layer.quantizer
+            layer._w_eff, layer._ste = (layer.w, None) if q is None else q.fake_quant(layer.w)
+        for layer in self._masked:
+            layer._w_eff = layer._w_eff * layer.mask
+
+    def logits(self, x, training=False, start=0):
+        """Forward from layer ``start``; the weights are quantized first."""
+        self._quantize_weights()
+        for layer in self.layers[start:]:
             x = layer.forward(x, training)
         return x
 
-    def loss_and_grads(self, x, y, l1_lambda):
-        """Mean softmax cross-entropy plus l1_lambda * sum |w|; fills grads."""
-        logits = self.logits(x, training=True)
+    def loss_and_grads(self, x, y, l1_lambda, start=0, onehot=None, rows=None):
+        """Mean softmax cross-entropy plus l1_lambda * sum |w|; fills grads.
+
+        The rows ``x`` enter at layer ``start``. ``train`` passes ``onehot``,
+        the one-hot rows of ``y``, and ``rows``, ``np.arange(len(y))``, from
+        arrays it builds once per call; without them they are built here.
+        """
+        logits = self.logits(x, training=True, start=start)
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        probs = np.exp(shifted - log_z[:, None])
+        log_z = np.exp(shifted).sum(axis=1)
+        np.log(log_z, out=log_z)
+        probs = shifted - log_z[:, None]
+        np.exp(probs, out=probs)
         n = len(y)
-        data_loss = float((log_z - shifted[np.arange(n), y]).mean())
+        if onehot is None:
+            onehot, rows = np.eye(probs.shape[1])[y], np.arange(n)
+        data_loss = float((log_z - shifted[rows, y]).mean())
         penalty = 0.0
-        dlogits = (probs - np.eye(probs.shape[1])[y]) / n
-        grad = dlogits
-        for layer in reversed(self.layers):
+        grad = probs - onehot
+        grad /= n
+        for layer in reversed(self.layers[self._first:]):
             grad = layer.backward(grad)
         if l1_lambda > 0:
-            for layer in self.layers:
-                if isinstance(layer, _Dense):
-                    penalty += float(np.abs(layer.w).sum())
-                    layer.dw += l1_lambda * np.sign(layer.w)
-                    if layer.mask is not None:
-                        layer.dw *= layer.mask
+            for layer in self._dense:
+                penalty += float(np.abs(layer.w).sum())
+                layer.dw += l1_lambda * np.sign(layer.w)
+                if layer.mask is not None:
+                    layer.dw *= layer.mask
         return data_loss + l1_lambda * penalty, probs
 
     def dense_layers(self):
@@ -449,23 +527,35 @@ class _Optimizer:
         self.step_count = 0
         self.m = np.zeros_like(net.theta)
         self.v = np.zeros_like(net.theta)
+        # The gradient and a temporary, written in place every step.
+        self.g, self.t = np.empty_like(net.theta), np.empty_like(net.theta)
         self.masked = [layer for layer in net.dense_layers() if layer.mask is not None]
 
     def step(self, net: _Net):
+        """theta -= lr * g (SGD) or lr * mhat / (sqrt(vhat) + eps) (Adam),
+        each operation in that order, into the preallocated arrays."""
         cfg = self.cfg
         self.step_count += 1
-        g = np.concatenate([grad() for grad in net.grads], axis=None)
+        g, t = self.g, self.t
+        np.concatenate([grad() for grad in net.grads], axis=None, out=g)
         if cfg.optimizer == "sgd":
-            net.theta -= cfg.learning_rate * g
+            g *= cfg.learning_rate
+            net.theta -= g
         else:
             m, v = self.m, self.v
             m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
+            m += np.multiply(g, 1 - ADAM_BETA1, out=t)
             v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            mhat = m / (1 - ADAM_BETA1 ** self.step_count)
-            vhat = v / (1 - ADAM_BETA2 ** self.step_count)
-            net.theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            np.multiply(g, 1 - ADAM_BETA2, out=t)
+            t *= g
+            v += t
+            np.divide(m, 1 - ADAM_BETA1 ** self.step_count, out=t)  # mhat
+            np.divide(v, 1 - ADAM_BETA2 ** self.step_count, out=g)  # vhat
+            t *= cfg.learning_rate
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            t /= g
+            net.theta -= t
         for layer in self.masked:
             layer.w *= layer.mask
 
@@ -488,19 +578,27 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainingConfig):
         raise ValueError(
             f"dataset has {data.features.shape[1]} features, model expects {model.input_width}"
         )
+    outputs = walk(model)[-1][3]
+    if data.class_count > outputs:
+        raise ValueError(f"dataset has {data.class_count} classes, model has {outputs} outputs")
     net = _Net(model, cfg)
     opt = _Optimizer(cfg, net)
     rng = make_rng(cfg.seed)
     n = len(data)
     batch = max(1, min(cfg.batch_size, n))
+    # The input's grid applies once, to every row; each step starts after it.
+    features, first = data.features, 0
+    if net.layers and isinstance(net.layers[0], _FakeQuant):
+        features, first = net.layers[0].quantizer.fake_quant(features)[0], 1
+    eye, rows = np.eye(outputs), np.arange(batch)
     trace = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses, hits = [], 0
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            x, y = data.features[idx], data.labels[idx]
-            loss, probs = net.loss_and_grads(x, y, cfg.l1_lambda)
+            x, y = features[idx], data.labels[idx]
+            loss, probs = net.loss_and_grads(x, y, cfg.l1_lambda, first, eye[y], rows[:len(idx)])
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
             opt.step(net)

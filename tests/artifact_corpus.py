@@ -11,7 +11,7 @@ chains and ``bn_sign_model`` (batch_norm -> binary_tanh, the input of
 ``fuse_batchnorm_into_binary_tanh``). Every model goes through convert,
 profile, ``estimate --reuse 2,8``, ``estimate --assume-dense``, codegen,
 and emulate with and without ``--taps``; the two trainable ones also through train (on a synthetic task
-and on a CSV file), qat, prune (each method) and scan. The jet model at
+and on a CSV file), qat (fixed, binary and ternary quantizers), prune (each method) and scan. The jet model at
 ``trainer.scan_precisions`` for 4 and 8 bits (saturating, round-half-up
 slots with accumulators sized never to clamp) goes through emulate with
 and without ``--taps`` too. Each command's console output and exit code
@@ -98,6 +98,10 @@ def build(out):
         fixflow(out, f"{name}/train_csv", "train", "--model", trainable, "--data", csv_path, *TRAIN)
         fixflow(out, f"{name}/qat", "qat", "--model", trainable, "--data", DATA, *TRAIN,
                 "--bits", "5", "--alpha", "0.75")
+        fixflow(out, f"{name}/qat_binary", "qat", "--model", trainable, "--data", DATA, *TRAIN,
+                "--mode", "binary", "--alpha", "0.5")
+        fixflow(out, f"{name}/qat_ternary", "qat", "--model", trainable, "--data", DATA, *TRAIN,
+                "--mode", "ternary")
         for method in ("l1", "lt", "qap"):
             fixflow(out, f"{name}/prune_{method}", "prune", "--model", trainable, "--data", DATA,
                     *TRAIN, *PRUNE, "--method", method, "--bits", "6")

@@ -264,6 +264,17 @@ class TestEmulate:
         assert err.startswith(f"error: {data}: evaluation needs rows of two labels or more"), err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "qat", "prune", "scan"])
+    def test_classes_beyond_model_outputs_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                                    command):
+        # The synthetic task has 5 classes; the model has 2 outputs.
+        monkeypatch.setattr(trainer, "_Net", lambda *args: pytest.fail("a net was built"))
+        extra = ["--bits", "4"] if command == "scan" else []
+        assert run([command, "--model", "arch:16x4x2", "--data", "synthetic:7:50",
+                    "--out", str(tmp_path / "o"), "--epochs", "1", *extra]) == 1
+        assert capsys.readouterr().err == "error: dataset has 5 classes, model has 2 outputs\n"
+        assert not (tmp_path / "o").exists()
+
     def test_scan_checks_evaluation_rows_before_training(self, tmp_path, capsys, monkeypatch):
         # Both labels are in the file, but the first 10 rows that the fixed
         # evaluation reads carry label 0 only.

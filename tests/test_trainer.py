@@ -160,6 +160,114 @@ class TestOptimizer:
                 assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
 
 
+class _ReferenceFakeQuant:
+    """An activation quantizer as QuantizerSpec.apply and in_range."""
+
+    def __init__(self, layer):
+        self.name, self.quantizer = layer.name, layer.quantizer
+
+    def forward(self, x, training):
+        self._mask = self.quantizer.in_range(x)
+        return self.quantizer.apply(x)
+
+    def backward(self, dy):
+        return dy * self._mask
+
+    def params(self):
+        return []
+
+
+class _PerLayerNet(trainer._Net):
+    """Each dense layer quantizes its own master with QuantizerSpec.apply and
+    in_range, each activation quantizer is a ``_ReferenceFakeQuant``, and
+    every step enters at the input layer, whose grid applies to each batch:
+    the reference for the stacked weight quantizer, the one-pass activation
+    fake-quant and the input grid that ``train`` applies once per call."""
+
+    def __init__(self, graph, cfg):
+        super().__init__(graph, cfg)
+        self.layers = [_ReferenceFakeQuant(layer) if isinstance(layer, trainer._FakeQuant) else layer
+                       for layer in self.layers]
+
+    def _quantize_weights(self):
+        for layer in self.dense_layers():
+            q = layer.quantizer
+            w = layer.w if q is None else q.apply(layer.w)
+            layer._w_eff = w if layer.mask is None else w * layer.mask
+            layer._ste = None if q is None else q.in_range(layer.w)
+
+
+class TestFakeQuant:
+    """The one-pass fixed-mode fake-quant of activations and of the stacked
+    dense weights, byte for byte against QuantizerSpec.apply and in_range."""
+
+    @staticmethod
+    def edge_inputs(q, seed):
+        rng = make_rng(seed)
+        lo, hi = q._limits
+        raws = rng.integers(q.spec.min_raw, q.spec.max_raw, 32, endpoint=True)
+        halves = np.concatenate([(raws + 0.5) * q._step, (raws - 0.5) * q._step])
+        return np.concatenate([
+            rng.normal(0.0, 2 * hi, 96),
+            [lo, hi], np.nextafter([lo, hi], -np.inf), np.nextafter([lo, hi], np.inf),
+            halves, np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308],
+        ])
+
+    @staticmethod
+    def assert_matches(q, x, values, mask):
+        assert values.tobytes() == q.apply(x).tobytes()
+        assert mask.dtype == bool and mask.tolist() == q.in_range(x).tolist()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [1.0, 0.75, 2.0])
+    @pytest.mark.parametrize("bits, integer_bits", [(4, 1), (6, -2), (3, -5), (8, 3)])
+    def test_activation_fake_quant(self, alpha, bits, integer_bits):
+        q = QuantizerSpec(bits, integer_bits, alpha)
+        x = self.edge_inputs(q, 100 * bits + integer_bits).reshape(-1, 2)
+        layer = trainer._FakeQuant("act", q)
+        self.assert_matches(q, x, layer.forward(x, True), layer._mask)
+        dy = np.arange(1.0, x.size + 1).reshape(x.shape)
+        want = dy * q.in_range(x)
+        assert layer.backward(dy).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("alphas", [(1.0, 1.0, 1.0), (0.75, 0.75, 0.75), (2.0, 2.0, 2.0), (2.0, 1.0, 0.75)])
+    def test_stacked_weight_fake_quant(self, alphas):
+        model = build_classifier(20, [24, 20], 20, seed=1)
+        quantizers = {f"dense{i}": QuantizerSpec(bits, integer_bits, alpha)
+                      for i, (bits, integer_bits, alpha) in enumerate(zip((4, 6, 3), (1, -2, 5), alphas))}
+        net = trainer._Net(model, TrainingConfig(quantizers=quantizers))
+        for i, layer in enumerate(net.dense_layers()):
+            x = self.edge_inputs(quantizers[layer.name], i)
+            assert x.size <= layer.w.size
+            layer.w[...] = np.resize(x, layer.w.shape)  # the masters, in place
+        net._quantize_weights()
+        for layer in net.dense_layers():
+            self.assert_matches(quantizers[layer.name], layer.w, layer._w_eff, layer._ste)
+
+    @pytest.mark.parametrize("optimizer", ["flat", "parameter_loop"])
+    def test_mixed_per_layer_quantizers_equal_per_layer_reference(self, monkeypatch, optimizer):
+        data = two_blob_data(n=160)
+        model = build_classifier(2, [8, 6, 6, 5], 2, seed=3)
+        cfg = TrainingConfig(
+            epochs=3, batch_size=32, seed=5, learning_rate=0.05,
+            quantizers={"dense0": QuantizerSpec(6, 2), "dense1": QuantizerSpec(1, mode="binary", alpha=0.5),
+                        "dense2": QuantizerSpec(5, -1, alpha=0.75), "dense3": QuantizerSpec(4, 0, alpha=2.0)},
+            masks={"dense1": make_rng(6).random((6, 8)) < 0.6},  # dense4 has no quantizer
+            activation_quantizers={"input": QuantizerSpec(5, 3), "relu0": QuantizerSpec(6, 2),
+                                   "dense4": QuantizerSpec(8, 4)})
+        if optimizer == "parameter_loop":
+            monkeypatch.setattr(trainer, "_Optimizer", _ParameterLoopOptimizer)
+        got, got_trace = train(model, data, cfg)
+        monkeypatch.setattr(trainer, "_Net", _PerLayerNet)
+        want, want_trace = train(model, data, cfg)
+        assert got_trace == want_trace
+        for a, b in zip(got.nodes, want.nodes):
+            for key in a.params:
+                assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
+
+
 class TestQat:
     def test_wide_quantizer_matches_plain_training(self, jet_train_data, jet_eval_data,
                                                    jet_init_model, jet_float_model):
