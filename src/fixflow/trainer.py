@@ -75,15 +75,13 @@ class QuantizerSpec:
         if self.alpha <= 0:
             raise ValueError("quantizer alpha must be > 0")
         # The fixed mode's grid, the real value of one raw step on it (alpha
-        # scaled) and the real limits, built once for every apply; ``_grid``
-        # holds the step and the real limits.
-        spec, step, limits, grid = None, None, (-self.alpha, self.alpha), None
+        # scaled) and the real limits, built once for every apply.
+        spec, step, limits = None, None, (-self.alpha, self.alpha)
         if self.mode == "fixed":
             spec = FixedPointSpec(self.bits, self.integer_bits, rounding=ROUND_HALF_UP, overflow=SATURATE)
             step = math.ldexp(self.alpha, -spec.fraction_bits)
             limits = (spec.min_raw * step, spec.max_raw * step)
-            grid = (step, *limits)
-        for name, value in (("spec", spec), ("_step", step), ("_limits", limits), ("_grid", grid)):
+        for name, value in (("spec", spec), ("_step", step), ("_limits", limits)):
             object.__setattr__(self, name, value)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -107,7 +105,7 @@ class QuantizerSpec:
         """``(apply(x), in_range(x))``, bit for bit: the forward value and the STE mask."""
         if self.mode != "fixed":
             return self.apply(x), self.in_range(x)
-        return _fixed_fake_quant(x, *self._grid)
+        return _fixed_fake_quant(x, self._step, *self._limits)
 
 
 def _fixed_fake_quant(x, step, lo, hi):
@@ -442,7 +440,7 @@ class _Net:
         self._parts = [(slice(end - size, end), l.w.shape)
                        for l, size, end in zip(self._stacked, sizes, itertools.accumulate(sizes))]
         self._grid = [np.repeat(np.array(values, dtype=np.float64), sizes)
-                      for values in zip(*[l.quantizer._grid for l in self._stacked])]
+                      for values in zip(*[(l.quantizer._step, *l.quantizer._limits) for l in self._stacked])]
         self._quantize_weights()  # so a layer's forward also runs outside logits
 
     def _quantize_weights(self):
