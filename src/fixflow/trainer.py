@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
+from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
 from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, walk
 from . import kernels
 
@@ -90,12 +90,7 @@ class QuantizerSpec:
         if self.mode == "ternary":
             band = self.alpha / 2
             return np.where(w >= band, self.alpha, np.where(w <= -band, -self.alpha, 0.0))
-        # Tensor.quantized on self.spec, in floats: the grid's raws times the step.
-        raws = round_scaled(w / self._step, ROUND_HALF_UP)
-        np.maximum(raws, self.spec.min_raw, out=raws)
-        np.minimum(raws, self.spec.max_raw, out=raws)
-        raws *= self._step
-        return raws
+        return _fixed_fake_quant(w, self._step, *self._limits)[0]
 
     def in_range(self, w: np.ndarray) -> np.ndarray:
         lo, hi = self._limits
@@ -109,15 +104,17 @@ class QuantizerSpec:
 
 
 def _fixed_fake_quant(x, step, lo, hi):
-    """``apply`` and ``in_range`` of the fixed mode in one call, bit for bit.
+    """The fixed mode's forward value and STE mask (``in_range``) of ``x``.
 
-    ``step`` and the real limits ``lo`` and ``hi`` are scalars, or vectors
-    with one entry per element of ``x`` (the stacked weights of several
-    layers). The rounded raws are scaled first and then clamped to the real
-    limits, which equals ``apply``'s clamp of the raws: the limits are the
-    raw limits times the step, and a rounded product keeps the order of its
-    factors. Clamping x before rounding would not: where x / step overflows,
-    ``apply`` gives NaN and that clamp gives the limit.
+    The value is ``Tensor.quantized`` on the quantizer's spec, in floats:
+    x / step rounded half up by ``round_scaled``'s rule, times the step,
+    clamped to the real limits. ``step`` and the real limits ``lo`` and
+    ``hi`` are scalars, or vectors with one entry per element of ``x`` (the
+    stacked weights of several layers). Clamping the scaled raws equals
+    clamping the raws: the limits are the raw limits times the step, and a
+    rounded product keeps the order of its factors. Clamping x before
+    rounding would not: where x / step overflows, the value is NaN, and
+    that clamp would give the limit.
     """
     y = x / step
     values = np.multiply(y, 2.0)  # round_scaled's half up, floor(2y) - floor(y), in place
@@ -301,7 +298,6 @@ class _Dense:
             if self.mask.shape != self.w.shape:
                 raise ValueError(f"{self.name}: mask shape {self.mask.shape} != weight shape {self.w.shape}")
             self.w *= self.mask  # pruned masters are pinned at zero
-        self.input_grad = True  # False where no layer reads the input gradient
 
     def forward(self, x, training):
         self._x = x
@@ -316,7 +312,7 @@ class _Dense:
         if self.mask is not None:
             dw *= self.mask
         self.dw, self.db = dw, dy.sum(axis=0)
-        return dy @ self._w_eff if self.input_grad else None
+        return dy @ self._w_eff
 
     def params(self):
         return [("w", self.w, lambda: self.dw), ("b", self.b, lambda: self.db)]
@@ -400,7 +396,7 @@ class _Net:
         self.layers = []
         self.has_softmax = False
         act_quant = cfg.activation_quantizers or {}
-        for node, *_ in walk(graph):
+        for node, _, _, width in walk(graph):
             if node.kind == "dense":
                 self.layers.append(_Dense(node, cfg.quantizer_for(node.name),
                                           None if cfg.masks is None else cfg.masks.get(node.name)))
@@ -424,11 +420,9 @@ class _Net:
         for layer, name, value, _ in params:
             setattr(layer, name, self.theta[start:start + value.size].reshape(value.shape))
             start += value.size
-        # Backward stops at the first layer with parameters: no layer reads
-        # its input gradient.
+        # Backward stops at the first layer with parameters: the layers
+        # before it have nothing to train.
         self._first = self.layers.index(params[0][0]) if params else len(self.layers)
-        if params and isinstance(params[0][0], _Dense):
-            params[0][0].input_grad = False
         # The fixed-mode weight quantizers run as one call on the stacked
         # masters, with each layer's step and real limits repeated over its
         # weights; binary and ternary layers quantize their own.
@@ -442,6 +436,7 @@ class _Net:
         self._grid = [np.repeat(np.array(values, dtype=np.float64), sizes)
                       for values in zip(*[(l.quantizer._step, *l.quantizer._limits) for l in self._stacked])]
         self._quantize_weights()  # so a layer's forward also runs outside logits
+        self._eye = np.eye(width)  # the one-hot rows of the labels
 
     def _quantize_weights(self):
         """Set each dense layer's forward weight and STE mask from its master."""
@@ -462,12 +457,10 @@ class _Net:
             x = layer.forward(x, training)
         return x
 
-    def loss_and_grads(self, x, y, l1_lambda, start=0, onehot=None, rows=None):
+    def loss_and_grads(self, x, y, l1_lambda, start=0):
         """Mean softmax cross-entropy plus l1_lambda * sum |w|; fills grads.
 
-        The rows ``x`` enter at layer ``start``. ``train`` passes ``onehot``,
-        the one-hot rows of ``y``, and ``rows``, ``np.arange(len(y))``, from
-        arrays it builds once per call; without them they are built here.
+        The rows ``x`` enter at layer ``start``.
         """
         logits = self.logits(x, training=True, start=start)
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -476,11 +469,9 @@ class _Net:
         probs = shifted - log_z[:, None]
         np.exp(probs, out=probs)
         n = len(y)
-        if onehot is None:
-            onehot, rows = np.eye(probs.shape[1])[y], np.arange(n)
-        data_loss = float((log_z - shifted[rows, y]).mean())
+        data_loss = float((log_z - shifted[np.arange(n), y]).mean())
         penalty = 0.0
-        grad = probs - onehot
+        grad = probs - self._eye[y]
         grad /= n
         for layer in reversed(self.layers[self._first:]):
             grad = layer.backward(grad)
@@ -588,7 +579,6 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainingConfig):
     features, first = data.features, 0
     if net.layers and isinstance(net.layers[0], _FakeQuant):
         features, first = net.layers[0].quantizer.fake_quant(features)[0], 1
-    eye, rows = np.eye(outputs), np.arange(batch)
     trace = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -596,7 +586,7 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainingConfig):
         for start in range(0, n, batch):
             idx = order[start:start + batch]
             x, y = features[idx], data.labels[idx]
-            loss, probs = net.loss_and_grads(x, y, cfg.l1_lambda, first, eye[y], rows[:len(idx)])
+            loss, probs = net.loss_and_grads(x, y, cfg.l1_lambda, first)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
             opt.step(net)

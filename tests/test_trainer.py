@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fixflow import trainer
-from fixflow.fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
+from fixflow.fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
 from fixflow.model_ir import Tensor
 from fixflow.trainer import (
     Dataset,
@@ -160,15 +160,28 @@ class TestOptimizer:
                 assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
 
 
+def _reference_apply(q, w):
+    """QuantizerSpec.apply with the fixed mode stated on raws: round_scaled's
+    raws of w / step, clamped to the spec's raw limits, times the step. The
+    reference for ``_fixed_fake_quant``, which clamps after scaling."""
+    if q.mode != "fixed":
+        return q.apply(w)
+    raws = round_scaled(w / q._step, ROUND_HALF_UP)
+    np.maximum(raws, q.spec.min_raw, out=raws)
+    np.minimum(raws, q.spec.max_raw, out=raws)
+    raws *= q._step
+    return raws
+
+
 class _ReferenceFakeQuant:
-    """An activation quantizer as QuantizerSpec.apply and in_range."""
+    """An activation quantizer as ``_reference_apply`` and in_range."""
 
     def __init__(self, layer):
         self.name, self.quantizer = layer.name, layer.quantizer
 
     def forward(self, x, training):
         self._mask = self.quantizer.in_range(x)
-        return self.quantizer.apply(x)
+        return _reference_apply(self.quantizer, x)
 
     def backward(self, dy):
         return dy * self._mask
@@ -178,7 +191,7 @@ class _ReferenceFakeQuant:
 
 
 class _PerLayerNet(trainer._Net):
-    """Each dense layer quantizes its own master with QuantizerSpec.apply and
+    """Each dense layer quantizes its own master with ``_reference_apply`` and
     in_range, each activation quantizer is a ``_ReferenceFakeQuant``, and
     every step enters at the input layer, whose grid applies to each batch:
     the reference for the stacked weight quantizer, the one-pass activation
@@ -192,14 +205,15 @@ class _PerLayerNet(trainer._Net):
     def _quantize_weights(self):
         for layer in self.dense_layers():
             q = layer.quantizer
-            w = layer.w if q is None else q.apply(layer.w)
+            w = layer.w if q is None else _reference_apply(q, layer.w)
             layer._w_eff = w if layer.mask is None else w * layer.mask
             layer._ste = None if q is None else q.in_range(layer.w)
 
 
 class TestFakeQuant:
     """The one-pass fixed-mode fake-quant of activations and of the stacked
-    dense weights, byte for byte against QuantizerSpec.apply and in_range."""
+    dense weights, and QuantizerSpec.apply, byte for byte against
+    ``_reference_apply`` and in_range."""
 
     @staticmethod
     def edge_inputs(q, seed):
@@ -216,7 +230,8 @@ class TestFakeQuant:
 
     @staticmethod
     def assert_matches(q, x, values, mask):
-        assert values.tobytes() == q.apply(x).tobytes()
+        want = _reference_apply(q, x).tobytes()
+        assert values.tobytes() == want and q.apply(x).tobytes() == want
         assert mask.dtype == bool and mask.tolist() == q.in_range(x).tolist()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
