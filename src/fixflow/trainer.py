@@ -7,7 +7,11 @@ the weight quantizers and the activation quantizers, the backward pass
 treats each as identity, and the gradient is clipped to zero where the
 master weight or the activation falls outside its quantizer's
 representable range. The input's activation grid is applied once per
-``train`` call, to the whole dataset; every step starts after it.
+``train`` call, to the whole dataset; every step starts after it. A ReLU
+between two fixed-mode activation quantizers with nested grids (one
+power-of-two alpha, the incoming step a multiple of the outgoing one)
+trains as one layer, ``_QuantRelu``: a ReLU output on the incoming grid
+lies on the outgoing one, which only clamps it, so the fusion is exact.
 
 Training arithmetic is binary64 throughout; the forward weights and the
 chosen layer outputs are quantized, the master weights stay real-valued.
@@ -103,6 +107,24 @@ class QuantizerSpec:
         return _fixed_fake_quant(x, self._step, *self._limits)
 
 
+def _on_grid(x, step):
+    """x / step rounded half up by ``round_scaled``'s rule, times the step."""
+    y = x / step
+    values = np.multiply(y, 2.0)  # floor(2y) - floor(y), in place
+    np.floor(values, out=values)
+    values -= np.floor(y, out=y)
+    values *= step
+    return values
+
+
+def _nested(q_in, q_out):
+    """Whether every value on ``q_in``'s grid, past a ReLU, is on ``q_out``'s:
+    both fixed mode with one power-of-two alpha, so both steps are powers
+    of two, and ``q_in``'s step a multiple of ``q_out``'s."""
+    return (q_in.mode == q_out.mode == "fixed" and q_in.alpha == q_out.alpha
+            and math.frexp(q_in.alpha)[0] == 0.5 and q_in._step >= q_out._step)
+
+
 def _fixed_fake_quant(x, step, lo, hi):
     """The fixed mode's forward value and STE mask (``in_range``) of ``x``.
 
@@ -116,11 +138,7 @@ def _fixed_fake_quant(x, step, lo, hi):
     rounding would not: where x / step overflows, the value is NaN, and
     that clamp would give the limit.
     """
-    y = x / step
-    values = np.multiply(y, 2.0)  # round_scaled's half up, floor(2y) - floor(y), in place
-    np.floor(values, out=values)
-    values -= np.floor(y, out=y)
-    values *= step
+    values = _on_grid(x, step)
     np.maximum(values, lo, out=values)
     np.minimum(values, hi, out=values)
     mask = x >= lo
@@ -354,23 +372,27 @@ class _BatchNorm:
         return [("gamma", self.gamma, lambda: self.dgamma), ("beta", self.beta, lambda: self.dbeta)]
 
 
-class _Relu:
-    def __init__(self, node):
-        self.name = node.name
-
-    def forward(self, x, training):
-        self._pos = x > 0
-        return x * self._pos
+class _Masked:
+    """A layer without parameters whose backward keeps dy where its forward's ``_mask`` holds."""
 
     def backward(self, dy):
-        dy *= self._pos  # no other layer holds dy
+        dy *= self._mask  # no other layer holds dy
         return dy
 
     def params(self):
         return []
 
 
-class _FakeQuant:
+class _Relu(_Masked):
+    def __init__(self, node):
+        self.name = node.name
+
+    def forward(self, x, training):
+        self._mask = x > 0
+        return x * self._mask
+
+
+class _FakeQuant(_Masked):
     """STE fake-quantization of a layer output (activation grid)."""
 
     def __init__(self, name, quantizer):
@@ -381,12 +403,26 @@ class _FakeQuant:
         out, self._mask = self.quantizer.fake_quant(x)
         return out
 
-    def backward(self, dy):
-        dy *= self._mask  # no other layer holds dy
-        return dy
 
-    def params(self):
-        return []
+class _QuantRelu(_Masked):
+    """``_FakeQuant(q_in)``, ``_Relu``, ``_FakeQuant(q_out)`` bit for bit, where
+    ``_nested(q_in, q_out)``: x on q_in's grid, clamped to [0, min(hi_in,
+    hi_out)]. The STE mask is the three masks' product: x <= hi_in, a
+    positive value (so x >= lo_in) and x's grid value <= hi_out."""
+
+    def __init__(self, name, q_in, q_out):
+        self.name = name
+        self._step, self._hi_in, self._hi_out = q_in._step, q_in._limits[1], q_out._limits[1]
+        self._hi = min(self._hi_in, self._hi_out)
+
+    def forward(self, x, training):
+        values = _on_grid(x, self._step)
+        self._mask = values <= self._hi_out
+        self._mask &= x <= self._hi_in
+        np.maximum(values, 0.0, out=values)
+        np.minimum(values, self._hi, out=values)
+        self._mask &= values > 0
+        return values
 
 
 class _Net:
@@ -410,7 +446,12 @@ class _Net:
             elif node.kind != "input":
                 raise ValueError(f"layer {node.name!r}: kind {node.kind!r} is not trainable")
             if node.name in act_quant:
-                self.layers.append(_FakeQuant(node.name, act_quant[node.name]))
+                q = act_quant[node.name]
+                before = self.layers[-2] if node.kind == "relu" and len(self.layers) > 1 else None
+                if isinstance(before, _FakeQuant) and _nested(before.quantizer, q):
+                    self.layers[-2:] = [_QuantRelu(node.name, before.quantizer, q)]
+                else:
+                    self.layers.append(_FakeQuant(node.name, q))
         # Every trainable array becomes a view of one flat buffer, so the
         # optimizer updates all of them with one set of elementwise calls.
         params = [(layer, *param) for layer in self.layers for param in layer.params()]
@@ -727,13 +768,27 @@ def scan_precisions(model: ModelGraph, features: np.ndarray, bits: int) -> Model
     everything rounds to nearest and saturates. Softmax runs host-side
     on the logits, so its slots keep the logits' range.
     """
-    nodes = []
-    in_int = None
+    return _scan_model(model, _output_int_bits(model, features), bits)
+
+
+def _output_int_bits(model: ModelGraph, features: np.ndarray):
+    """Each layer's output integer bits on ``features``, in walk order, from
+    one real forward; softmax keeps the logits'. A scan finds them once."""
+    ints, act_int = [], None
     for node, out in _forward_layers(model, np.asarray(features, dtype=np.float64)):
         if node.kind in ("binary_tanh", "ternary_tanh"):
             raise ValueError(f"layer {node.name!r}: kind {node.kind!r} not supported in scans")
         if node.kind != "softmax":
             act_int = _int_bits_for(float(np.abs(out).max()) if out.size else 1.0)
+        ints.append(act_int)
+    return ints
+
+
+def _scan_model(model: ModelGraph, output_int_bits, bits: int) -> ModelGraph:
+    """``scan_precisions`` at ``bits``, from the ``_output_int_bits`` of its features."""
+    nodes = []
+    in_int = None
+    for (node, *_), act_int in zip(walk(model), output_int_bits):
         act_spec = FixedPointSpec(bits, act_int, rounding="round_half_up", overflow="saturate")
         if node.kind == "dense":
             w = node.param("weight").to_numpy()
@@ -761,13 +816,19 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     (pass ``float_model`` to reuse an existing one). At each width, PTQ
     assigns the scan precision configuration to the baseline and
     evaluates it under bit-accurate fixed arithmetic; QAT fine-tunes the
-    baseline with per-layer weight quantizers matching the weight grid
-    (half the epochs, half the learning rate), snaps the weights, and is
-    evaluated the same way. Accuracies are relative to the
+    baseline with the weight and activation quantizers of that
+    configuration (half the epochs, half the learning rate), snaps the
+    weights, and is evaluated the same way. Accuracies are relative to the
     real-arithmetic float baseline on the same samples. Returns
-    (baseline EvalReport, [ScanRow ...]). Evaluation rows that
-    ``check_labels`` rejects raise EvaluationError before any training.
+    (baseline EvalReport, [ScanRow ...]). An empty ``bit_widths`` or a
+    ``fixed_eval_limit`` below 1 raises ValueError, and evaluation rows
+    that ``check_labels`` rejects raise EvaluationError, before any training.
     """
+    bit_widths = [int(bits) for bits in bit_widths]
+    if not bit_widths:
+        raise ValueError("bit_widths (--bits) holds no width")
+    if fixed_eval_limit < 1:
+        raise ValueError(f"fixed_eval_limit (--fixed-eval-limit) is {fixed_eval_limit}, it must be at least 1")
     subset = Dataset(eval_data.features[:fixed_eval_limit],
                      eval_data.labels[:fixed_eval_limit], eval_data.class_count)
     check_labels(subset, f"the first {fixed_eval_limit} evaluation rows (fixed_eval_limit)")
@@ -775,10 +836,10 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
         float_model, _ = train(model, train_data, cfg)
     baseline = evaluate(float_model, subset)
     qat_cfg_base = replace(cfg, learning_rate=cfg.learning_rate / 2, epochs=max(1, cfg.epochs // 2))
+    output_int_bits = _output_int_bits(float_model, train_data.features)
     rows = []
     for bits in bit_widths:
-        bits = int(bits)
-        ptq_model = scan_precisions(float_model, train_data.features, bits)
+        ptq_model = _scan_model(float_model, output_int_bits, bits)
         ptq = evaluate(ptq_model, subset, arithmetic="fixed")
         quantizers = {
             node.name: QuantizerSpec(bits, node.precision.weight.integer_bits)

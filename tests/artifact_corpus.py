@@ -15,7 +15,10 @@ and on a CSV file), qat (fixed, binary and ternary quantizers), prune (each meth
 ``trainer.scan_precisions`` for 4 and 8 bits (saturating, round-half-up
 slots with accumulators sized never to clamp) goes through emulate with
 and without ``--taps`` too. Each command's console output and exit code
-land in its ``console.txt``.
+land in its ``console.txt``. Last, both trainable models train a float
+baseline and then QAT with the scan's weight and activation quantizers
+at 4 and 6 bits; the model and loss trace of each land in
+``<model>/qat_scan<bits>``.
 
 The printout, one ``sha256  path`` line per file in path order, leaves the
 manifest's ``generated_at`` out and depends only on the ``fixflow`` that
@@ -134,6 +137,28 @@ def build(out):
             fh.write(serialize_model(trainer.scan_precisions(jet, features, bits)))
         fixflow(out, f"jet_scan{bits}/emulate", "emulate", "--model", path, "--data", rows)
         fixflow(out, f"jet_scan{bits}/emulate_taps", "emulate", "--model", path, "--data", rows, "--taps")
+
+    # QAT with the scan's weight and activation quantizers, on the grids
+    # scan_precisions assigns to the float baseline: the models and loss
+    # traces pin the training byte for byte, and the scan.csv accuracies
+    # only coarsely.
+    data = trainer.synthetic_task(seed=7, n_samples=400)  # DATA
+    cfg = trainer.TrainingConfig(epochs=2, batch_size=32)  # TRAIN
+    for name, graph in (("jet_init", trainer.build_classifier(16, [64, 32, 32], 5)), ("bn_init", models["bn_init"])):
+        float_model, _ = trainer.train(graph, data, cfg)
+        for bits in (4, 6):
+            ptq = trainer.scan_precisions(float_model, data.features, bits)
+            quantizers = {node.name: trainer.QuantizerSpec(bits, node.precision.weight.integer_bits)
+                          for node in ptq.nodes if node.kind == "dense"}
+            activations = {node.name: trainer.QuantizerSpec(bits, node.precision.result.integer_bits)
+                           for node in ptq.nodes if node.kind != "softmax"}
+            model, trace = trainer.train_qat(float_model, data, trainer.TrainingConfig(
+                epochs=2, batch_size=32, quantizers=quantizers, activation_quantizers=activations))
+            path = os.path.join(out, name, f"qat_scan{bits}")
+            os.makedirs(path)
+            with open(os.path.join(path, "model.json"), "w") as fh:
+                fh.write(serialize_model(model))
+            trainer.write_loss_trace(trace, os.path.join(path, "loss_trace.csv"))
 
 
 def digests(out):

@@ -290,6 +290,20 @@ class TestEmulate:
         assert "found labels [0]" in err
         assert not trained and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bits", "4..2"], "bit_widths (--bits) holds no width"),
+        (["--bits", "4", "--fixed-eval-limit", "-5"],
+         "fixed_eval_limit (--fixed-eval-limit) is -5, it must be at least 1"),
+        (["--bits", "4", "--fixed-eval-limit", "0"],
+         "fixed_eval_limit (--fixed-eval-limit) is 0, it must be at least 1"),
+    ])
+    def test_scan_rejects_no_widths_and_limits_below_one(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("the float baseline trained"))
+        assert run(["scan", "--model", "arch:16x4x5", "--data", "synthetic:7:50", "--out", str(tmp_path / "o"),
+                    "--epochs", "1", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestTimedStages:
     def test_info_logs_each_stage(self, ref_model_path, tmp_path, caplog):

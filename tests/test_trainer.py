@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -281,6 +282,143 @@ class TestFakeQuant:
         for a, b in zip(got.nodes, want.nodes):
             for key in a.params:
                 assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
+
+
+def _unfused_relu(q_in, q_out):
+    """The three layers that ``_QuantRelu(q_in, q_out)`` stands for."""
+    return [trainer._FakeQuant("dense", q_in), trainer._Relu(SimpleNamespace(name="relu")),
+            trainer._FakeQuant("relu", q_out)]
+
+
+class TestQuantRelu:
+    """The fused fake-quant -> ReLU -> fake-quant layer, byte for byte
+    against the three layers it replaces, and the grids it fuses."""
+
+    @staticmethod
+    def nested_cases():
+        """(bits, integer bits) of q_in and of q_out, with q_out's step at most
+        q_in's: equal widths with equal or fewer integer bits (the scan's
+        case, hi_out <= hi_in) and a mixed width for each width 1..64."""
+        rng = make_rng(13)
+        cases = []
+        for bits in range(1, 65):
+            int_in, bits_out = int(rng.integers(-6, 10)), int(rng.integers(1, 65))
+            cases += [((bits, int_in), (bits, int_in)),
+                      ((bits, int_in), (bits, int_in - int(rng.integers(1, 6)))),
+                      ((bits, int_in), (bits_out, int_in - bits + bits_out - int(rng.integers(0, 4))))]
+        return cases
+
+    @staticmethod
+    def run_both(q_in, q_out, x):
+        """Forward and backward through ``_QuantRelu`` and through the
+        unfused layers: ``(fused, unfused)``, each ``(value, mask, dx)``."""
+        dy = np.arange(1.0, x.size + 1) * np.where(np.arange(x.size) % 2, -1.0, 1.0)
+        fused, layers = trainer._QuantRelu("relu", q_in, q_out), _unfused_relu(q_in, q_out)
+        value = x
+        for layer in layers:
+            value = layer.forward(value, True)
+        dx = dy.copy()
+        for layer in reversed(layers):
+            dx = layer.backward(dx)
+        mask = layers[0]._mask & layers[1]._mask & layers[2]._mask
+        return ((fused.forward(x, True), fused._mask, fused.backward(dy.copy())), (value, mask, dx))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_equals_unfused_layers_on_edge_inputs(self, alpha):
+        narrower = 0
+        for i, ((bits_in, int_in), (bits_out, int_out)) in enumerate(self.nested_cases()):
+            q_in, q_out = QuantizerSpec(bits_in, int_in, alpha), QuantizerSpec(bits_out, int_out, alpha)
+            assert trainer._nested(q_in, q_out)
+            narrower += q_out._limits[1] < q_in._limits[1]
+            x = np.concatenate([TestFakeQuant.edge_inputs(q_in, 2 * i), TestFakeQuant.edge_inputs(q_out, 2 * i + 1)])
+            (value, mask, dx), (want_value, want_mask, want_dx) = self.run_both(q_in, q_out, x)
+            case = (alpha, bits_in, int_in, bits_out, int_out)
+            assert value.tobytes() == want_value.tobytes(), case
+            assert mask.dtype == bool and mask.tolist() == want_mask.tolist(), case
+            assert dx.tobytes() == want_dx.tobytes(), case
+        assert narrower >= 64  # hi_out < hi_in, where the clamp takes hi_out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_three_quarter_alpha_is_not_nested(self):
+        # 0.75 * 2**-k is no power of two: at 53 bits a grid value / step
+        # rounds, and the fused layer would differ from the unfused ones.
+        q = QuantizerSpec(53, 3, 0.75)
+        assert not trainer._nested(q, q)
+        (value, *_), (want, *_) = self.run_both(q, q, TestFakeQuant.edge_inputs(q, 53))
+        assert value.tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("case, fused", [
+        ("nested", True), ("equal_grids", True), ("bn_quantized", True), ("wider_out", False),
+        ("alpha_0.75", False), ("alphas_differ", False), ("binary", False), ("ternary", False),
+        ("no_quantizer_in", False), ("no_quantizer_out", False), ("bn_between", False)])
+    def test_fuses_only_nested_grids(self, case, fused):
+        model = build_classifier(2, [4], 2, seed=0, batch_norm=case.startswith("bn"))
+        act = {"bn0" if case == "bn_quantized" else "dense0": QuantizerSpec(6, 3),
+               "relu0": QuantizerSpec(6, 3 if case == "equal_grids" else 2)}
+        act.update({
+            "wider_out": {"relu0": QuantizerSpec(6, 4)},
+            "alpha_0.75": {"dense0": QuantizerSpec(6, 3, 0.75), "relu0": QuantizerSpec(6, 2, 0.75)},
+            "alphas_differ": {"relu0": QuantizerSpec(6, 2, 2.0)},
+            "binary": {"dense0": QuantizerSpec(1, mode="binary")},
+            "ternary": {"relu0": QuantizerSpec(2, mode="ternary")},
+        }.get(case, {}))
+        act.pop({"no_quantizer_in": "dense0", "no_quantizer_out": "relu0"}.get(case), None)
+        net = trainer._Net(model, TrainingConfig(activation_quantizers=act))
+        kinds = [type(layer) for layer in net.layers]
+        assert (trainer._QuantRelu in kinds) == fused
+        assert (trainer._Relu in kinds) != fused
+
+    @pytest.mark.parametrize("optimizer", ["flat", "parameter_loop"])
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_scan_training_equals_unfused(self, monkeypatch, optimizer, batch_norm):
+        data = synthetic_task(seed=7, n_samples=160, sample_seed=5)
+        model = build_classifier(16, [12, 8], 5, seed=2, batch_norm=batch_norm)
+        if optimizer == "parameter_loop":
+            monkeypatch.setattr(trainer, "_Optimizer", _ParameterLoopOptimizer)
+        for bits in range(4, 9):
+            ptq = trainer.scan_precisions(model, data.features, bits)
+            cfg = TrainingConfig(epochs=2, batch_size=32, seed=bits, quantizers={
+                node.name: QuantizerSpec(bits, node.precision.weight.integer_bits)
+                for node in ptq.nodes if node.kind == "dense"}, activation_quantizers={
+                node.name: QuantizerSpec(bits, node.precision.result.integer_bits)
+                for node in ptq.nodes if node.kind != "softmax"})
+            assert [type(layer) for layer in trainer._Net(model, cfg).layers].count(trainer._QuantRelu) == 2
+            got, got_trace = train_qat(model, data, cfg)
+            with monkeypatch.context() as unfused:
+                unfused.setattr(trainer, "_nested", lambda q_in, q_out: False)
+                want, want_trace = train_qat(model, data, cfg)
+            assert got_trace == want_trace, bits
+            for a, b in zip(got.nodes, want.nodes):
+                for key in a.params:
+                    assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (bits, a.name)
+
+
+class TestScan:
+    def test_widths_share_one_float_forward_over_training_rows(self, monkeypatch, tmp_path):
+        train_data = synthetic_task(seed=7, n_samples=120, sample_seed=1)
+        eval_data = synthetic_task(seed=7, n_samples=60, sample_seed=2)
+        model = build_classifier(16, [8], 5, seed=1)
+        cfg = TrainingConfig(epochs=2, batch_size=32, seed=3)
+        float_model, _ = train(model, train_data, cfg)
+        forward, rows_seen = trainer._forward_layers, []
+
+        def counted(graph, x):
+            rows_seen.append(len(x))
+            return forward(graph, x)
+
+        monkeypatch.setattr(trainer, "_forward_layers", counted)
+        _, rows = trainer.ptq_qat_scan(model, train_data, eval_data, range(4, 9), cfg,
+                                       fixed_eval_limit=50, float_model=float_model)
+        assert rows_seen.count(len(train_data)) == 1
+        # A one-width scan finds the extremes for its width alone, as every
+        # width of a longer scan once did.
+        alone = [row for bits in range(4, 9) for row in trainer.ptq_qat_scan(
+            model, train_data, eval_data, [bits], cfg, fixed_eval_limit=50, float_model=float_model)[1]]
+        assert rows_seen.count(len(train_data)) == 6
+        trainer.write_scan_csv(rows, tmp_path / "together.csv")
+        trainer.write_scan_csv(alone, tmp_path / "alone.csv")
+        assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 class TestQat:
