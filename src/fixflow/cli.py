@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import codegen, estimator, kernels, passes, profiler, pruning, trainer
-from .model_ir import ModelGraph, Tensor, parse_model, serialize_model, validate
+from .model_ir import ModelGraph, Tensor, open_output, parse_model, serialize_model, validate
 
 log = logging.getLogger("fixflow")
 
@@ -122,7 +122,7 @@ def _out_dir(args) -> str:
 
 
 def _write_text(path, text):
-    with timed(f"write {path}"), open(path, "w") as fh:
+    with timed(f"write {path}"), open_output(path) as fh:
         fh.write(text)
 
 
@@ -256,11 +256,10 @@ def cmd_emulate(args, config):
                          "so emulation would ignore the input rows")
     with timed(f"load {args.data}"):
         rows = _load_input_rows(args.data, args.seed)
-    if rows.ndim != 2 or rows.shape[1] != graph.input_width:
-        raise ValueError(
-            f"inputs have {rows.shape[-1] if rows.size else 0} values per row, "
-            f"model expects {graph.input_width}"
-        )
+    if not len(rows):
+        raise ValueError(f"{args.data}: no input rows")
+    if rows.shape[1] != graph.input_width:
+        raise ValueError(f"inputs have {rows.shape[1]} values per row, model expects {graph.input_width}")
     with timed("materialize"):
         graph = kernels.materialize_quantized(graph)
         quantized = Tensor.from_numpy(rows).quantized(graph.nodes[0].precision.result)

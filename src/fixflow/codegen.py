@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
 from .kernels import compress_coo, materialize_quantized, sign_levels
-from .model_ir import ModelGraph, serialize_model, walk
+from .model_ir import ModelGraph, open_output, serialize_model, walk
 
 TOOL_VERSION = __version__
 
@@ -67,13 +68,12 @@ class ProjectTree:
         raise KeyError(path)
 
     def write_to(self, out_dir):
-        import os
-
-        manifest_text = json.dumps(self.manifest, indent=2) + "\n"
-        for path, text in self.files + (("manifest.json", manifest_text),):
+        files = self.files + (("manifest.json", json.dumps(self.manifest, indent=2) + "\n"),)
+        for folder in {os.path.dirname(path) for path, _ in files}:
+            os.makedirs(os.path.join(out_dir, folder), exist_ok=True)
+        for path, text in files:
             full = os.path.join(out_dir, path)
-            os.makedirs(os.path.dirname(full) or out_dir, exist_ok=True)
-            with open(full, "w") as fh:
+            with open_output(full) as fh:
                 fh.write(text)
             if path.endswith(".sh"):
                 os.chmod(full, 0o755)

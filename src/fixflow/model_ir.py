@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -538,3 +541,19 @@ def _dump(obj, pad: str, parts: list) -> None:
     else:
         parts.append(json.dumps(obj, separators=(sep, ": "))[1:-1])
     parts.append("\n" + pad + brackets[1])
+
+
+@contextmanager
+def open_output(path, newline=None):
+    """``open(path, "w", newline=newline)`` for every file the program writes, but an
+    existing file is overwritten in place and cut to its new end on close, even on error:
+    truncating it to zero first frees its blocks, which on ext4 costs more than the write.
+    Bytes, inode, mode and symlink following are those of ``open``; pipes and devices,
+    which ``open`` does not truncate either, are not cut."""
+    with open(path, "w", newline=newline,
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
-from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, walk
+from .fixed_point import MAX_SPEC_WIDTH, ROUND_HALF_UP, SATURATE, FixedPointSpec
+from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, open_output, walk
 from . import kernels
 
 BN_MOMENTUM = 0.9
@@ -234,7 +234,7 @@ def load_csv_dataset(path) -> Dataset:
 
 def _write_csv(path, header, rows):
     """Write a CSV artifact: the header row, then each row of cells."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -820,13 +820,17 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     configuration (half the epochs, half the learning rate), snaps the
     weights, and is evaluated the same way. Accuracies are relative to the
     real-arithmetic float baseline on the same samples. Returns
-    (baseline EvalReport, [ScanRow ...]). An empty ``bit_widths`` or a
-    ``fixed_eval_limit`` below 1 raises ValueError, and evaluation rows
-    that ``check_labels`` rejects raise EvaluationError, before any training.
+    (baseline EvalReport, [ScanRow ...]). An empty ``bit_widths``, a width
+    outside 1..MAX_SPEC_WIDTH or a ``fixed_eval_limit`` below 1 raises
+    ValueError, and evaluation rows that ``check_labels`` rejects raise
+    EvaluationError, before any training.
     """
     bit_widths = [int(bits) for bits in bit_widths]
     if not bit_widths:
         raise ValueError("bit_widths (--bits) holds no width")
+    for bits in bit_widths:
+        if not 1 <= bits <= MAX_SPEC_WIDTH:
+            raise ValueError(f"bit_widths (--bits) holds {bits}, a width must be in 1..{MAX_SPEC_WIDTH}")
     if fixed_eval_limit < 1:
         raise ValueError(f"fixed_eval_limit (--fixed-eval-limit) is {fixed_eval_limit}, it must be at least 1")
     subset = Dataset(eval_data.features[:fixed_eval_limit],

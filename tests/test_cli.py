@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -46,9 +47,9 @@ class TestConvert:
         assert report["model"]["hash"] == hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
 
     def test_input_file_not_mutated(self, ref_model_path, tmp_path):
-        before = open(ref_model_path).read()
+        before = Path(ref_model_path).read_text()
         run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o")])
-        assert open(ref_model_path).read() == before
+        assert Path(ref_model_path).read_text() == before
 
 
 class TestExitCodes:
@@ -194,6 +195,22 @@ class TestEmulate:
             outs.append((out / "outputs.txt").read_text())
         assert outs[0] == outs[1]
 
+    def test_rewrite_into_one_out_gives_the_bytes_of_a_fresh_run(self, tmp_path):
+        model = trainer.build_classifier(4, [6], 3, seed=2)
+        path = tmp_path / "m.json"
+        path.write_text(serialize_model(model))
+        many, few = tmp_path / "many.txt", tmp_path / "few.txt"
+        many.write_text("0.5 -0.25 1.0 0.125\n1 2 3 4\n-1 -2 -3 -4\n")
+        few.write_text("1 2 3 4\n")
+        for data, out in ((many, "shared"), (few, "shared"), (few, "fresh")):
+            assert run(["emulate", "--model", str(path), "--data", str(data),
+                        "--out", str(tmp_path / out), "--taps"]) == 0
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert tree(tmp_path / "shared") == tree(tmp_path / "fresh")
+
     def test_input_width_checked(self, tmp_path):
         model = trainer.build_classifier(4, [6], 3, seed=2)
         path = tmp_path / "m.json"
@@ -223,6 +240,7 @@ class TestEmulate:
         ("1 2\n\n1 nan\n", 3, "non-finite value"),
         ("1 inf\n", 1, "non-finite value"),
         ("1 -inf\n", 1, "non-finite value"),
+        ("", None, "no input rows"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, rows, line, message):
         path = write_doc(tmp_path, [{"name": "r", "kind": "relu"}])
@@ -231,7 +249,8 @@ class TestEmulate:
         assert run(["emulate", "--model", path, "--data", str(data),
                     "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {data}:{line}: ") and message in err, err
+        where = data if line is None else f"{data}:{line}"
+        assert err.startswith(f"error: {where}: ") and message in err, err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "outputs.txt").exists()
 
@@ -302,6 +321,15 @@ class TestEmulate:
         assert run(["scan", "--model", "arch:16x4x5", "--data", "synthetic:7:50", "--out", str(tmp_path / "o"),
                     "--epochs", "1", *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bits", ["0", "65", "4,65"])
+    def test_scan_rejects_widths_outside_the_spec_range(self, tmp_path, capsys, monkeypatch, bits):
+        monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("the float baseline trained"))
+        assert run(["scan", "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(tmp_path / "o"),
+                    "--epochs", "1", "--bits", bits]) == 1
+        width = bits.split(",")[-1]
+        assert capsys.readouterr().err == f"error: bit_widths (--bits) holds {width}, a width must be in 1..64\n"
         assert not (tmp_path / "o").exists()
 
 

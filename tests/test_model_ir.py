@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from fixflow import trainer
 from fixflow.fixed_point import FixedPointValue
 from fixflow.kernels import run_inference
 from fixflow.model_ir import (
@@ -12,6 +14,7 @@ from fixflow.model_ir import (
     PrecisionSet,
     Tensor,
     ValidationError,
+    open_output,
     parse_model,
     serialize_model,
     topo_order,
@@ -415,3 +418,65 @@ class TestQuantized:
 
         with pytest.raises(ValueError):
             Tensor((3,), (0.5, bad, 1.0)).quantized(FixedPointSpec(16, 8))
+
+
+def write(path, text):
+    with open_output(path) as fh:
+        fh.write(text)
+
+
+class TestOpenOutput:
+    def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write(path, "a much longer first text\n" * 50)
+        write(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write(path, "first\n")
+        path.chmod(0o640)
+        before = path.stat()
+        write(path, "second, longer\n")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert path.read_text() == "second, longer\n"
+
+    def test_new_file_mode_is_that_of_open_under_the_umask(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            with open(tmp_path / "by_open.txt", "w") as fh:
+                fh.write("x")
+            write(tmp_path / "by_helper.txt", "x")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "by_helper.txt").stat().st_mode == (tmp_path / "by_open.txt").stat().st_mode
+
+    def test_symlink_updates_its_target(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old target text, longer than the new\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        write(link, "new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+
+    def test_device_is_written_not_cut(self, tmp_path):
+        link = tmp_path / "discard.txt"
+        link.symlink_to(os.devnull)
+        write(link, "thrown away\n")
+        assert link.is_symlink()
+
+    def test_error_inside_the_block_cuts_at_what_was_written(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write(path, "old text that must not survive\n")
+        with pytest.raises(RuntimeError):
+            with open_output(path) as fh:
+                fh.write("new\n")
+                raise RuntimeError("stopped while writing")
+        assert path.read_text() == "new\n"
+
+    def test_csv_rows_keep_crlf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        trainer._write_csv(path, ["a", "b"], [[1, 2], [3, 4], [5, 6]])
+        trainer._write_csv(path, ["a", "b"], [[7, 8]])
+        assert path.read_bytes() == b"a,b\r\n7,8\r\n"
