@@ -19,6 +19,7 @@ bundled 16-feature 5-class task.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import functools
 import json
 import logging
@@ -271,8 +272,11 @@ def cmd_emulate(args, config):
     if args.taps:
         tap_dir = os.path.join(out, "taps")
         os.makedirs(tap_dir, exist_ok=True)
-        for idx, tap in enumerate(taps):
-            _write_rows(os.path.join(tap_dir, f"tap_{idx:02d}_{tap.layer}.txt"), tap.output)
+        names = [f"tap_{idx:02d}_{tap.layer}.txt" for idx, tap in enumerate(taps)]
+        for name, tap in zip(names, taps):
+            _write_rows(os.path.join(tap_dir, name), tap.output)
+        for stale in set(fnmatch.filter(os.listdir(tap_dir), "tap_*.txt")) - set(names):
+            os.remove(os.path.join(tap_dir, stale))  # an earlier run's tap
     print(f"emulated {len(rows)} inputs")
     return 0
 

@@ -12,13 +12,13 @@ arithmetic, so results are exact and platform independent:
 
 ``integer_bits`` may be negative or exceed ``width_bits`` (pure-fraction
 and pure-integer formats), following the ``ap_fixed`` convention.
-User-facing widths are capped at 64 bits; exact products of two such
-values may be up to 128 bits wide and are represented with the same
-machinery. ``apply_overflow_array`` and ``cast_raw_array`` state the
-overflow and cast rules once, for a Python int or for every element of an
-int64 or object (Python int) array of raws; ``round_scaled`` states the
-rounding rule on float64 reals already scaled onto the raw grid. The
-scalar API is ``quantize`` and ``FixedPointValue`` only.
+No spec is wider than 64 bits; exact products of two raws, up to 128
+bits wide, stay exact as Python ints. ``apply_overflow_array`` and
+``cast_raw_array`` state the overflow and cast rules once, for a Python
+int or for every element of an int64 or object (Python int) array of
+raws; ``round_scaled`` states the rounding rule on float64 reals already
+scaled onto the raw grid. The scalar API is ``quantize`` and
+``FixedPointValue`` only.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ WRAP = "wrap"
 SATURATE = "saturate"
 
 MAX_SPEC_WIDTH = 64
-# Exact products of two <=64-bit operands.
-_MAX_INTERNAL_WIDTH = 2 * MAX_SPEC_WIDTH
 
 
 def int_dtype(*bounds):
@@ -55,8 +53,8 @@ class FixedPointSpec:
     overflow: str = WRAP
 
     def __post_init__(self):
-        if not 1 <= self.width_bits <= _MAX_INTERNAL_WIDTH:
-            raise ValueError(f"width_bits must be in 1..{_MAX_INTERNAL_WIDTH}, got {self.width_bits}")
+        if not 1 <= self.width_bits <= MAX_SPEC_WIDTH:
+            raise ValueError(f"width_bits must be in 1..{MAX_SPEC_WIDTH}, got {self.width_bits}")
         if self.rounding not in (TRUNCATE, ROUND_HALF_UP):
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
         if self.overflow not in (WRAP, SATURATE):
@@ -188,12 +186,13 @@ def round_scaled(y: np.ndarray, rounding: str) -> np.ndarray:
     y - floor(y) >= 0.5, computed as floor(2y) - floor(y), which is exact:
     2y is, and so is the difference of the two integer-valued floors.
     (floor(y + 0.5) is not: 0.5 - 2**-54 plus 0.5 rounds to 1.) Overflow
-    is the caller's.
+    is the caller's. Round-half-up overwrites ``y``.
     """
     if rounding != ROUND_HALF_UP:
         return np.floor(y)
-    raws = np.floor(2.0 * y)
-    raws -= np.floor(y)
+    raws = np.multiply(y, 2.0)
+    np.floor(raws, out=raws)
+    raws -= np.floor(y, out=y)
     return raws
 
 

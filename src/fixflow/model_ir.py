@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fixed_point import (MAX_SPEC_WIDTH, TRUNCATE, FixedPointSpec, FixedPointValue,
+from .fixed_point import (TRUNCATE, FixedPointSpec, FixedPointValue,
                           apply_overflow_array, quantize, round_scaled)
 
 FORMAT_VERSION = "1"
@@ -422,10 +422,6 @@ def _check_layer(node: LayerNode, in_width: int, diags: list):
             bad("compression", "compression is only valid on dense layers")
         if node.reuse_factor != 1:
             bad("reuse_factor", "reuse_factor is only configurable on dense layers")
-    for slot in PrecisionSet.SLOTS:
-        spec = getattr(node.precision, slot)
-        if spec.width_bits > MAX_SPEC_WIDTH:
-            bad("precision", f"{slot} width {spec.width_bits} exceeds {MAX_SPEC_WIDTH}")
 
     if node.kind == "input":
         value = node.params.get("value")

@@ -198,7 +198,7 @@ def prune_iterative(model: ModelGraph, data, schedule: PruneSchedule,
         deployed = graph
         bits = None
         if schedule.method == "qap":
-            # History reflects the deployed model: weights snapped to the grid.
+            # History reflects the deployed model: weights on the quantizer grid.
             deployed = _trainer.quantize_model_weights(graph, cfg.quantizers)
             if isinstance(cfg.quantizers, _trainer.QuantizerSpec):
                 bits = cfg.quantizers.bits

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import MAX_SPEC_WIDTH, ROUND_HALF_UP, SATURATE, FixedPointSpec
+from .fixed_point import MAX_SPEC_WIDTH, ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
 from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, open_output, walk
 from . import kernels
 
@@ -55,8 +55,8 @@ class QuantizerSpec:
     """Weight quantizer: values live on alpha * fixed<bits,integer_bits> grid.
 
     The fixed mode rounds half up and saturates onto ``spec``,
-    fixed<bits,integer_bits,rnd,sat>, by the rounding rule of
-    ``Tensor.quantized``: with alpha = 1 it equals ``Tensor.quantized(spec)``.
+    fixed<bits,integer_bits,rnd,sat>, through ``round_scaled`` as
+    ``Tensor.quantized`` does: with alpha = 1 it equals ``Tensor.quantized(spec)``.
     binary maps to {-alpha, +alpha} (sign(0) = +1) and ternary to
     {-alpha, 0, +alpha} with a dead band of alpha/2 around zero; their bit
     counts are fixed at 1 and 2.
@@ -74,8 +74,8 @@ class QuantizerSpec:
             object.__setattr__(self, "bits", 1)
         elif self.mode == "ternary":
             object.__setattr__(self, "bits", 2)
-        if self.bits < 1:
-            raise ValueError("quantizer bits must be >= 1")
+        if not 1 <= self.bits <= MAX_SPEC_WIDTH:
+            raise ValueError(f"quantizer bits (--bits) is {self.bits}, it must be in 1..{MAX_SPEC_WIDTH}")
         if self.alpha <= 0:
             raise ValueError("quantizer alpha must be > 0")
         # The fixed mode's grid, the real value of one raw step on it (alpha
@@ -107,16 +107,6 @@ class QuantizerSpec:
         return _fixed_fake_quant(x, self._step, *self._limits)
 
 
-def _on_grid(x, step):
-    """x / step rounded half up by ``round_scaled``'s rule, times the step."""
-    y = x / step
-    values = np.multiply(y, 2.0)  # floor(2y) - floor(y), in place
-    np.floor(values, out=values)
-    values -= np.floor(y, out=y)
-    values *= step
-    return values
-
-
 def _nested(q_in, q_out):
     """Whether every value on ``q_in``'s grid, past a ReLU, is on ``q_out``'s:
     both fixed mode with one power-of-two alpha, so both steps are powers
@@ -138,7 +128,8 @@ def _fixed_fake_quant(x, step, lo, hi):
     rounding would not: where x / step overflows, the value is NaN, and
     that clamp would give the limit.
     """
-    values = _on_grid(x, step)
+    values = round_scaled(x / step, ROUND_HALF_UP)
+    values *= step
     np.maximum(values, lo, out=values)
     np.minimum(values, hi, out=values)
     mask = x >= lo
@@ -416,7 +407,8 @@ class _QuantRelu(_Masked):
         self._hi = min(self._hi_in, self._hi_out)
 
     def forward(self, x, training):
-        values = _on_grid(x, self._step)
+        values = round_scaled(x / self._step, ROUND_HALF_UP)
+        values *= self._step
         self._mask = values <= self._hi_out
         self._mask &= x <= self._hi_in
         np.maximum(values, 0.0, out=values)
@@ -430,7 +422,6 @@ class _Net:
 
     def __init__(self, graph: ModelGraph, cfg: TrainingConfig):
         self.layers = []
-        self.has_softmax = False
         act_quant = cfg.activation_quantizers or {}
         for node, _, _, width in walk(graph):
             if node.kind == "dense":
@@ -441,7 +432,6 @@ class _Net:
             elif node.kind == "relu":
                 self.layers.append(_Relu(node))
             elif node.kind == "softmax":
-                self.has_softmax = True
                 continue
             elif node.kind != "input":
                 raise ValueError(f"layer {node.name!r}: kind {node.kind!r} is not trainable")
@@ -557,37 +547,23 @@ class _Optimizer:
         self.step_count = 0
         self.m = np.zeros_like(net.theta)
         self.v = np.zeros_like(net.theta)
-        # The gradient and a temporary, written in place every step.
-        self.g, self.t = np.empty_like(net.theta), np.empty_like(net.theta)
-        self.masked = [layer for layer in net.dense_layers() if layer.mask is not None]
 
     def step(self, net: _Net):
-        """theta -= lr * g (SGD) or lr * mhat / (sqrt(vhat) + eps) (Adam),
-        each operation in that order, into the preallocated arrays."""
+        """One update of every parameter. A pruned master stays at zero: its
+        gradient entries are masked to zero, so the update subtracts zero."""
         cfg = self.cfg
         self.step_count += 1
-        g, t = self.g, self.t
-        np.concatenate([grad() for grad in net.grads], axis=None, out=g)
+        g = np.concatenate([grad() for grad in net.grads], axis=None)
         if cfg.optimizer == "sgd":
-            g *= cfg.learning_rate
-            net.theta -= g
+            net.theta -= cfg.learning_rate * g
         else:
-            m, v = self.m, self.v
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1 - ADAM_BETA1, out=t)
-            v *= ADAM_BETA2
-            np.multiply(g, 1 - ADAM_BETA2, out=t)
-            t *= g
-            v += t
-            np.divide(m, 1 - ADAM_BETA1 ** self.step_count, out=t)  # mhat
-            np.divide(v, 1 - ADAM_BETA2 ** self.step_count, out=g)  # vhat
-            t *= cfg.learning_rate
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            t /= g
-            net.theta -= t
-        for layer in self.masked:
-            layer.w *= layer.mask
+            self.m *= ADAM_BETA1
+            self.m += (1 - ADAM_BETA1) * g
+            self.v *= ADAM_BETA2
+            self.v += (1 - ADAM_BETA2) * g * g
+            mhat = self.m / (1 - ADAM_BETA1 ** self.step_count)
+            vhat = self.v / (1 - ADAM_BETA2 ** self.step_count)
+            net.theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -817,8 +793,8 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     assigns the scan precision configuration to the baseline and
     evaluates it under bit-accurate fixed arithmetic; QAT fine-tunes the
     baseline with the weight and activation quantizers of that
-    configuration (half the epochs, half the learning rate), snaps the
-    weights, and is evaluated the same way. Accuracies are relative to the
+    configuration (half the epochs, half the learning rate), and is
+    evaluated the same way. Accuracies are relative to the
     real-arithmetic float baseline on the same samples. Returns
     (baseline EvalReport, [ScanRow ...]). An empty ``bit_widths``, a width
     outside 1..MAX_SPEC_WIDTH or a ``fixed_eval_limit`` below 1 raises
@@ -857,11 +833,11 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
         qat_cfg = replace(qat_cfg_base, quantizers=quantizers,
                           activation_quantizers=act_quantizers)
         qat_model, _ = train_qat(float_model, train_data, qat_cfg)
-        # Deploy under the same per-layer assignment the quantizers came from.
-        snapped = quantize_model_weights(qat_model, quantizers)
-        deployed = snapped.replace_nodes([
+        # Deploy under the same per-layer assignment the quantizers came
+        # from: materializing rounds the masters onto their quantizers' grids.
+        deployed = qat_model.replace_nodes([
             replace(node, precision=ptq_model.node(node.name).precision)
-            for node in snapped.nodes
+            for node in qat_model.nodes
         ])
         qat = evaluate(deployed, subset, arithmetic="fixed")
         rows.append(ScanRow(bits, ptq.accuracy / baseline.accuracy,

@@ -155,7 +155,7 @@ def build(out):
             model, trace = trainer.train_qat(float_model, data, trainer.TrainingConfig(
                 epochs=2, batch_size=32, quantizers=quantizers, activation_quantizers=activations))
             path = os.path.join(out, name, f"qat_scan{bits}")
-            os.makedirs(path)
+            os.makedirs(path, exist_ok=True)
             with open(os.path.join(path, "model.json"), "w") as fh:
                 fh.write(serialize_model(model))
             trainer.write_loss_trace(trace, os.path.join(path, "loss_trace.csv"))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fixflow import cli
+from fixflow import cli, profiler
 from fixflow.cli import run
 from fixflow.model_ir import parse_model, serialize_model
 from fixflow import trainer
@@ -141,6 +141,48 @@ class TestMalformedDocuments:
         err = self.run_failing(tmp_path, capsys, layers, "convert")
         assert "$.layers[0].precision.weight" in err and "string" in err
 
+    DENSE = {"weight": {"shape": [2, 2], "data": [0.5, -0.25, 1.0, 0.75]},
+             "bias": {"shape": [2], "data": [0.0, 0.5]}}
+
+    @pytest.mark.parametrize("layer, message", [
+        ({"name": "d", "kind": "dense", "params": DENSE, "reuse_factor": 0},
+         "[d] reuse_factor: must be >= 1, got 0"),
+        ({"name": "r", "kind": "relu", "compression": True},
+         "[r] compression: compression is only valid on dense layers"),
+        ({"name": "r", "kind": "relu", "reuse_factor": 2},
+         "[r] reuse_factor: reuse_factor is only configurable on dense layers"),
+        ({"name": "src", "kind": "input", "params": {"value": {"shape": [3], "data": [1, 2, 3]}}},
+         "[src] shape: constant value has 3 elements, input width is 2"),
+        ({"name": "src", "kind": "input", "params": {"gain": 1.0}},
+         "[src] params: unexpected param 'gain' on input layer"),
+        ({"name": "d", "kind": "dense", "params": {"bias": DENSE["bias"]}},
+         "[d] params: dense layer missing weight"),
+        ({"name": "d", "kind": "dense", "params": dict(DENSE, weight={"shape": [4], "data": [1, 2, 3, 4]})},
+         "[d] shape: dense weight must be 2-D, got shape [4]"),
+        ({"name": "d", "kind": "dense", "params": dict(DENSE, weight={"shape": [2, 3], "data": [1] * 6})},
+         "[d] shape: weight expects 3 inputs but predecessor provides 2"),
+        ({"name": "d", "kind": "dense", "params": {"weight": DENSE["weight"]}},
+         "[d] params: dense layer missing bias"),
+        ({"name": "d", "kind": "dense", "params": dict(DENSE, bias={"shape": [3], "data": [0, 0, 0]})},
+         "[d] shape: bias shape [3] does not match 2 outputs"),
+        ({"name": "bn", "kind": "batch_norm", "params": {k: v for k, v in BN_PARAMS.items() if k != "gamma"}},
+         "[bn] params: batch_norm missing gamma"),
+        ({"name": "bn", "kind": "batch_norm", "params": dict(BN_PARAMS, epsilon={"shape": [2], "data": [1, 1]})},
+         "[bn] shape: epsilon must be a scalar"),
+        ({"name": "bn", "kind": "batch_norm", "params": dict(BN_PARAMS, gamma={"shape": [3], "data": [1, 1, 1]})},
+         "[bn] shape: gamma has 3 channels, expected 2"),
+        ({"name": "bn", "kind": "batch_norm",
+          "params": {"scale": {"shape": [3], "data": [1, 1, 1]}, "shift": 0.0}},
+         "[bn] shape: scale has 3 channels, expected 2"),
+        ({"name": "bt", "kind": "binary_tanh", "params": {"threshold": {"shape": [3], "data": [0, 0, 0]}}},
+         "[bt] shape: threshold has 3 channels, expected 2"),
+        ({"name": "tt", "kind": "ternary_tanh", "params": {"mode": {"shape": [1], "data": [0]}}},
+         "[tt] shape: mode has 1 channels, expected 2"),
+    ])
+    def test_layer_rule_broken(self, tmp_path, capsys, layer, message):
+        err = self.run_failing(tmp_path, capsys, [layer], "convert")
+        assert message in err, err
+
 
 class TestEstimate:
     def test_reuse_sweep_csv(self, tmp_path):
@@ -197,19 +239,23 @@ class TestEmulate:
 
     def test_rewrite_into_one_out_gives_the_bytes_of_a_fresh_run(self, tmp_path):
         model = trainer.build_classifier(4, [6], 3, seed=2)
-        path = tmp_path / "m.json"
-        path.write_text(serialize_model(model))
+        path = str(tmp_path / "m.json")
+        (tmp_path / "m.json").write_text(serialize_model(model))
         many, few = tmp_path / "many.txt", tmp_path / "few.txt"
         many.write_text("0.5 -0.25 1.0 0.125\n1 2 3 4\n-1 -2 -3 -4\n")
         few.write_text("1 2 3 4\n")
-        for data, out in ((many, "shared"), (few, "shared"), (few, "fresh")):
-            assert run(["emulate", "--model", str(path), "--data", str(data),
-                        "--out", str(tmp_path / out), "--taps"]) == 0
 
         def tree(root):
             return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-        assert tree(tmp_path / "shared") == tree(tmp_path / "fresh")
+        # Fewer rows shorten every file; a model with fewer layers leaves
+        # taps of the earlier one, which go.
+        for case, (first, second) in enumerate((((path, many), (path, few)),
+                                                (("arch:4x6x6x3", few), ("arch:4x3", few)))):
+            for (model, data), out in ((first, "shared"), (second, "shared"), (second, "fresh")):
+                assert run(["emulate", "--model", model, "--data", str(data),
+                            "--out", str(tmp_path / f"{out}{case}"), "--taps"]) == 0
+            assert tree(tmp_path / f"shared{case}") == tree(tmp_path / f"fresh{case}")
 
     def test_input_width_checked(self, tmp_path):
         model = trainer.build_classifier(4, [6], 3, seed=2)
@@ -333,6 +379,51 @@ class TestEmulate:
         assert not (tmp_path / "o").exists()
 
 
+class TestProfile:
+    def test_writes_profile_and_coverage(self, ref_model_path, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run(["profile", "--model", ref_model_path, "--out", str(out)]) == 0
+        graph = build_reference_model()
+        report = profiler.profile_weights(graph)
+        coverage = profiler.check_coverage(report, graph)
+        assert json.loads((out / "profile.json").read_text()) == json.loads(json.dumps(report.to_doc()))
+        assert json.loads((out / "coverage.json").read_text()) == [dict(c.__dict__) for c in coverage]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"profiled {len(report.rows)} tensors, {len(coverage)} findings"
+        assert len(lines) == len(coverage) + 1
+
+
+class TestFoldedBatchNorm:
+    """A batch norm that no dense layer absorbs: ``convert`` folds it to
+    scale and shift, and the folded document emulates and estimates as the
+    unfolded one does."""
+
+    def test_emulate_and_estimate_equal_the_unfolded_model(self, tmp_path):
+        layers = [{"name": "bn", "kind": "batch_norm", "params": {
+                      "gamma": {"shape": [2], "data": [1.5, -0.5]}, "beta": {"shape": [2], "data": [0.25, 0.0]},
+                      "moving_mean": {"shape": [2], "data": [0.5, -1.0]},
+                      "moving_variance": {"shape": [2], "data": [4.0, 0.25]}, "epsilon": 0.001}},
+                  {"name": "r", "kind": "relu"},
+                  {"name": "d", "kind": "dense", "params": TestMalformedDocuments.DENSE}]
+        unfolded = write_doc(tmp_path, layers)
+        assert run(["convert", "--model", unfolded, "--out", str(tmp_path / "c")]) == 0
+        folded = str(tmp_path / "c" / "model.json")
+        assert set(parse_model(Path(folded).read_text()).node("bn").params) == {"scale", "shift"}
+        data = tmp_path / "x.txt"
+        data.write_text("0.5 -0.25\n1 2\n-3 0.5\n")
+        results = []
+        for model in (unfolded, folded):
+            out = tmp_path / ("e" + str(len(results)))
+            assert run(["emulate", "--model", model, "--data", str(data), "--out", str(out), "--taps"]) == 0
+            assert run(["estimate", "--model", model, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            taps = sorted((out / "taps").iterdir())
+            results.append(([p.read_text() for p in [out / "outputs.txt", *taps]],
+                            report["resources"], report["timing"]))
+        assert results[0] == results[1]
+        assert [row["layer"] for row in results[0][1]["per_layer"]] == ["bn", "d"]
+
+
 class TestTimedStages:
     def test_info_logs_each_stage(self, ref_model_path, tmp_path, caplog):
         with caplog.at_level("INFO", logger="fixflow"):
@@ -389,11 +480,12 @@ class TestTrainAndScan:
         assert texts[0] == texts[1]
 
     def test_qat_writes_quantized_model(self, tmp_path):
-        out = tmp_path / "q"
-        rc = run(["qat", "--model", "arch:16x8x5", "--data", "synthetic:7:300",
-                  "--out", str(out), "--seed", "3", "--epochs", "5", "--bits", "6"])
-        assert rc == 0
-        assert (out / "model_quantized.json").exists()
+        for bits in ("6", "64"):
+            out = tmp_path / bits
+            rc = run(["qat", "--model", "arch:16x8x5", "--data", "synthetic:7:300",
+                      "--out", str(out), "--seed", "3", "--epochs", "5", "--bits", bits])
+            assert rc == 0
+            assert (out / "model_quantized.json").exists()
 
     def test_prune_csv(self, tmp_path):
         out = tmp_path / "p"
@@ -415,6 +507,16 @@ class TestTrainAndScan:
         rows = read_csv(out / "scan.csv")
         assert rows[0] == ["bits", "ptq_rel_acc", "qat_rel_acc"]
         assert [r[0] for r in rows[1:]] == ["8", "16"]
+
+
+    @pytest.mark.parametrize("command", [["qat"], ["prune", "--method", "qap"]])
+    @pytest.mark.parametrize("bits", ["0", "65"])
+    def test_quantizer_bits_outside_the_spec_range(self, tmp_path, capsys, monkeypatch, command, bits):
+        monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))
+        assert run([*command, "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(tmp_path / "o"),
+                    "--epochs", "1", "--bits", bits]) == 1
+        assert capsys.readouterr().err == f"error: quantizer bits (--bits) is {bits}, it must be in 1..64\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestCodegenCommand:

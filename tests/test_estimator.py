@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixflow import estimator, pruning, trainer
+from fixflow import estimator, passes, pruning, trainer
 from fixflow.estimator import (
     cycles_to_seconds,
     dsp_per_multiply,
@@ -171,6 +171,26 @@ class TestEstimateModel:
             f_p = 1.0 - row.n_mult / (m * n)
             want += pruning.compute_bops(n, m, 16, 16, f_p)
         assert res.bops_total == pytest.approx(want, rel=1e-12)
+
+    def test_batch_norm_row(self):
+        """One multiplier and one accumulator per channel at reuse 1, of the
+        weight width times the incoming width; folded params estimate alike."""
+        c = 3
+        bn = LayerNode("bn", "batch_norm", {
+            "gamma": Tensor.from_numpy([1.0, -2.0, 0.5]), "beta": Tensor.from_numpy(np.zeros(c)),
+            "moving_mean": Tensor.from_numpy(np.zeros(c)), "moving_variance": Tensor.from_numpy(np.ones(c)),
+            "epsilon": Tensor.scalar(1e-3)}, precision=PrecisionSet.from_doc({
+                "weight": "fixed<20,4>", "bias": "fixed<8,4>", "accumulator": "fixed<24,8>",
+                "result": "fixed<8,4>"}, "bn"))
+        g = ModelGraph.chain([LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<10,4>")), bn],
+                             (c,))
+        folded, _ = passes.constant_fold(g)
+        assert set(folded.node("bn").params) == {"scale", "shift"}
+        for graph in (g, folded):
+            res, tim = estimate_model(graph)
+            lut = round(estimator.LUT_PER_ACCUM_BIT * c * 24)  # 20x10 bits take DSPs, not LUTs
+            assert res.per_layer == (estimator.LayerResource("bn", c, c, c * dsp_per_multiply(20, 10), lut, 0.0),)
+            assert tim.per_layer == (estimator.LayerTiming("bn", 1, 1 + estimator.PIPELINE_CONSTANT),)
 
     def test_throughput_formula(self):
         _, tim = estimate_model(mnist_model(reuse=98), clock_mhz=200.0)

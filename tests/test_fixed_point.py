@@ -61,6 +61,13 @@ class TestGrammar:
         with pytest.raises(ValueError):
             spec(bad)
 
+    @pytest.mark.parametrize("width", [0, 65, 128])
+    def test_spec_width_outside_1_to_64_rejected(self, width):
+        # The grammar's limit is the constructor's: no spec is wider.
+        with pytest.raises(ValueError, match=f"width_bits must be in 1..64, got {width}"):
+            FixedPointSpec(width, 1)
+        assert FixedPointSpec(64, 1).max_raw == 2**63 - 1
+
     def test_negative_and_oversized_integer_bits(self):
         assert spec("fixed<4,-2>").fraction_bits == 6
         assert spec("fixed<4,8>").fraction_bits == -4

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fixflow import trainer
+from fixflow import kernels, trainer
 from fixflow.fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
 from fixflow.model_ir import Tensor
 from fixflow.trainer import (
@@ -135,14 +135,15 @@ class _ParameterLoopOptimizer:
 
 class TestOptimizer:
     @pytest.mark.parametrize("case", [
-        "adam", "adam_l1", "sgd", "sgd_l1", "masks", "batch_norm", "qat", "binary", "ternary"])
+        "adam", "adam_l1", "sgd", "sgd_l1", "masks", "sgd_masks", "adam_l1_masks", "batch_norm", "qat",
+        "binary", "ternary"])
     def test_flat_update_equals_parameter_loop(self, monkeypatch, case):
         data = two_blob_data(n=160)
         model = build_classifier(2, [8, 6], 2, seed=3, batch_norm=case == "batch_norm")
         cfg = TrainingConfig(epochs=3, batch_size=32, seed=5, learning_rate=0.05,
                              optimizer="sgd" if case.startswith("sgd") else "adam",
-                             l1_lambda=0.01 if case.endswith("_l1") else 0.0)
-        if case == "masks":
+                             l1_lambda=0.01 if "_l1" in case else 0.0)
+        if case.endswith("masks"):
             rng = make_rng(6)
             cfg = replace(cfg, masks={name: rng.random(w.shape) < 0.6
                                       for name, w in weights_of(model).items()})
@@ -419,6 +420,38 @@ class TestScan:
         trainer.write_scan_csv(rows, tmp_path / "together.csv")
         trainer.write_scan_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_materialized_masters_equal_their_snap(self):
+        """The scan deploys the QAT masters under the scan precisions without
+        snapping them: materializing them gives the raws of materializing
+        their ``quantize_model_weights`` snap, at every width, for random
+        weights, half-step ties and the saturation edges."""
+        rng = make_rng(21)
+        float_model = build_classifier(8, [6], 4, seed=1)
+        features = rng.normal(0.0, 1.0, (30, 8))
+        for bits in range(1, 65):
+            scan = trainer.scan_precisions(float_model, features, bits)
+            quantizers, masters = {}, {}
+            for node in scan.nodes:
+                if node.kind != "dense":
+                    continue
+                q = quantizers[node.name] = QuantizerSpec(bits, node.precision.weight.integer_bits)
+                assert q.spec == node.precision.weight
+                lo, hi = float(q.spec.min_raw), float(q.spec.max_raw)
+                raws = [lo - 1, lo - 0.5, lo, lo + 0.5, -2.5, -0.5, 0.5, 1.5,
+                        hi - 0.5, hi, hi + 0.5, hi + 1, 4 * lo, 4 * hi]
+                shape = node.param("weight").shape
+                raws += list(rng.uniform(1.5 * lo, 1.5 * hi, shape[0] * shape[1] - len(raws)))
+                masters[node.name] = (np.array(raws) * q._step).reshape(shape)
+            deployed = scan.replace_nodes([
+                node.with_params(weight=Tensor.from_numpy(masters[node.name])) if node.name in masters else node
+                for node in scan.nodes])
+            want = kernels.materialize_quantized(quantize_model_weights(deployed, quantizers))
+            got = kernels.materialize_quantized(deployed)
+            for name in masters:
+                a, b = got.node(name).param("weight"), want.node(name).param("weight")
+                assert a.spec == b.spec and a.array.dtype == b.array.dtype
+                assert a.array.tolist() == b.array.tolist(), (bits, name)
 
 
 class TestQat:
