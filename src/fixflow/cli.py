@@ -228,6 +228,7 @@ def cmd_qat(args, config):
 
 def cmd_prune(args, config):
     graph, data, cfg = _training_inputs(args, config)
+    quantizer = _quantizer(args, config)  # checked under every method, used under qap
     method = _METHODS[args.method]
     schedule = pruning.PruneSchedule(
         target_fraction=_pick(args, config, "target_fraction", 0.8),
@@ -236,7 +237,7 @@ def cmd_prune(args, config):
         method=method,
     )
     if method == "qap":
-        cfg = replace(cfg, quantizers=_quantizer(args, config))
+        cfg = replace(cfg, quantizers=quantizer)
     model, state, history = pruning.prune_iterative(graph, data, schedule, cfg)
     out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), serialize_model(model))
@@ -267,26 +268,33 @@ def cmd_emulate(args, config):
     with timed("run_inference"):
         result, taps = kernels.run_inference(graph, quantized, tap_all=args.taps)
     out = _out_dir(args)
-    _write_rows(os.path.join(out, "outputs.txt"), result)
-    _write_rows(os.path.join(out, "inputs_raw.txt"), quantized)
-    if args.taps:
-        tap_dir = os.path.join(out, "taps")
+    texts = {}  # with --taps, the input and last taps are the tensors of these two files
+    _write_rows(os.path.join(out, "outputs.txt"), result, texts)
+    _write_rows(os.path.join(out, "inputs_raw.txt"), quantized, texts)
+    tap_dir = os.path.join(out, "taps")
+    names = [f"tap_{idx:02d}_{tap.layer}.txt" for idx, tap in enumerate(taps)]
+    if taps:
         os.makedirs(tap_dir, exist_ok=True)
-        names = [f"tap_{idx:02d}_{tap.layer}.txt" for idx, tap in enumerate(taps)]
-        for name, tap in zip(names, taps):
-            _write_rows(os.path.join(tap_dir, name), tap.output)
-        for stale in set(fnmatch.filter(os.listdir(tap_dir), "tap_*.txt")) - set(names):
-            os.remove(os.path.join(tap_dir, stale))  # an earlier run's tap
+    for name, tap in zip(names, taps):
+        _write_rows(os.path.join(tap_dir, name), tap.output, texts)
+    listed = os.listdir(tap_dir) if taps or os.path.isdir(tap_dir) else []
+    for stale in set(fnmatch.filter(listed, "tap_*.txt")) - set(names):
+        os.remove(os.path.join(tap_dir, stale))  # an earlier run's tap; a run without --taps writes none
     print(f"emulated {len(rows)} inputs")
     return 0
 
 
-def _write_rows(path, t: Tensor):
-    """Write the raws of a quantized block of rows, or the reals of a real one, one line per row."""
+def _write_rows(path, t: Tensor, texts: dict):
+    """Write the raws of a quantized block of rows, or the reals of a real one, one line per row.
+
+    One %-template formats the block; %d and %r give the bytes of str and repr. ``texts``
+    maps each tensor formatted before to its text, so no tensor is formatted twice.
+    """
     with timed(f"format {path}"):
-        fmt = str if t.is_quantized() else repr
-        text = "".join(" ".join(map(fmt, row)) + "\n" for row in t.array.reshape(-1, t.shape[-1]).tolist())
-    _write_text(path, text)
+        if t not in texts:
+            line = " ".join(["%d" if t.is_quantized() else "%r"] * t.shape[-1]) + "\n"
+            texts[t] = (line * (t.size // t.shape[-1])) % tuple(t.array.tolist())
+    _write_text(path, texts[t])
 
 
 def cmd_estimate(args, config):

@@ -27,7 +27,7 @@ import os
 import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +48,10 @@ MODE_CONST_MINUS = 3
 BATCH_NORM_PARAMS = ("gamma", "beta", "moving_mean", "moving_variance", "epsilon")
 # Constant-folded batch_norm form (see passes.constant_fold).
 BATCH_NORM_FOLDED_PARAMS = ("scale", "shift")
+
+# Specs are immutable, so layers with one precision string share one parse
+# and its cached properties; a string that fails to parse is not cached.
+_spec = lru_cache(maxsize=256)(FixedPointSpec.from_string)
 
 
 class ParseError(ValueError):
@@ -179,7 +183,7 @@ class PrecisionSet:
 
     @classmethod
     def uniform(cls, spec_text: str = DEFAULT_PRECISION) -> "PrecisionSet":
-        spec = FixedPointSpec.from_string(spec_text)
+        spec = _spec(spec_text)
         return cls(spec, spec, spec, spec)
 
     @classmethod
@@ -196,7 +200,7 @@ class PrecisionSet:
                 if not isinstance(text, str):
                     raise ParseError(f"{path}.{slot}: precision must be a string")
                 try:
-                    specs[slot] = FixedPointSpec.from_string(text)
+                    specs[slot] = _spec(text)
                 except ValueError as e:
                     raise ParseError(f"{path}.{slot}: {e}") from None
             for key in doc:

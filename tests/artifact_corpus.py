@@ -14,7 +14,8 @@ and emulate with and without ``--taps``; the two trainable ones also through tra
 and on a CSV file), qat (fixed, binary and ternary quantizers), prune (each method) and scan. The jet model at
 ``trainer.scan_precisions`` for 4 and 8 bits (saturating, round-half-up
 slots with accumulators sized never to clamp) goes through emulate with
-and without ``--taps`` too. Each command's console output and exit code
+and without ``--taps`` too, and so does a dense -> relu model whose
+``fixed<64,2,u>`` relu raws pass 2**63. Each command's console output and exit code
 land in its ``console.txt``. Last, both trainable models train a float
 baseline and then QAT with the scan's weight and activation quantizers
 at 4 and 6 bits; the model and loss trace of each land in
@@ -137,6 +138,21 @@ def build(out):
             fh.write(serialize_model(trainer.scan_precisions(jet, features, bits)))
         fixflow(out, f"jet_scan{bits}/emulate", "emulate", "--model", path, "--data", rows)
         fixflow(out, f"jet_scan{bits}/emulate_taps", "emulate", "--model", path, "--data", rows, "--taps")
+
+    # dense -> relu onto fixed<64,2,u>: relu raws at and above 2**63 are
+    # Python ints in an object array, so their text is pinned too.
+    path = os.path.join(inputs, "u64.json")
+    with open(path, "w") as fh:
+        json.dump({"format_version": "1", "input_shape": [3], "layers": [
+            {"name": "d", "kind": "dense", "precision": {"accumulator": "fixed<64,8>", "result": "fixed<64,8>"},
+             "params": {"weight": {"shape": [2, 3], "data": [1.0, 0.5, -0.25, -1.0, 2.0, 0.125]},
+                        "bias": {"shape": [2], "data": [0.5, -0.75]}}},
+            {"name": "r", "kind": "relu", "precision": "fixed<64,2,u>"}]}, fh)
+    rows = os.path.join(inputs, "u64_rows.txt")
+    write_rows(rows, np.array([[1.5, 0.75, -0.5], [3.0, 0.25, 1.0], [0.1, 2.0, 0.3],
+                               [-1.0, 1.25, 2.5], [2.75, 2.5, -3.0], [1.0, 1.0, 1.0]]))
+    fixflow(out, "u64/emulate", "emulate", "--model", path, "--data", rows)
+    fixflow(out, "u64/emulate_taps", "emulate", "--model", path, "--data", rows, "--taps")
 
     # QAT with the scan's weight and activation quantizers, on the grids
     # scan_precisions assigns to the float baseline: the models and loss

@@ -4,11 +4,13 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fixflow import cli, profiler
 from fixflow.cli import run
-from fixflow.model_ir import parse_model, serialize_model
+from fixflow.fixed_point import FixedPointSpec
+from fixflow.model_ir import Tensor, parse_model, serialize_model
 from fixflow import trainer
 
 from golden_model import build_reference_model
@@ -257,6 +259,37 @@ class TestEmulate:
                             "--out", str(tmp_path / f"{out}{case}"), "--taps"]) == 0
             assert tree(tmp_path / f"shared{case}") == tree(tmp_path / f"fresh{case}")
 
+    def test_plain_run_removes_taps_of_an_earlier_run(self, tmp_path):
+        data, out = tmp_path / "x.txt", tmp_path / "o"
+        data.write_text(" ".join(["0.5"] * 16) + "\n")
+        assert run(["emulate", "--model", "arch:16x6x6x3", "--data", str(data), "--out", str(out), "--taps"]) == 0
+        assert len(list((out / "taps").glob("tap_*.txt"))) == 7
+        (out / "taps" / "notes.txt").write_text("kept\n")
+        assert run(["emulate", "--model", "arch:16x3", "--data", str(data), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "taps").iterdir()) == ["notes.txt"]
+        assert (out / "taps" / "notes.txt").read_text() == "kept\n"
+        assert len((out / "outputs.txt").read_text().split()) == 3
+
+    def test_plain_run_checks_for_taps_once(self, tmp_path, monkeypatch):
+        data, out = tmp_path / "x.txt", tmp_path / "o"
+        data.write_text(" ".join(["0.5"] * 16) + "\n")
+        checks = []
+        for module, name in ((os, "listdir"), (os.path, "isdir")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda path, real=real, name=name: (
+                checks.append(name) if str(path).endswith("taps") else None) or real(path))
+        assert run(["emulate", "--model", "arch:16x3", "--data", str(data), "--out", str(out)]) == 0
+        assert checks == ["isdir"]
+        assert sorted(os.path.basename(p) for p in out.iterdir()) == ["inputs_raw.txt", "outputs.txt"]
+
+    def test_first_and_last_taps_are_the_input_and_output_files(self, tmp_path):
+        data, out = tmp_path / "x.txt", tmp_path / "o"
+        data.write_text("0.5 -0.25 1.0 0.125\n1 2 3 4\n")
+        assert run(["emulate", "--model", "arch:4x6x3", "--data", str(data), "--out", str(out), "--taps"]) == 0
+        taps = sorted((out / "taps").iterdir())
+        assert taps[0].read_bytes() == (out / "inputs_raw.txt").read_bytes()
+        assert taps[-1].read_bytes() == (out / "outputs.txt").read_bytes()
+
     def test_input_width_checked(self, tmp_path):
         model = trainer.build_classifier(4, [6], 3, seed=2)
         path = tmp_path / "m.json"
@@ -447,6 +480,21 @@ class TestTimedStages:
                           *(f"{step} {path}" for path in files for step in ("format", "write"))]
         assert all(r.getMessage().endswith(" ms") for r in caplog.records)
 
+    def test_emulate_logs_one_format_per_file_whether_or_not_its_text_is_shared(self, tmp_path, caplog):
+        # With --taps, the first and last taps reuse the text of inputs_raw.txt and outputs.txt.
+        data = tmp_path / "x.txt"
+        data.write_text("0.5 -0.25 1.0 0.125\n1 2 3 4\n")
+        for taps in ([], ["--taps"]):
+            out = tmp_path / f"o{len(taps)}"
+            caplog.clear()
+            with caplog.at_level("INFO", logger="fixflow"):
+                assert run(["emulate", "--model", "arch:4x6x3", "--data", str(data), "--out", str(out), *taps]) == 0
+            formatted = [r.getMessage().rsplit(": ", 1)[0] for r in caplog.records
+                         if r.getMessage().startswith("format ")]
+            files = [out / "outputs.txt", out / "inputs_raw.txt"] + sorted(out.glob("taps/*"))
+            assert formatted == [f"format {path}" for path in files]
+            assert len(files) == (7 if taps else 2)
+
     def test_silent_and_artifacts_unchanged_without_info(self, ref_model_path, tmp_path, caplog):
         outs = {}
         for level in ("INFO", "WARNING"):
@@ -456,6 +504,42 @@ class TestTimedStages:
             outs[level] = [(tmp_path / level / f).read_bytes() for f in ("model.json", "report.json")]
         assert caplog.records == []
         assert outs["INFO"] == outs["WARNING"]
+
+
+def joined_rows(t):
+    """The row text of the per-row join ``cli._write_rows`` used before its %-templates."""
+    fmt = str if t.is_quantized() else repr
+    return "".join(" ".join(map(fmt, row)) + "\n" for row in t.array.reshape(-1, t.shape[-1]).tolist())
+
+
+class TestRowWriter:
+    @pytest.mark.parametrize("tensor", [
+        Tensor((2, 3), np.array([-32768, -1, 0, 1, 32767, -5]), FixedPointSpec(16, 6)),
+        Tensor((3,), np.array([-(2 ** 63), -7, 2 ** 63 - 1]), FixedPointSpec(64, 2)),
+        Tensor((2, 2), np.array([2 ** 63, 2 ** 64 - 1, 0, 2 ** 63 + 5], dtype=object),
+               FixedPointSpec.from_string("fixed<64,2,u>")),
+        Tensor.from_numpy([[-0.0, 5e-324, 1e300, 0.1], [-1e300, -5e-324, 0.0, -0.1]]),
+        Tensor.from_numpy([-0.0, 5e-324, 1e300, 0.1]),
+        Tensor.from_numpy([[0.1], [-0.0], [1e300]]),
+        Tensor((3, 1), np.array([2 ** 63, 1, 2 ** 64 - 1], dtype=object),
+               FixedPointSpec.from_string("fixed<64,2,u>")),
+        Tensor((1, 4), np.array([-3, 0, 7, -9]), FixedPointSpec(8, 2)),
+        Tensor.from_numpy([[1.5, -2.25, 3.0]]),
+    ], ids=["int64", "int64_extremes", "object_u64", "reals", "reals_1d", "reals_column",
+            "object_column", "one_row", "one_real_row"])
+    def test_bytes_equal_the_per_row_join(self, tmp_path, tensor):
+        texts = {}
+        cli._write_rows(tmp_path / "rows.txt", tensor, texts)
+        assert (tmp_path / "rows.txt").read_bytes() == joined_rows(tensor).encode()
+        assert texts == {tensor: joined_rows(tensor)}
+
+    def test_a_tensor_is_formatted_once(self, tmp_path, monkeypatch):
+        tensor = Tensor((2, 2), np.array([1, -2, 3, -4]), FixedPointSpec(8, 2))
+        texts = {}
+        cli._write_rows(tmp_path / "a.txt", tensor, texts)
+        monkeypatch.setattr(tensor, "array", None)  # a second formatting would fail
+        cli._write_rows(tmp_path / "b.txt", tensor, texts)
+        assert (tmp_path / "b.txt").read_bytes() == (tmp_path / "a.txt").read_bytes() == b"1 -2\n3 -4\n"
 
 
 class TestTrainAndScan:
@@ -509,7 +593,8 @@ class TestTrainAndScan:
         assert [r[0] for r in rows[1:]] == ["8", "16"]
 
 
-    @pytest.mark.parametrize("command", [["qat"], ["prune", "--method", "qap"]])
+    @pytest.mark.parametrize("command", [["qat"], ["prune", "--method", "qap"],
+                                         ["prune", "--method", "l1"], ["prune", "--method", "lt"]])
     @pytest.mark.parametrize("bits", ["0", "65"])
     def test_quantizer_bits_outside_the_spec_range(self, tmp_path, capsys, monkeypatch, command, bits):
         monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from fixflow import trainer
-from fixflow.fixed_point import FixedPointValue
+from fixflow.fixed_point import FixedPointSpec, FixedPointValue
 from fixflow.kernels import run_inference
 from fixflow.model_ir import (
     Diagnostic,
@@ -108,6 +108,49 @@ class TestParse:
         assert node.precision.weight.to_string() == "fixed<8,2>"
         assert node.precision.accumulator.to_string() == "fixed<24,8>"
         assert node.precision.bias.to_string() == "fixed<16,6>"
+
+
+def shared_precision_document(bad=None, text="fixed<12,3,rnd,sat>"):
+    """The jet document with ``text`` on every layer, and ``bad`` on ``$.layers[3]`` if given."""
+    layers = json.loads(jet_document())["layers"]
+    for i, layer in enumerate(layers):
+        layer["precision"] = bad if i == 3 and bad is not None else text
+    return json.dumps({"format_version": "1", "input_shape": [16], "layers": layers})
+
+
+class TestSharedPrecisions:
+    """Each distinct precision string of a document is parsed once; errors are not kept."""
+
+    @pytest.mark.parametrize("text", ["fixed<12,3,rnd,sat>", "fixed<64,2,u>", " fixed<16,6> "])
+    def test_repeated_string_equals_fresh_specs(self, text):
+        graph = parse_model(shared_precision_document(text=text))
+        fresh = FixedPointSpec.from_string(text)
+        specs = [getattr(n.precision, slot) for n in graph.nodes[1:] for slot in PrecisionSet.SLOTS]
+        assert len(specs) == 4 * 8
+        for spec in specs:
+            assert spec == fresh
+            assert (spec.fraction_bits, spec.min_raw, spec.max_raw, spec.raw_dtype) == (
+                fresh.fraction_bits, fresh.min_raw, fresh.max_raw, fresh.raw_dtype)
+        assert all(spec is specs[0] for spec in specs)
+
+    @pytest.mark.parametrize("bad, path", [
+        ("fixed<99,1>", "$.layers[3].precision: "),
+        ("fixed<12,3,rnd,sat", "$.layers[3].precision: "),
+        ({"weight": "fixed<12,3,rnd,sat>", "accumulator": "fixed<0,0>"}, "$.layers[3].precision.accumulator: "),
+    ])
+    def test_bad_string_after_shared_good_ones_names_its_path(self, bad, path):
+        for _ in range(2):  # the failure is raised again, not remembered as a spec
+            with pytest.raises(ParseError) as err:
+                parse_model(shared_precision_document(bad=bad))
+            assert str(err.value).startswith(path)
+        good = parse_model(shared_precision_document())
+        assert good.nodes[4].precision.result == FixedPointSpec.from_string("fixed<12,3,rnd,sat>")
+
+    def test_later_good_parse_of_a_once_bad_string_succeeds(self):
+        with pytest.raises(ParseError):
+            parse_model(shared_precision_document(text="fixed<65,1>"))
+        graph = parse_model(shared_precision_document(text="fixed<64,1>"))
+        assert graph.nodes[1].precision.weight == FixedPointSpec.from_string("fixed<64,1>")
 
 
 class TestRoundTrip:
