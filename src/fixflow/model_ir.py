@@ -25,11 +25,12 @@ import json
 import math
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+import orjson
 
 from .fixed_point import (TRUNCATE, FixedPointSpec, FixedPointValue,
                           apply_overflow_array, quantize, round_scaled)
@@ -356,11 +357,23 @@ def _parse_tensor(doc, path: str) -> Tensor:
 
 
 def parse_model(text: str) -> ModelGraph:
-    """Parse and validate a model document; applies per-layer defaults."""
+    """Parse and validate a model document; applies per-layer defaults. orjson decodes first;
+    where it may differ from ``json`` (NaN, overflow, lone surrogates, integers beyond 64 bits,
+    deep nesting in a skipped field) it raises or a check fails, and ``json`` decides."""
+    with suppress(ValueError):
+        doc = orjson.loads(text)
+        graph = _graph_from_doc(doc)
+        if len(doc) == 3 and all(len(p) == 2 for layer in doc["layers"]
+                                 for p in layer.get("params", {}).values() if isinstance(p, dict)):
+            return graph
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"$: not valid JSON ({e})") from None
+    return _graph_from_doc(doc)
+
+
+def _graph_from_doc(doc) -> ModelGraph:
     _expect(isinstance(doc, dict), "$", "document must be an object")
     _expect(doc.get("format_version") == FORMAT_VERSION, "$.format_version",
             f"expected {FORMAT_VERSION!r}, got {doc.get('format_version')!r}")
@@ -490,9 +503,9 @@ def validate(graph: ModelGraph):
 
 def _tensor_doc(t: Tensor):
     # Quantized values serialize as their exact decimal reals.
-    data = t.to_numpy().reshape(-1).tolist()
+    data = t.to_numpy().reshape(-1)
     if t.shape == (1,) and not t.is_quantized():
-        return data[0]
+        return data[0].item()
     return {"shape": list(t.shape), "data": data}
 
 
@@ -520,17 +533,19 @@ def serialize_model(graph: ModelGraph) -> str:
 
 
 def _dump(obj, pad: str, parts: list) -> None:
-    """Append ``json.dumps(obj, indent=2)`` at indentation ``pad`` (string keys only) to
-    ``parts``. The stdlib's indent path is pure Python; here each flat list of scalars
-    is one C-encoder call whose separator carries the indent, and the caller joins once."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
+    """Append ``json.dumps(obj, indent=2)`` at indentation ``pad`` (string keys only, an
+    array as its list) to ``parts``. The stdlib's indent path is pure Python; here each
+    flat list of scalars is one encoder call whose separator carries the indent."""
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)) or len(obj) == 0:
         parts.append(json.dumps(obj))
         return
     inner = pad + "  "
     sep = ",\n" + inner
     brackets = "{}" if isinstance(obj, dict) else "[]"
     parts.append(brackets[0] + "\n" + inner)
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):  # a part per run: a join here would copy the text once more
+        parts += [part for text in _real_texts(obj, sep) for part in (sep, text)][1:]
+    elif isinstance(obj, dict):
         for i, (key, value) in enumerate(obj.items()):
             parts.append(f"{sep if i else ''}{json.dumps(key)}: ")
             _dump(value, inner, parts)
@@ -541,6 +556,21 @@ def _dump(obj, pad: str, parts: list) -> None:
     else:
         parts.append(json.dumps(obj, separators=(sep, ": "))[1:-1])
     parts.append("\n" + pad + brackets[1])
+
+
+def _real_texts(values: np.ndarray, sep: str) -> list:
+    """``values`` as ``json`` writes them, in runs to join with ``sep``: orjson writes zeros and
+    magnitudes in [1e-4, 1e16) as ``repr`` does; ``json`` the rest, or all if they are many."""
+    mag = np.abs(values)
+    odd = np.flatnonzero(~((mag == 0) | ((mag >= 1e-4) & (mag < 1e16)))).tolist()
+    if 8 * len(odd) > values.size:
+        return [json.dumps(values.tolist(), separators=(sep, ": "))[1:-1]]
+    pieces, start = [], 0
+    for end, text in zip(odd + [values.size], [json.dumps(v) for v in values[odd].tolist()] + [""]):
+        run = orjson.dumps(values[start:end], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        pieces += [run.replace(",", sep), text]  # a run between adjacent odd values is ""
+        start = end + 1
+    return list(filter(None, pieces))
 
 
 @contextmanager

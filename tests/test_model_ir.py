@@ -1,6 +1,12 @@
 import json
+import math
 import os
+import random
+import struct
+from decimal import Decimal, localcontext
 
+import numpy as np
+import orjson
 import pytest
 
 from fixflow import trainer
@@ -164,6 +170,128 @@ class TestRoundTrip:
         assert validate(parse_model(jet_document())) == []
 
 
+def number_strings(seed):
+    """JSON number texts by class: ``repr`` and fixed-width forms of random
+    doubles, decimals of 1-40 digits with exponents -330..310, exact halfway
+    points between adjacent doubles and a tiny step to each side of them,
+    integers around the 64-bit edges, and the tokens ``json`` reads as non-finite."""
+    rng = random.Random(seed)
+    bits = np.random.default_rng(seed).integers(0, 2 ** 63, 12000, dtype=np.int64)
+    doubles = [v * rng.choice((-1, 1)) for v in bits.view(np.float64).tolist()]
+    doubles += [rng.uniform(-2, 2) * 2.0 ** rng.randrange(-1074, 1024) for _ in range(6000)]
+    doubles = [v for v in doubles if math.isfinite(v)]
+    classes = {fmt: [fmt % v for v in doubles] for fmt in ("%r", "%.17g", "%.20e", "%.25g")}
+    decimals = []
+    for n in (rng.randrange(1, 41) for _ in range(12000)):
+        digits, point = str(rng.randrange(10 ** (n - 1), 10 ** n)), rng.randrange(n + 1)
+        mantissa = "0." + digits if point == 0 else f"{digits[:point]}.{digits[point:]}".rstrip(".")
+        exponent = rng.randrange(-330, 311)
+        decimals.append(f"{rng.choice(('', '-'))}{mantissa}{rng.choice('eE')}"
+                        f"{rng.choice(('', '+')) if exponent >= 0 else ''}{exponent}")
+    classes["decimal"] = decimals
+    halfway = []
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        for v in rng.sample(doubles, 1500):
+            lo, hi = abs(v), math.nextafter(abs(v), math.inf)
+            if math.isfinite(hi):
+                mid = (Decimal(lo) + Decimal(hi)) / 2
+                tiny = Decimal(10) ** (mid.adjusted() - 1100)
+                sign = "-" if v < 0 else ""
+                halfway += [sign + str(mid), sign + str(mid + tiny), sign + str(mid - tiny)]
+    classes["halfway"] = halfway
+    edges = [0, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+             2 ** 70 + 3, 10 ** 308, 10 ** 400]
+    ints = [rng.randrange(-10 ** n, 10 ** n) for n in range(1, 40) for _ in range(40)]
+    classes["int"] = [str(i) for i in ints + edges + [-e - 1 for e in edges]] + ["-0"]
+    classes["non-finite"] = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" * 400]
+    return classes
+
+
+def assert_decoded_alike(text, got, expected):
+    """orjson's number equals json's bit for bit, or is json's integer outside
+    [-2**63, 2**64) as a float of the same value."""
+    if type(expected) is int and not -2 ** 63 <= expected < 2 ** 64:
+        assert type(got) is float and got == float(expected), text
+    elif type(expected) is float:
+        assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", expected), text
+    else:
+        assert type(got) is int and got == expected, text
+
+
+class TestDecoder:
+    """``parse_model`` decodes with orjson and falls back to ``json`` on any doubt."""
+
+    def test_orjson_reads_numbers_as_json_does_or_raises(self):
+        checked = total = 0
+        for name, strings in number_strings(1753).items():
+            total += len(strings)
+            text = "[" + ",".join(strings) + "]"
+            try:
+                pairs = [(s, g, e) for s, g, e in zip(strings, orjson.loads(text), json.loads(text))]
+            except orjson.JSONDecodeError:  # some string is rejected: decode one by one
+                pairs = []
+                for s in strings:
+                    try:
+                        pairs.append((s, orjson.loads(s), json.loads(s)))
+                    except orjson.JSONDecodeError:
+                        pass
+            for s, got, expected in pairs:
+                assert_decoded_alike(s, got, expected)
+            checked += len(pairs)
+            if name == "non-finite":
+                assert pairs == []
+        assert checked > 0.9 * total
+
+    def test_outcome_is_the_stdlib_paths_on_mutated_documents(self, monkeypatch):
+        base = doc([{"name": "in", "kind": "input"},
+                    dense_doc("d", [0.5, -1.0, 0.25, 2.0], [0.0, 1.0], reuse_factor=2),
+                    {"name": "bn", "kind": "batch_norm", "params": {
+                        **{key: {"shape": [2], "data": [1.0, 0.5]}
+                           for key in ("gamma", "beta", "moving_mean", "moving_variance")},
+                        "epsilon": 0.001}}])
+        assert '"data": [0.5, -1.0, 0.25, 2.0]' in base and '"input_shape": [2]' in base
+        deep = "[" * 1100 + "]" * 1100
+        swaps = [(old, old[:-5] + new) for new in ("NaN", "Infinity", "-Infinity", "1e400")
+                 for old in ("-1.0, 0.25", '"epsilon": 0.001')]
+        for big in (str(2 ** 64), str(-(2 ** 63) - 1)):
+            swaps += [('"shape": [2, 2]', f'"shape": [{big}, 2]'),
+                      ('"input_shape": [2]', f'"input_shape": [{big}]'),
+                      ('"reuse_factor": 2', f'"reuse_factor": {big}'),
+                      ("-1.0, 0.25", "-1.0, " + big), ('"epsilon": 0.001', f'"epsilon": {big}')]
+        swaps += [('"name": "d"', '"name": "d\\ud800"'), ('"name": "d"', '"name": "d\ud800"'),
+                  ('"data": [0.0, 1.0]', '"data": ' + deep),
+                  ('{"format_version"', '{"extra": ' + deep + ', "format_version"'),
+                  ('"shape": [2, 2]', '"extra": ' + deep + ', "shape": [2, 2]'),
+                  ('{"format_version"', '{"extra": [1], "format_version"'),
+                  ('"shape": [2, 2]', '"extra": 1, "shape": [2, 2]'),
+                  ('"reuse_factor": 2', '"reuse_factor": 3, "reuse_factor": 2'),
+                  ('"name": "bn"', '"name": "d", "name": "bn"'),
+                  ('"kind": "dense"', '"kind": "dense", "kind": "relu"'),
+                  ('"reuse_factor": 2', '"reuse_factor": 2.0')]
+        mutants = [base.replace(old, new, 1) for old, new in swaps]
+        mutants += ["\ufeff" + base, base + " x", base + "}", base + "\n\t "]
+        assert all(m != base for m in mutants)
+
+        def outcomes():
+            found = []
+            for text in mutants:
+                try:
+                    found.append(serialize_model(parse_model(text)))
+                except Exception as e:
+                    found.append((type(e), str(e)))
+            return found
+
+        fast = outcomes()
+
+        def refuse(text):
+            raise orjson.JSONDecodeError("refused", "", 0)
+
+        monkeypatch.setattr(orjson, "loads", refuse)
+        assert fast == outcomes()
+        assert sum(isinstance(r, str) for r in fast) >= 8
+
+
 def reindented(text):
     """What the stdlib's indent=2 encoder writes for the same document."""
     return json.dumps(json.loads(text), indent=2) + "\n"
@@ -225,6 +353,30 @@ class TestSerializeText:
         text = serialize_model(graph)
         assert text == reindented(text)
         assert '"data": 0.0' in text and '"shape": -0.0' in text
+
+    def test_arrays_of_awkward_reals_match_the_stdlib(self):
+        # Both sides of each edge of the range orjson writes, values below
+        # it, non-finite values, zeros and the smallest subnormal, alone,
+        # spread through a long array of ordinary values, and a 1 M-value
+        # log-uniform array that also crosses both edges.
+        edges = [0.0, 5e-324, 1e-4, 1e16, math.inf, math.nan, 1.5e-5, 9.99e-5]
+        edges += [math.nextafter(e, d) for e in (1e-4, 1e16) for d in (0, math.inf)]
+        edges += [-e for e in edges]
+        rng = np.random.default_rng(2103)
+        spread = rng.uniform(-2, 2, 4000)
+        spread[[0, 1, 2, 1000, 3999]] = edges[:5]
+        spread[rng.choice(4000, len(edges), replace=False)] = edges
+        log_uniform = 10.0 ** rng.uniform(-5.5, 17, 1_000_000) * rng.choice((-1.0, 1.0), 1_000_000)
+        pad = " " * 12
+        sep = ",\n" + pad
+        for values in (np.array(edges), rng.uniform(1e-5, 1e-4, 50), spread, log_uniform):
+            graph = ModelGraph.chain(
+                [LayerNode("input", "input", {"value": Tensor.from_numpy(values)})], (values.size,))
+            text = serialize_model(graph)
+            stdlib = json.dumps(values.tolist(), separators=(sep, ": "))[1:-1]
+            assert f'"data": [\n{pad}{stdlib}\n{pad[2:]}]' in text
+            if values.size < 10_000:
+                assert text == reindented(text)
 
     def test_writer_matches_stdlib_on_random_documents(self):
         import random
