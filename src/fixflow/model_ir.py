@@ -357,20 +357,27 @@ def _parse_tensor(doc, path: str) -> Tensor:
 
 
 def parse_model(text: str) -> ModelGraph:
-    """Parse and validate a model document; applies per-layer defaults. orjson decodes first;
-    where it may differ from ``json`` (NaN, overflow, lone surrogates, integers beyond 64 bits,
-    deep nesting in a skipped field) it raises or a check fails, and ``json`` decides."""
+    """Parse and validate a model document; applies per-layer defaults. orjson decodes it if it
+    nests shallowly; where not, or orjson raises or a check fails, ``json`` decodes and decides."""
     with suppress(ValueError):
-        doc = orjson.loads(text)
-        graph = _graph_from_doc(doc)
-        if len(doc) == 3 and all(len(p) == 2 for layer in doc["layers"]
-                                 for p in layer.get("params", {}).values() if isinstance(p, dict)):
-            return graph
+        if _nests_shallowly(text):
+            return _graph_from_doc(orjson.loads(text))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"$: not valid JSON ({e})") from None
     return _graph_from_doc(doc)
+
+
+def _nests_shallowly(text: str) -> bool:
+    """Under 500 ``[`` and ``{``: no value, not even one a duplicate key drops, nests as deep as
+    ``json`` decodes (1000 less the caller's stack). ``str.find`` outruns ``str.count`` here."""
+    count = 0
+    for opener in "[{":
+        at = text.find(opener)
+        while at >= 0 and count < 500:
+            count, at = count + 1, text.find(opener, at + 1)
+    return count < 500
 
 
 def _graph_from_doc(doc) -> ModelGraph:
@@ -559,18 +566,15 @@ def _dump(obj, pad: str, parts: list) -> None:
 
 
 def _real_texts(values: np.ndarray, sep: str) -> list:
-    """``values`` as ``json`` writes them, in runs to join with ``sep``: orjson writes zeros and
-    magnitudes in [1e-4, 1e16) as ``repr`` does; ``json`` the rest, or all if they are many."""
+    """``values`` as ``json`` writes them, in pieces to join with ``sep``: orjson writes zeros and
+    magnitudes in [1e-4, 1e16) as ``repr`` does, a call per run; ``json`` the rest in one call."""
     mag = np.abs(values)
-    odd = np.flatnonzero(~((mag == 0) | ((mag >= 1e-4) & (mag < 1e16)))).tolist()
-    if 8 * len(odd) > values.size:
-        return [json.dumps(values.tolist(), separators=(sep, ": "))[1:-1]]
-    pieces, start = [], 0
-    for end, text in zip(odd + [values.size], [json.dumps(v) for v in values[odd].tolist()] + [""]):
-        run = orjson.dumps(values[start:end], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-        pieces += [run.replace(",", sep), text]  # a run between adjacent odd values is ""
-        start = end + 1
-    return list(filter(None, pieces))
+    odd = np.flatnonzero(~((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))))
+    texts = json.dumps(values[odd].tolist())[1:-1].split(", ") if odd.size else []
+    runs = zip([0] + (odd + 1).tolist(), odd.tolist() + [values.size], texts + [""])
+    pairs = [(orjson.dumps(values[a:b], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+              .replace(",", sep), text) for a, b, text in runs]
+    return [piece for pair in pairs for piece in pair if piece]  # a run can be ""
 
 
 @contextmanager
