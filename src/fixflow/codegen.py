@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
@@ -178,15 +179,19 @@ def _overflow_args(spec: FixedPointSpec) -> str:
     return f"{spec.width_bits}, {int(spec.signed)}, {int(spec.overflow == SATURATE)}"
 
 
-def _check_widths(node, in_spec):
-    prec = node.precision
-    for spec in (in_spec, prec.weight, prec.bias, prec.accumulator, prec.result):
+def _check_storage(node, specs):
+    for spec in specs:
         # Raw values are stored in long long.
         if not spec.signed and spec.width_bits > 63:
             raise CodegenError(
                 f"layer {node.name!r}: unsigned width {spec.width_bits} does not fit the "
                 "generated 64-bit storage"
             )
+
+
+def _check_widths(node, in_spec):
+    prec = node.precision
+    _check_storage(node, (prec.weight, prec.bias, prec.accumulator))
     product_bits = prec.weight.width_bits + in_spec.width_bits
     shift_up = max(0, prec.accumulator.fraction_bits - (prec.weight.fraction_bits + in_spec.fraction_bits))
     if product_bits + shift_up > _WIDE_BITS:
@@ -206,11 +211,16 @@ def _mac_exprs(node, in_spec):
             lambda a: f"(long long)ff_cast({a}, {_cast_args(acc.fraction_bits, prec.result)})")
 
 
-def _literal_rows(values, per_row=12):
-    # int() matters: sign-layer mode codes arrive as floats, and a braced
-    # long long initializer rejects the narrowing 1.0.
-    return ",\n".join("    " + ", ".join(map(str, map(int, values[start:start + per_row])))
-                      for start in range(0, len(values), per_row))
+def _literal_rows(raws, per_row=12):
+    """int64 raws as initializer rows of ``per_row`` literals: orjson writes
+    the full rows as one nested array and the tail as another, and the
+    brackets become the separators."""
+    raws = np.ascontiguousarray(raws)
+    full = raws.size - raws.size % per_row
+    head = orjson.dumps(raws[:full].reshape(-1, per_row), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    tail = orjson.dumps(raws[full:], option=orjson.OPT_SERIALIZE_NUMPY) if full < raws.size else b""
+    text = b",".join(part for part in (head, tail) if part).decode()
+    return text.replace(",", ", ").replace("], [", ",\n    ").replace("[", "    ").replace("]", "")
 
 
 def _weight_header(index: int, title: str, comments: list, arrays: list) -> str:
@@ -228,7 +238,6 @@ def _emit_dense(node, in_spec, index):
     weight, bias = node.param("weight"), node.param("bias")
     m, n = weight.shape
     bias_cast, add, result_cast = _mac_exprs(node, in_spec)
-    w_raws, b_raws = weight.array.tolist(), bias.array.tolist()
     nz = np.count_nonzero(weight.array)
     comments = [
         f"weight {_spec_comment(node.precision.weight)}",
@@ -247,9 +256,9 @@ def _emit_dense(node, in_spec, index):
             f"COO records: packed index = out * {n} + in ({coo.index_bits} index bits)"
         )
         arrays = [
-            (f"coo_index_{index}", coo.packed.tolist()),
-            (f"coo_weight_{index}", coo.raws.tolist()),
-            (f"bias_{index}", b_raws),
+            (f"coo_index_{index}", coo.packed),
+            (f"coo_weight_{index}", coo.raws),
+            (f"bias_{index}", bias.array),
         ]
         kernel += [
             "// compression=true: coordinate-list sparse kernel",
@@ -268,7 +277,7 @@ def _emit_dense(node, in_spec, index):
             "}",
         ]
     else:
-        arrays = [(f"weight_{index}", w_raws), (f"bias_{index}", b_raws)]
+        arrays = [(f"weight_{index}", weight.array), (f"bias_{index}", bias.array)]
         kernel += [
             f"static void {node.name}_kernel(const long long x[{n}], long long y[{m}]) {{",
             f"    for (int i = 0; i < {m}; ++i) {{",
@@ -293,8 +302,7 @@ def _emit_batch_norm(node, in_spec, index, width):
         index,
         f"layer {node.name}: batch_norm over {width} channels (folded scale/shift)",
         [f"scale {_spec_comment(node.precision.weight)}", f"shift {_spec_comment(node.precision.bias)}"],
-        [(f"scale_{index}", scale.array.tolist()),
-         (f"shift_{index}", shift.array.tolist())],
+        [(f"scale_{index}", scale.array), (f"shift_{index}", shift.array)],
     )
     kernel = [
         f"// {node.name}: batch_norm, one multiply per channel",
@@ -330,8 +338,10 @@ def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
         f"layer {node.name}: {node.kind} thresholds on the incoming grid",
         [f"threshold {_spec_comment(in_spec)}",
          "mode: 0 = +1 iff x >= t, 1 = +1 iff x <= t, 2/3 = constant +1/-1"],
-        [(f"threshold_{index}", node.param("threshold").array.tolist()),
-         (f"mode_{index}", node.param("mode").array.tolist())],
+        # Mode codes are integral floats; a braced long long initializer
+        # rejects the narrowing 1.0.
+        [(f"threshold_{index}", node.param("threshold").array),
+         (f"mode_{index}", node.param("mode").array.astype(np.int64))],
     )
     lines = [
         f"// {node.name}: {node.kind} (XNOR-friendly +/-1 encoding in {res.to_string()})",
@@ -382,6 +392,7 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
         if kind == "softmax":
             notes.append("trailing softmax is evaluated host-side; firmware emits the logits")
             continue
+        _check_storage(node, (in_spec, node.precision.result))
         if kind == "dense":
             header, kernel = _emit_dense(node, in_spec, weight_index)
         elif kind == "batch_norm":

@@ -40,7 +40,7 @@ def percentile(sorted_values, q: float) -> float:
     lo = math.floor(rank)
     hi = min(lo + 1, n - 1)
     t = rank - lo
-    return sorted_values[lo] * (1.0 - t) + sorted_values[hi] * t
+    return float(sorted_values[lo] * (1.0 - t) + sorted_values[hi] * t)
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,9 @@ class ProfileReport:
 
 def _profile_tensor(layer: str, param: str, kind: int, tensor) -> TensorProfile:
     flat = tensor.to_numpy().reshape(-1)
-    reals = flat.tolist()
-    magnitudes = np.sort(np.abs(flat)).tolist()
-    zeros = len(reals) - int(np.count_nonzero(flat))  # the nonzero magnitudes follow them
+    magnitudes = np.sort(np.abs(flat))
+    smallest, largest = magnitudes[0].item(), magnitudes[-1].item()
+    zeros = flat.size - int(np.count_nonzero(flat))  # the nonzero magnitudes follow them
     q25 = percentile(magnitudes, 0.25)
     q50 = percentile(magnitudes, 0.50)
     q75 = percentile(magnitudes, 0.75)
@@ -99,17 +99,18 @@ def _profile_tensor(layer: str, param: str, kind: int, tensor) -> TensorProfile:
         layer=layer,
         param=param,
         kind=kind,
-        count=len(reals),
-        zero_fraction=zeros / len(reals),
-        min_abs_nonzero=magnitudes[zeros] if zeros < len(reals) else None,
-        max_abs=magnitudes[-1],
+        count=flat.size,
+        zero_fraction=zeros / flat.size,
+        min_abs_nonzero=magnitudes[zeros].item() if zeros < flat.size else None,
+        max_abs=largest,
         q25=q25,
         q50=q50,
         q75=q75,
-        whisker_low=max(magnitudes[0], q25 - 1.5 * iqr),
-        whisker_high=min(magnitudes[-1], q75 + 1.5 * iqr),
-        value_min=min(reals),
-        value_max=max(reals),
+        whisker_low=max(smallest, q25 - 1.5 * iqr),
+        whisker_high=min(largest, q75 + 1.5 * iqr),
+        # The first extreme in index order, as builtin min/max pick between -0.0 and 0.0.
+        value_min=flat[np.argmax(flat == flat.min())].item(),
+        value_max=flat[np.argmax(flat == flat.max())].item(),
     )
 
 

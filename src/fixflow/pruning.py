@@ -119,8 +119,7 @@ def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> Prun
     if needed <= 0:
         return PruneState(new_masks, state.initial_weights, list(state.history))
 
-    # Survivors' normalized magnitudes in (layer, flat index) order: a stable
-    # sort breaks ties as the (ratio, layer, flat index) tuple does.
+    # Survivors' normalized magnitudes in (layer, flat index) order.
     survivors, ratios = {}, []
     for node in model.nodes:
         if node.kind == "dense":
@@ -132,8 +131,12 @@ def rank_and_mask(model: ModelGraph, state: PruneState, fraction: float) -> Prun
     ratio = np.concatenate(ratios)
     if needed > ratio.size:
         raise ValueError(f"cannot prune {needed} more weights: only {ratio.size} survivors remain")
-    pruned = np.zeros(ratio.size, dtype=bool)
-    pruned[np.argsort(ratio, kind="stable")[:needed]] = True
+    # The `needed` smallest by (ratio, layer, flat index), the set a stable
+    # argsort would take, in O(n): every ratio below the needed-th smallest,
+    # then the first entries equal to it in index order.
+    kth = np.partition(ratio, needed - 1)[needed - 1]
+    pruned = ratio < kth
+    pruned[np.flatnonzero(ratio == kth)[:needed - np.count_nonzero(pruned)]] = True
     start = 0
     for name, kept in survivors.items():
         new_masks[name].reshape(-1)[kept[pruned[start:start + kept.size]]] = 0.0

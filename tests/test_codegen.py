@@ -16,9 +16,10 @@ from fixflow.codegen import (
     emit_project,
     emit_report,
 )
+from fixflow.cli import run
 from fixflow.kernels import materialize_quantized, run_inference
 from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError,
-                              topo_order)
+                              parse_model, topo_order)
 
 from golden_model import build_reference_model, emit_reference_tree
 from oracles import oracle_dense_mv_raws, oracle_relu_raws, oracle_sign_raws
@@ -152,6 +153,61 @@ class TestProjectStructure:
         tree.write_to(tmp_path)
         assert (tmp_path / "manifest.json").exists()
         assert os.access(tmp_path / "build.sh", os.X_OK)
+
+    @pytest.mark.parametrize("layers, culprit", [
+        # An unsigned 64-bit input feeding a sign layer: the 1.8e19 threshold
+        # raw does not fit the long long array g++ would have to narrow it into.
+        ([{"name": "in", "kind": "input", "precision": "fixed<64,64,u>"},
+          {"name": "s", "kind": "binary_tanh", "precision": "fixed<8,2>",
+           "params": {"threshold": {"shape": [2], "data": [1.8e19, 1.0]}}}], "s"),
+        # A trailing unsigned 64-bit ReLU: its raws at or above 2**63 do not
+        # fit the firmware's long long outputs.
+        ([{"name": "d", "kind": "dense",
+           "precision": {"weight": "fixed<16,6>", "bias": "fixed<16,6>",
+                         "accumulator": "fixed<64,4>", "result": "fixed<64,4>"},
+           "params": {"weight": {"shape": [2, 2], "data": [1.0, 0.5, -0.5, 1.0]},
+                      "bias": {"shape": [2], "data": [0.0, 0.0]}}},
+          {"name": "r", "kind": "relu", "precision": "fixed<64,2,u>"}], "r"),
+    ])
+    def test_unsigned_64_bit_storage_rejected(self, layers, culprit, tmp_path, capsys):
+        text = json.dumps({"format_version": "1", "input_shape": [2], "layers": layers})
+        message = f"layer {culprit!r}: unsigned width 64 does not fit the generated 64-bit storage"
+        with pytest.raises(codegen.CodegenError, match=re.escape(message)):
+            emit_project(parse_model(text))
+        (tmp_path / "m.json").write_text(text)
+        assert run(["codegen", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p").exists()
+
+
+def joined_literal_rows(values, per_row=12):
+    """Literal rows written with one str.join per row: the reference for codegen._literal_rows."""
+    return ",\n".join("    " + ", ".join(map(str, map(int, values[start:start + per_row])))
+                      for start in range(0, len(values), per_row))
+
+
+class TestLiteralRows:
+    @pytest.mark.parametrize("size", [0, 1, 11, 12, 13, 24, 25])
+    def test_matches_joined_text(self, size):
+        rng = np.random.Generator(np.random.Philox(key=size))
+        for raws in (rng.integers(-999, 1000, size), rng.integers(-(1 << 63), (1 << 63) - 1, size,
+                                                                  endpoint=True)):
+            assert raws.dtype == np.int64
+            assert codegen._literal_rows(raws) == joined_literal_rows(raws.tolist())
+
+    def test_int64_extremes(self):
+        raws = np.array([-(1 << 63), (1 << 63) - 1, 0, -1, 1] * 5, dtype=np.int64)
+        assert codegen._literal_rows(raws) == joined_literal_rows(raws.tolist())
+
+    def test_mode_codes_as_the_sign_layers_pass_them(self):
+        modes = np.array([0.0, 1.0, 2.0, 3.0] * 4)  # mode params hold float64
+        assert codegen._literal_rows(modes.astype(np.int64)) == joined_literal_rows(modes.tolist())
+
+    def test_strided_views(self):
+        base = np.arange(-100, 100, dtype=np.int64)
+        for view in (base[::3], base[::-1], base.reshape(20, 10)[:, 3]):
+            assert not view.flags.c_contiguous
+            assert codegen._literal_rows(view) == joined_literal_rows(view.tolist())
 
 
 class TestEmitReport:

@@ -115,6 +115,23 @@ class TestProfileWeights:
             assert got == want, param
             assert all(type(v) is float for v in (row.value_min, row.value_max, row.q50))
 
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_signed_zeros_in_long_tensors(self, zeros, sign):
+        # Long enough for numpy's vectorized min and max; the zeros come
+        # first, so they are the extreme on one side, and more of both
+        # signs are spread through the rest.
+        rng = np.random.Generator(np.random.Philox(key=12))
+        rest = sign * rng.uniform(0.0, 3.0, 1200)
+        rest[rng.integers(0, rest.size, 40)] = 0.0
+        rest[rng.integers(0, rest.size, 40)] = -0.0
+        weights = np.concatenate([zeros, rest]).reshape(1, -1)
+        row = profile_weights(model_with_weights(weights, [0.0])).row("d", "weight")
+        values = weights.reshape(-1).tolist()
+        assert (repr(row.value_min), repr(row.value_max)) == (repr(min(values)), repr(max(values)))
+        assert repr(row.value_min if sign > 0 else row.value_max) == repr(zeros[0])
+        assert type(row.value_min) is float and type(row.value_max) is float
+
     def test_serialization_round_trip(self):
         g = model_with_weights([[1.0, -2.0], [0.0, 4.0]], [0.5, -0.25])
         report = profile_weights(g)

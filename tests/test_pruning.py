@@ -181,6 +181,84 @@ class TestRankAndMask:
             rank_and_mask(model, state, 0.75)
 
 
+class TestPartitionCut:
+    """The O(n) cut of rank_and_mask prunes the set a stable argsort prunes."""
+
+    @staticmethod
+    def tied_model(rng, zero_layer=None):
+        # Weights on a quarter grid, each layer peaking at 1.0, so ratios
+        # tie within and across layers.
+        weights = [rng.integers(-4, 5, shape) * 0.25 for shape in ((12, 10), (8, 12), (5, 8))]
+        for w in weights:
+            w.flat[rng.integers(w.size)] = -1.0
+        if zero_layer is not None:
+            weights[zero_layer][:] = 0.0
+        nodes = [LayerNode("input", "input")] + [
+            LayerNode(f"d{k}", "dense", {"weight": Tensor.from_numpy(w),
+                                         "bias": Tensor.from_numpy(np.zeros(w.shape[0]))})
+            for k, w in enumerate(weights)]
+        return ModelGraph.chain(nodes, (10,))
+
+    @staticmethod
+    def assert_cut_matches(model, state, fraction):
+        want = stable_argsort_reference(model, state, fraction)
+        got = rank_and_mask(model, state, fraction)
+        for name in want:
+            assert (got.masks[name] == want[name]).all(), (fraction, name)
+        return got
+
+    @pytest.mark.parametrize("zero_layer", [None, 0, 1])
+    def test_coarse_grid_ties_across_layers(self, zero_layer):
+        rng = np.random.Generator(np.random.Philox(key=181))
+        for _ in range(5):
+            model = self.tied_model(rng, zero_layer)
+            for fraction in np.linspace(0.0, 1.0, 23):
+                self.assert_cut_matches(model, PruneState.fresh(model), fraction)
+
+    def test_cut_inside_a_block_of_ties(self):
+        rng = np.random.Generator(np.random.Philox(key=182))
+        model = self.tied_model(rng)
+        ratio = np.concatenate([np.abs(n.param("weight").to_numpy().reshape(-1))
+                                for n in model.nodes if n.kind == "dense"])
+        total = ratio.size
+        for level in (0.0, 0.25, 0.5, 0.75, 1.0):
+            below, block = np.count_nonzero(ratio < level), np.count_nonzero(ratio == level)
+            assert block >= 4
+            for into in (1, block // 2, block - 1):  # the cut falls strictly inside the block
+                self.assert_cut_matches(model, PruneState.fresh(model), (below + into) / total)
+
+    def test_repeated_calls_on_one_state(self):
+        rng = np.random.Generator(np.random.Philox(key=183))
+        model = self.tied_model(rng)
+        state = PruneState.fresh(model)
+        first = self.assert_cut_matches(model, state, 0.3)
+        again = self.assert_cut_matches(model, state, 0.3)
+        assert all((first.masks[k] == again.masks[k]).all() for k in first.masks)
+        assert all((m == 1.0).all() for m in state.masks.values())
+        for fraction in (0.45, 0.45, 0.6, 0.8, 0.95, 1.0):
+            model = apply_masks(self.tied_model(rng), first)  # retrained weights, same masks
+            first = self.assert_cut_matches(model, first, fraction)
+
+
+def stable_argsort_reference(model, state, fraction):
+    """Masks after a stable argsort of the survivors' ratios in (layer, flat index) order."""
+    needed = int(round(fraction * state.total_weights)) - sum(
+        m.size - int(m.sum()) for m in state.masks.values())
+    ratios, owners = [], []
+    for node in model.nodes:
+        if node.kind == "dense":
+            kept = np.flatnonzero(state.masks[node.name].reshape(-1))
+            w = np.abs(node.param("weight").to_numpy().reshape(-1))[kept]
+            peak = w.max(initial=0.0)
+            ratios.append(w / peak if peak > 0 else np.zeros(w.size))
+            owners += [(node.name, i) for i in kept]
+    masks = {name: m.copy() for name, m in state.masks.items()}
+    for j in np.argsort(np.concatenate(ratios), kind="stable")[:max(needed, 0)]:
+        name, i = owners[j]
+        masks[name].reshape(-1)[i] = 0.0
+    return masks
+
+
 def tuple_sort_reference(model, state, fraction):
     """Masks after ranking one (ratio, layer index, flat index) tuple per survivor."""
     needed = int(round(fraction * state.total_weights)) - sum(
