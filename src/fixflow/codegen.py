@@ -211,6 +211,10 @@ def _mac_exprs(node, in_spec):
             lambda a: f"(long long)ff_cast({a}, {_cast_args(acc.fraction_bits, prec.result)})")
 
 
+# C++ reads -9223372036854775808 as the negation of a constant too large for long long.
+_INT64_MIN, _INT64_MIN_CXX = str(-(1 << 63)), "(-9223372036854775807LL - 1)"
+
+
 def _literal_rows(raws, per_row=12):
     """int64 raws as initializer rows of ``per_row`` literals: orjson writes
     the full rows as one nested array and the tail as another, and the
@@ -220,7 +224,8 @@ def _literal_rows(raws, per_row=12):
     head = orjson.dumps(raws[:full].reshape(-1, per_row), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     tail = orjson.dumps(raws[full:], option=orjson.OPT_SERIALIZE_NUMPY) if full < raws.size else b""
     text = b",".join(part for part in (head, tail) if part).decode()
-    return text.replace(",", ", ").replace("], [", ",\n    ").replace("[", "    ").replace("]", "")
+    text = text.replace(",", ", ").replace("], [", ",\n    ").replace("[", "    ").replace("]", "")
+    return text.replace(_INT64_MIN, _INT64_MIN_CXX)
 
 
 def _weight_header(index: int, title: str, comments: list, arrays: list) -> str:
@@ -363,7 +368,8 @@ def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
             f"        y[i] = hot ? {plus}LL : {minus}LL;",
         ]
     lines += ["    }", "}"]
-    return header, lines
+    return header, [line.replace(_INT64_MIN + "LL", _INT64_MIN_CXX).replace(_INT64_MIN, _INT64_MIN_CXX)
+                    for line in lines]
 
 
 def _model_hash(text: str) -> str:

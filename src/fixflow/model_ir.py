@@ -508,61 +508,35 @@ def validate(graph: ModelGraph):
     return diags
 
 
-def _tensor_doc(t: Tensor):
-    # Quantized values serialize as their exact decimal reals.
-    data = t.to_numpy().reshape(-1)
-    if t.shape == (1,) and not t.is_quantized():
-        return data[0].item()
-    return {"shape": list(t.shape), "data": data}
-
-
 def serialize_model(graph: ModelGraph) -> str:
-    """Canonical document text; parse -> serialize -> parse is the identity."""
-    layers = []
+    """Canonical document text; parse -> serialize -> parse is the identity.
+
+    ``json.dumps(indent=2)`` writes the document with each array tensor's ``data`` as ``[]``,
+    and the values ``_real_texts`` writes go in at each ``"data": []``, which nothing else
+    writes: a tensor is never empty, a param named ``data`` is followed by ``{`` or a number,
+    and ``"`` is escaped in strings. Tensors sit at one depth: values are indented 12 spaces."""
+    arrays, layers = [], []
     for node in graph.nodes:
-        layers.append({
-            "name": node.name,
-            "kind": node.kind,
-            "params": {k: _tensor_doc(v) for k, v in sorted(node.params.items())},
-            "precision": node.precision.to_doc(),
-            "reuse_factor": node.reuse_factor,
-            "compression": node.compression,
-        })
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "input_shape": list(graph.input_shape),
-        "layers": layers,
-    }
-    parts = []
-    _dump(doc, "", parts)
-    parts.append("\n")
+        params = {}
+        for key, t in sorted(node.params.items()):
+            data = t.to_numpy().reshape(-1)  # quantized values as their exact reals
+            if t.shape == (1,) and not t.is_quantized():
+                params[key] = data[0].item()
+            else:
+                params[key] = {"shape": list(t.shape), "data": []}
+                arrays.append(data)
+        layers.append({"name": node.name, "kind": node.kind, "params": params,
+                       "precision": node.precision.to_doc(), "reuse_factor": node.reuse_factor,
+                       "compression": node.compression})
+    doc = {"format_version": FORMAT_VERSION, "input_shape": list(graph.input_shape), "layers": layers}
+    pieces = (json.dumps(doc, indent=2) + "\n").split('"data": []')
+    sep = ",\n" + " " * 12
+    parts = [pieces[0]]
+    for values, piece in zip(arrays, pieces[1:]):
+        parts.append('"data": [' + sep[1:])  # a part per run: a join here would copy the text again
+        parts += [part for text in _real_texts(values, sep) for part in (sep, text)][1:]
+        parts.append("\n" + " " * 10 + "]" + piece)
     return "".join(parts)
-
-
-def _dump(obj, pad: str, parts: list) -> None:
-    """Append ``json.dumps(obj, indent=2)`` at indentation ``pad`` (string keys only, an
-    array as its list) to ``parts``. The stdlib's indent path is pure Python; here each
-    flat list of scalars is one encoder call whose separator carries the indent."""
-    if not isinstance(obj, (dict, list, tuple, np.ndarray)) or len(obj) == 0:
-        parts.append(json.dumps(obj))
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    parts.append(brackets[0] + "\n" + inner)
-    if isinstance(obj, np.ndarray):  # a part per run: a join here would copy the text once more
-        parts += [part for text in _real_texts(obj, sep) for part in (sep, text)][1:]
-    elif isinstance(obj, dict):
-        for i, (key, value) in enumerate(obj.items()):
-            parts.append(f"{sep if i else ''}{json.dumps(key)}: ")
-            _dump(value, inner, parts)
-    elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, obj))):
-        for i, value in enumerate(obj):
-            parts.append(sep if i else "")
-            _dump(value, inner, parts)
-    else:
-        parts.append(json.dumps(obj, separators=(sep, ": "))[1:-1])
-    parts.append("\n" + pad + brackets[1])
 
 
 def _real_texts(values: np.ndarray, sep: str) -> list:

@@ -624,6 +624,24 @@ class TestCodegenCommand:
 
 
 class TestConfigLeaves:
+    @pytest.mark.parametrize("doc, message", [
+        ([{"epochs": 2}], "config must be a JSON object"),
+        ({"config_version": "2"}, "unsupported config_version"),
+        ({"config_version": 2}, "unsupported config_version"),
+    ])
+    def test_bad_config_document_names_path(self, ref_model_path, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o"),
+                    "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_arch_spec_with_one_width_names_spec(self, tmp_path, capsys):
+        assert run(["convert", "--model", "arch:16", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: arch:16: need at least input and output widths\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, leaf", [
         ("train", {"epochs": None}),
         ("train", {"learning_rate": "fast"}),

@@ -25,21 +25,25 @@ from golden_model import build_reference_model, emit_reference_tree
 from oracles import oracle_dense_mv_raws, oracle_relu_raws, oracle_sign_raws
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "ref_project")
+# How the firmware spells a raw of -2**63 (TestInt64MinLiterals).
+INT64_MIN_CXX = "(-9223372036854775807LL - 1)"
 
 
 def build_and_run(project, input_lines) -> list:
     """Build an emitted project with its build.sh, feed it raw rows, return its output lines.
 
-    With FIXFLOW_UBSAN=1 the build adds -fsanitize=undefined
+    The build adds -Werror, so a compiler warning fails it. With
+    FIXFLOW_UBSAN=1 it also adds -fsanitize=undefined
     -fno-sanitize-recover=all, so undefined behaviour stops the run with
     UBSan's report. Skips when no C++ compiler is installed.
     """
     compiler = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
     if compiler is None:
         pytest.skip("no C++ toolchain found; compile-and-compare skipped, non-blocking")
-    env = None
+    flags = " -Werror"
     if os.environ.get("FIXFLOW_UBSAN") == "1":
-        env = {**os.environ, "CXX": f"{compiler} -fsanitize=undefined -fno-sanitize-recover=all"}
+        flags += " -fsanitize=undefined -fno-sanitize-recover=all"
+    env = {**os.environ, "CXX": compiler + flags}
     (project / "in.txt").write_text("".join(line + "\n" for line in input_lines))
     for argv in (["sh", str(project / "build.sh")],
                  [str(project / "build" / "testbench"), str(project / "in.txt"),
@@ -179,6 +183,27 @@ class TestProjectStructure:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("in_spec, weight, acc, bits", [
+        # 64-bit weights times a 64-bit input: the exact product alone needs 128 bits.
+        ("fixed<64,32>", "fixed<64,1>", "fixed<64,32>", 128),
+        # A 120-bit product shifted up 15 places into a finer accumulator.
+        ("fixed<60,30>", "fixed<60,1>", "fixed<64,-40>", 135),
+    ])
+    def test_intermediate_wider_than_the_wide_type_rejected(self, in_spec, weight, acc, bits, tmp_path, capsys):
+        text = json.dumps({"format_version": "1", "input_shape": [2], "layers": [
+            {"name": "in", "kind": "input", "precision": in_spec},
+            {"name": "d", "kind": "dense",
+             "precision": {"weight": weight, "bias": "fixed<16,6>", "accumulator": acc, "result": "fixed<16,6>"},
+             "params": {"weight": {"shape": [2, 2], "data": [0.5, -0.5, 0.25, 0.0]},
+                        "bias": {"shape": [2], "data": [0.0, 0.0]}}}]})
+        message = f"layer 'd': intermediate needs {bits} bits, generated arithmetic supports 127"
+        with pytest.raises(codegen.CodegenError, match=re.escape(message)):
+            emit_project(parse_model(text))
+        (tmp_path / "m.json").write_text(text)
+        assert run(["codegen", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p").exists()
+
 
 def joined_literal_rows(values, per_row=12):
     """Literal rows written with one str.join per row: the reference for codegen._literal_rows."""
@@ -197,7 +222,8 @@ class TestLiteralRows:
 
     def test_int64_extremes(self):
         raws = np.array([-(1 << 63), (1 << 63) - 1, 0, -1, 1] * 5, dtype=np.int64)
-        assert codegen._literal_rows(raws) == joined_literal_rows(raws.tolist())
+        want = joined_literal_rows(raws.tolist()).replace(str(-(1 << 63)), INT64_MIN_CXX)
+        assert codegen._literal_rows(raws) == want
 
     def test_mode_codes_as_the_sign_layers_pass_them(self):
         modes = np.array([0.0, 1.0, 2.0, 3.0] * 4)  # mode params hold float64
@@ -372,6 +398,56 @@ class TestEveryKindCompiles:
         assert build_and_run(tmp_path, in_lines) == want_lines
         # Outputs are a function of the sign layers' patterns, so they repeat.
         assert len(set(want_lines)) > 10
+
+
+class TestInt64MinLiterals:
+    """A raw of -2**63 is written so that C++ reads it as a long long: the
+    literal -9223372036854775808 is the negation of a constant too large for
+    long long, which g++ warns about."""
+
+    @staticmethod
+    def compile_and_compare(model, tmp_path, n_in, scale):
+        model = materialize_quantized(model)
+        emit_project(model, CodegenConfig("minraw")).write_to(tmp_path)
+        rng = np.random.Generator(np.random.Philox(key=63))
+        out, taps = run_inference(model, Tensor.from_numpy(rng.normal(0, scale, (40, n_in))), tap_all=True)
+
+        def rows(t):
+            return [" ".join(map(str, row)) for row in t.array.reshape(40, -1).tolist()]
+
+        assert build_and_run(tmp_path, rows(taps[0].output)) == rows(out)
+        return out
+
+    def test_dense_weight(self, tmp_path):
+        prec = PrecisionSet.from_doc({"weight": "fixed<64,1>", "bias": "fixed<16,6>",
+                                      "accumulator": "fixed<40,20>", "result": "fixed<40,20>"}, "$")
+        model = ModelGraph.chain([
+            LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<16,6>")),
+            LayerNode("d", "dense", {"weight": Tensor((2, 2), (-1.0, 0.5, 0.25, -1.0)),
+                                     "bias": Tensor((2,), (0.0, 1.0))}, precision=prec),
+        ], (2,))
+        header = emit_project(model).file("firmware/weights/w0.h")
+        assert "-9223372036854775808" not in header
+        assert header.count(INT64_MIN_CXX) == 2
+        out = self.compile_and_compare(model, tmp_path, 2, 4.0)
+        assert len(set(out.array.tolist())) > 20
+
+    @pytest.mark.parametrize("kind", ["binary_tanh", "ternary_tanh"])
+    @pytest.mark.parametrize("result", ["fixed<64,1>", "fixed<64,1,sat>"])
+    def test_sign_levels(self, kind, result, tmp_path):
+        # -1.0 is the minimum of fixed<64,1>; +1.0 wraps to it or saturates.
+        model = ModelGraph.chain([
+            LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<16,6>")),
+            LayerNode("s", kind, {"threshold": Tensor((4,), (0.5, -0.5, 0.0, 1.0)),
+                                  "mode": Tensor((4,), (0.0, 1.0, 2.0, 3.0))},
+                      precision=PrecisionSet.uniform(result)),
+        ], (4,))
+        cpp = emit_project(model).file("firmware/model.cpp")
+        assert "-9223372036854775808" not in cpp
+        # The -1 level in the mode 3 line and the compare, and +1 there too when it wraps.
+        assert cpp.count(INT64_MIN_CXX) == (4 if result == "fixed<64,1>" else 2)
+        out = self.compile_and_compare(model, tmp_path, 4, 1.0)
+        assert -(1 << 63) in out.array.tolist()
 
 
 class TestMacText:

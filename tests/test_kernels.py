@@ -137,6 +137,15 @@ class TestCoo:
         with pytest.raises(ValueError, match="sorted"):
             CooWeights([2, 1], [1, 1], n_in=2, n_out=2, weight_spec=spec)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^2 packed indices but 1 raws$"):
+            CooWeights([0, 1], [1], n_in=2, n_out=2, weight_spec=FixedPointSpec(8, 4))
+
+    @pytest.mark.parametrize("packed", [[0, 4], [-1, 0], [6]])
+    def test_packed_index_out_of_range_rejected(self, packed):
+        with pytest.raises(ValueError, match="^packed index out of range$"):
+            CooWeights(packed, [1] * len(packed), n_in=2, n_out=2, weight_spec=FixedPointSpec(8, 4))
+
     def test_entries_off_weight_spec_rejected(self):
         with pytest.raises(ValueError, match="weight_spec"):
             CooWeights([0], [128], n_in=1, n_out=1, weight_spec=FixedPointSpec(8, 4))
@@ -413,6 +422,23 @@ class TestBlockPath:
 
 
 class TestRunInference:
+    def test_no_input_on_a_non_constant_graph(self):
+        g = ModelGraph.chain([LayerNode("input", "input"), LayerNode("r", "relu")], (3,))
+        with pytest.raises(ValueError, match="^graph input is not constant and no input tensor was provided$"):
+            run_inference(g)
+
+    def test_2d_constant_input_runs_as_one_row(self):
+        prec = uniform_precision("fixed<8,4>")
+        values = np.array([[-1.0, 0.5, 2.0], [0.25, -0.75, 3.0]])
+        relu = LayerNode("r", "relu", precision=prec)
+        constant = ModelGraph.chain([LayerNode("input", "input", {"value": Tensor.from_numpy(values)},
+                                               precision=prec), relu], (2, 3))
+        out, taps = run_inference(constant, tap_all=True)
+        assert out.shape == taps[0].output.shape == (6,)
+        fed = ModelGraph.chain([LayerNode("input", "input", precision=prec), relu], (6,))
+        want, _ = run_inference(fed, Tensor.from_numpy(values.reshape(-1)))
+        assert out.array.tolist() == want.array.tolist() == [0, 8, 32, 4, 0, 48]
+
     def test_relu_zeroes_negatives(self):
         prec = uniform_precision("fixed<8,4>")
         g = ModelGraph.chain([
