@@ -36,7 +36,7 @@ from .model_ir import ModelGraph, open_output, serialize_model, walk
 
 TOOL_VERSION = __version__
 
-# Left-shift headroom available in the generated 128-bit intermediates.
+# The most bits a cast's shifted raw, or its right shift, may take in 128-bit arithmetic.
 _WIDE_BITS = 127
 
 
@@ -170,7 +170,14 @@ def _spec_comment(spec: FixedPointSpec) -> str:
     return f"{spec.to_string()}  value = raw * 2^-{spec.fraction_bits}"
 
 
-def _cast_args(from_frac: int, spec: FixedPointSpec) -> str:
+def _cast_args(node, width: int, from_frac: int, spec: FixedPointSpec) -> str:
+    """The arguments of an ``ff_cast`` of a ``width``-bit raw on ``from_frac`` fraction bits
+    into ``spec``: the shifted raw and a right shift's distance must fit the 128-bit type."""
+    shift = spec.fraction_bits - from_frac
+    bits = max(width, width + shift, -shift)
+    if bits > _WIDE_BITS:
+        raise CodegenError(f"layer {node.name!r}: intermediate needs {bits} bits, "
+                           f"generated arithmetic supports {_WIDE_BITS}")
     return (f"{from_frac}, {spec.fraction_bits}, {int(spec.rounding == ROUND_HALF_UP)}, "
             f"{spec.width_bits}, {int(spec.signed)}, {int(spec.overflow == SATURATE)}")
 
@@ -182,33 +189,23 @@ def _overflow_args(spec: FixedPointSpec) -> str:
 def _check_storage(node, specs):
     for spec in specs:
         # Raw values are stored in long long.
-        if not spec.signed and spec.width_bits > 63:
+        if spec.raw_dtype is not np.int64:
             raise CodegenError(
                 f"layer {node.name!r}: unsigned width {spec.width_bits} does not fit the "
                 "generated 64-bit storage"
             )
 
 
-def _check_widths(node, in_spec):
-    prec = node.precision
-    _check_storage(node, (prec.weight, prec.bias, prec.accumulator))
-    product_bits = prec.weight.width_bits + in_spec.width_bits
-    shift_up = max(0, prec.accumulator.fraction_bits - (prec.weight.fraction_bits + in_spec.fraction_bits))
-    if product_bits + shift_up > _WIDE_BITS:
-        raise CodegenError(
-            f"layer {node.name!r}: intermediate needs {product_bits + shift_up} bits, "
-            f"generated arithmetic supports {_WIDE_BITS}"
-        )
-
-
 def _mac_exprs(node, in_spec):
     """The MAC's C++ text: (bias_cast(bias), add(acc) of the product p, result_cast(acc))."""
-    _check_widths(node, in_spec)
     prec, acc = node.precision, node.precision.accumulator
-    prod_frac = prec.weight.fraction_bits + in_spec.fraction_bits
-    return (lambda b: f"ff_cast((ff_wide_t){b}, {_cast_args(prec.bias.fraction_bits, acc)})",
-            lambda a: f"{a} = ff_overflow({a} + ff_cast(p, {_cast_args(prod_frac, acc)}), {_overflow_args(acc)});",
-            lambda a: f"(long long)ff_cast({a}, {_cast_args(acc.fraction_bits, prec.result)})")
+    product = _cast_args(node, prec.weight.width_bits + in_spec.width_bits,
+                         prec.weight.fraction_bits + in_spec.fraction_bits, acc)
+    bias = _cast_args(node, prec.bias.width_bits, prec.bias.fraction_bits, acc)
+    result = _cast_args(node, acc.width_bits, acc.fraction_bits, prec.result)
+    return (lambda b: f"ff_cast((ff_wide_t){b}, {bias})",
+            lambda a: f"{a} = ff_overflow({a} + ff_cast(p, {product}), {_overflow_args(acc)});",
+            lambda a: f"(long long)ff_cast({a}, {result})")
 
 
 # C++ reads -9223372036854775808 as the negation of a constant too large for long long.
@@ -330,7 +327,7 @@ def _emit_relu(node, in_spec, width):
         f"static void {node.name}_kernel(const long long x[{width}], long long y[{width}]) {{",
         f"    for (int i = 0; i < {width}; ++i)",
         f"        y[i] = (long long)ff_cast(x[i] < 0 ? (ff_wide_t)0 : (ff_wide_t)x[i], "
-        f"{_cast_args(in_spec.fraction_bits, res)});",
+        f"{_cast_args(node, in_spec.width_bits, in_spec.fraction_bits, res)});",
         "}",
     ]
 
@@ -398,7 +395,9 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
         if kind == "softmax":
             notes.append("trailing softmax is evaluated host-side; firmware emits the logits")
             continue
-        _check_storage(node, (in_spec, node.precision.result))
+        prec = node.precision
+        _check_storage(node, (in_spec, prec.result, prec.weight, prec.bias, prec.accumulator)
+                       if kind in ("dense", "batch_norm") else (in_spec, prec.result))
         if kind == "dense":
             header, kernel = _emit_dense(node, in_spec, weight_index)
         elif kind == "batch_norm":

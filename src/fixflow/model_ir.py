@@ -488,6 +488,9 @@ def _check_layer(node: LayerNode, in_width: int, diags: list):
         codes = (MODE_GE, MODE_LE, MODE_CONST_PLUS, MODE_CONST_MINUS)
         if modes is not None and not np.isin(modes.to_numpy(), codes).all():
             bad("params", "mode entries must be one of the codes 0, 1, 2, 3")
+        res = node.precision.result
+        if not quantize(-1.0, res).raw < 0 < quantize(1.0, res).raw:
+            bad("precision", f"result {res} cannot tell +1 from -1")
 
 
 def validate(graph: ModelGraph):

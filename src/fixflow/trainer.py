@@ -832,14 +832,10 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
         }
         qat_cfg = replace(qat_cfg_base, quantizers=quantizers,
                           activation_quantizers=act_quantizers)
-        qat_model, _ = train_qat(float_model, train_data, qat_cfg)
-        # Deploy under the same per-layer assignment the quantizers came
-        # from: materializing rounds the masters onto their quantizers' grids.
-        deployed = qat_model.replace_nodes([
-            replace(node, precision=ptq_model.node(node.name).precision)
-            for node in qat_model.nodes
-        ])
-        qat = evaluate(deployed, subset, arithmetic="fixed")
+        # Fine-tune the PTQ model: training keeps each node's precision, so the
+        # result deploys under the assignment the quantizers came from.
+        qat_model, _ = train_qat(ptq_model, train_data, qat_cfg)
+        qat = evaluate(qat_model, subset, arithmetic="fixed")
         rows.append(ScanRow(bits, ptq.accuracy / baseline.accuracy,
                             qat.accuracy / baseline.accuracy))
     return baseline, rows

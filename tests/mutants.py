@@ -76,6 +76,25 @@ MUTANTS = [
            '_INT64_MIN, _INT64_MIN_CXX = str(-(1 << 63)), "(-9223372036854775807LL - 1)"',
            "_INT64_MIN = _INT64_MIN_CXX = str(-(1 << 63))",
            ("tests/test_codegen.py::TestInt64MinLiterals",)),
+    Mutant("cast_bits_without_right_shift", "codegen.py",
+           "bits = max(width, width + shift, -shift)", "bits = max(width, width + shift)",
+           ("tests/test_codegen.py::TestProjectStructure::test_cast_beyond_the_wide_type_rejected[right_shift]",)),
+    Mutant("cast_bits_bound_inclusive", "codegen.py",
+           "if bits > _WIDE_BITS:", "if bits >= _WIDE_BITS:",
+           ("tests/test_codegen.py::TestWideSpecsCompile::test_cast_of_exactly_127_bits_bit_matches_emulator",)),
+    Mutant("result_cast_from_result_width", "codegen.py",
+           "result = _cast_args(node, acc.width_bits,", "result = _cast_args(node, prec.result.width_bits,",
+           ("tests/test_codegen.py::TestProjectStructure::test_cast_beyond_the_wide_type_rejected[result]",)),
+    Mutant("relu_cast_from_result_fraction", "codegen.py",
+           "in_spec.width_bits, in_spec.fraction_bits, res)", "in_spec.width_bits, res.fraction_bits, res)",
+           ("tests/test_codegen.py::TestEveryKindCompiles::test_compiled_project_bit_matches_emulator",)),
+    Mutant("storage_check_always_passes", "codegen.py",
+           "        if spec.raw_dtype is not np.int64:\n", "        if False:\n",
+           ("tests/test_codegen.py::TestProjectStructure::test_unsigned_64_bit_storage_rejected",)),
+    Mutant("sign_levels_unchecked", "model_ir.py",
+           '            bad("precision", f"result {res} cannot tell +1 from -1")\n', "            pass\n",
+           ("tests/test_model_ir.py::TestValidate::test_sign_levels_must_differ",
+            "tests/test_cli.py::TestMalformedDocuments::test_layer_rule_broken")),
 ]
 
 

@@ -180,6 +180,11 @@ class TestMalformedDocuments:
          "[bt] shape: threshold has 3 channels, expected 2"),
         ({"name": "tt", "kind": "ternary_tanh", "params": {"mode": {"shape": [1], "data": [0]}}},
          "[tt] shape: mode has 1 channels, expected 2"),
+        # +1.0 wraps to -1.0 on fixed<8,1>, and -1.0 to 3.0 on fixed<8,2,u>.
+        ({"name": "bt", "kind": "binary_tanh", "precision": "fixed<8,1>"},
+         "[bt] precision: result fixed<8,1> cannot tell +1 from -1"),
+        ({"name": "tt", "kind": "ternary_tanh", "precision": "fixed<8,2,u>"},
+         "[tt] precision: result fixed<8,2,u> cannot tell +1 from -1"),
     ])
     def test_layer_rule_broken(self, tmp_path, capsys, layer, message):
         err = self.run_failing(tmp_path, capsys, [layer], "convert")

@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 import re
 import shutil
 import subprocess
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +53,27 @@ def build_and_run(project, input_lines) -> list:
         done = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert done.returncode == 0, f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}"
     return (project / "out.txt").read_text().splitlines()
+
+
+def dense_doc(name, weight, bias, acc, result, w, b):
+    """A dense layer's document: specs for its four slots, weight values row by row, bias values."""
+    return {"name": name, "kind": "dense",
+            "precision": {"weight": weight, "bias": bias, "accumulator": acc, "result": result},
+            "params": {"weight": {"shape": [len(b), len(w) // len(b)], "data": w},
+                       "bias": {"shape": [len(b)], "data": b}}}
+
+
+def assert_codegen_rejects(layers, message, tmp_path, capsys):
+    """On a two-input chain of ``layers``, emit_project raises
+    CodegenError(message), and ``fixflow codegen`` exits 1 with that message
+    and writes nothing."""
+    text = json.dumps({"format_version": "1", "input_shape": [2], "layers": layers})
+    with pytest.raises(codegen.CodegenError, match=re.escape(message)):
+        emit_project(parse_model(text))
+    (tmp_path / "m.json").write_text(text)
+    assert run(["codegen", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "p").exists()
 
 
 class TestDeterminism:
@@ -174,14 +197,8 @@ class TestProjectStructure:
           {"name": "r", "kind": "relu", "precision": "fixed<64,2,u>"}], "r"),
     ])
     def test_unsigned_64_bit_storage_rejected(self, layers, culprit, tmp_path, capsys):
-        text = json.dumps({"format_version": "1", "input_shape": [2], "layers": layers})
         message = f"layer {culprit!r}: unsigned width 64 does not fit the generated 64-bit storage"
-        with pytest.raises(codegen.CodegenError, match=re.escape(message)):
-            emit_project(parse_model(text))
-        (tmp_path / "m.json").write_text(text)
-        assert run(["codegen", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "p")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "p").exists()
+        assert_codegen_rejects(layers, message, tmp_path, capsys)
 
     @pytest.mark.parametrize("in_spec, weight, acc, bits", [
         # 64-bit weights times a 64-bit input: the exact product alone needs 128 bits.
@@ -190,19 +207,40 @@ class TestProjectStructure:
         ("fixed<60,30>", "fixed<60,1>", "fixed<64,-40>", 135),
     ])
     def test_intermediate_wider_than_the_wide_type_rejected(self, in_spec, weight, acc, bits, tmp_path, capsys):
-        text = json.dumps({"format_version": "1", "input_shape": [2], "layers": [
-            {"name": "in", "kind": "input", "precision": in_spec},
-            {"name": "d", "kind": "dense",
-             "precision": {"weight": weight, "bias": "fixed<16,6>", "accumulator": acc, "result": "fixed<16,6>"},
-             "params": {"weight": {"shape": [2, 2], "data": [0.5, -0.5, 0.25, 0.0]},
-                        "bias": {"shape": [2], "data": [0.0, 0.0]}}}]})
+        layers = [{"name": "in", "kind": "input", "precision": in_spec},
+                  dense_doc("d", weight, "fixed<16,6>", acc, "fixed<16,6>", [0.5, -0.5, 0.25, 0.0], [0.0, 0.0])]
         message = f"layer 'd': intermediate needs {bits} bits, generated arithmetic supports 127"
-        with pytest.raises(codegen.CodegenError, match=re.escape(message)):
-            emit_project(parse_model(text))
-        (tmp_path / "m.json").write_text(text)
-        assert run(["codegen", "--model", str(tmp_path / "m.json"), "--out", str(tmp_path / "p")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "p").exists()
+        assert_codegen_rejects(layers, message, tmp_path, capsys)
+
+    # Each cast below, written unchecked, shifts its raw out of the 128-bit
+    # type or by more than 127 places, and the firmware's answers differ from
+    # the emulator's on the rows noted.
+    BIG_BIAS = {"w": [0.5, -0.5, 0.25, 0.0], "b": [3e6, 3e6]}
+
+    @pytest.mark.parametrize("in_spec, layers, culprit, bits", [
+        # The result cast: a 32-bit accumulator on fraction 0 shifted up 106
+        # places. The emulator saturates the 3e6 bias to 32767; the wrapped
+        # shift reads negative and saturates to -32768.
+        ("fixed<16,6>", [dense_doc("d", "fixed<8,2>", "fixed<32,32>", "fixed<32,32>", "fixed<16,-90,sat>",
+                                   **BIG_BIAS)], "d", 138),
+        # The ReLU cast: the same shift, from the dense layer's 32-bit result.
+        ("fixed<16,6>", [dense_doc("d", "fixed<8,2>", "fixed<32,32>", "fixed<32,32>", "fixed<32,32>", **BIG_BIAS),
+                         {"name": "r", "kind": "relu", "precision": "fixed<16,-90,sat>"}], "r", 138),
+        # The bias cast: a 64-bit bias on fraction 0 shifted up 68 places. The
+        # emulator saturates the 2**61 bias to the accumulator's maximum, just
+        # under 2**-5, which the result holds as raw 31; the firmware gives 0.
+        ("fixed<16,6>", [dense_doc("d", "fixed<8,-50>", "fixed<64,64>", "fixed<64,-4,sat>", "fixed<16,6,sat>",
+                                   [2.0 ** -53, 2.0 ** -52, 2.0 ** -52, 2.0 ** -53], [2.0 ** 61] * 2)], "d", 132),
+        # A right shift of 166 places: the product on fraction 128 into an
+        # accumulator on fraction -38. On the row (2**-89, 2**-90) the
+        # emulator gives 0 and the firmware -4194304.
+        ("fixed<29,-87>", [dense_doc("d", "fixed<2,-10>", "fixed<11,16>", "fixed<25,63,rnd>", "fixed<23,19,sat>",
+                                     [-2.0 ** -11, 2.0 ** -12], [0.0])], "d", 166),
+    ], ids=["result", "relu", "bias", "right_shift"])
+    def test_cast_beyond_the_wide_type_rejected(self, in_spec, layers, culprit, bits, tmp_path, capsys):
+        layers = [{"name": "in", "kind": "input", "precision": in_spec}] + layers
+        message = f"layer {culprit!r}: intermediate needs {bits} bits, generated arithmetic supports 127"
+        assert_codegen_rejects(layers, message, tmp_path, capsys)
 
 
 def joined_literal_rows(values, per_row=12):
@@ -372,6 +410,30 @@ class TestWideSpecsCompile:
         diffs = [v - t for taps in all_taps for v, t in zip(taps[3].output.array.tolist(), traws)]
         assert sum(not -(1 << 63) <= d < (1 << 63) for d in diffs) >= 100
 
+    def test_cast_of_exactly_127_bits_bit_matches_emulator(self, tmp_path):
+        # 63-bit weights times 64-bit inputs: the exact product needs 127 bits,
+        # the most the generated arithmetic holds, and its top bits are used.
+        model = materialize_quantized(ModelGraph.chain([
+            LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<64,40>")),
+            LayerNode("d", "dense", {"weight": Tensor((2, 2), (-1.0, 0.999, 0.75, -0.5)),
+                                     "bias": Tensor((2,), (0.5, -0.25))},
+                      precision=PrecisionSet.from_doc({"weight": "fixed<63,1>", "bias": "fixed<16,6>",
+                                                       "accumulator": "fixed<64,41,sat>",
+                                                       "result": "fixed<48,40,sat>"}, "$")),
+        ], (2,)))
+        emit_project(model, CodegenConfig("edge")).write_to(tmp_path)
+        rng = np.random.Generator(np.random.Philox(key=127))
+        block = Tensor.from_numpy(rng.normal(0.0, 2.0 ** 36, (40, 2)))
+        out, taps = run_inference(model, block, tap_all=True)
+        x, w = taps[0].output.array.tolist(), model.node("d").param("weight").array.tolist()
+        assert max(abs(a * b) for a in x for b in w) >= 1 << 122
+
+        def rows(t):
+            return [" ".join(map(str, row)) for row in t.array.reshape(40, -1).tolist()]
+
+        got = build_and_run(tmp_path, rows(taps[0].output))
+        assert got == rows(out) and len(set(got)) == 40
+
 
 class TestEveryKindCompiles:
     def test_widths_agree(self):
@@ -488,32 +550,51 @@ class TestMacText:
         assert result.startswith("y[i] = (long long)ff_cast(acc, ")
 
 
-def random_spec(rng, min_width=2) -> str:
-    """A random fixed<W,I[,u][,rnd][,sat]> with W in min_width..32, I in -1..min(W, 5)+1.
+def spec_flags(rng) -> str:
+    return "".join(f for f, on in zip((",u", ",rnd", ",sat"), rng.random(3) < (0.1, 0.4, 0.3)) if on)
+
+
+def random_spec(rng, slot) -> str:
+    """A random fixed<W,I[,u][,rnd][,sat]> with W in 2..32 (12..32 for an
+    accumulator: fewer bits would make most chains constant) and I in
+    -1..min(W, 5)+1.
 
     Values of a few units then stay mostly representable, and fraction
-    bits stay within -1..33, which keeps every product and shift inside
-    the generated 128-bit arithmetic (codegen._check_widths).
+    bits stay within -1..33, which keeps every cast's shifted raw and
+    shift distance inside the generated 128-bit arithmetic
+    (codegen._cast_args).
     """
-    width = int(rng.integers(min_width, 33))
-    flags = "".join(f for f, on in zip((",u", ",rnd", ",sat"), rng.random(3) < (0.1, 0.4, 0.3)) if on)
+    width, flags = int(rng.integers(12 if slot == "accumulator" else 2, 33)), spec_flags(rng)
     return f"fixed<{width},{int(rng.integers(-1, min(width, 5) + 2))}{flags}>"
 
 
-def fuzz_chain(rng, n_rows: int):
+def edge_spec(rng, slot, scale=0) -> str:
+    """A random fixed<W,I[,u][,rnd][,sat]> with W in 2..64 (12..64 for an
+    accumulator) and I within 64 of ``scale``, or within 8 of 0 for a weight.
+
+    Weights near 1 keep a chain's values near one size, so a chain whose
+    other slots sit around one scale in -100..100 has integer bits far
+    below 0 or far above W and can still vary. Casts between its slots
+    shift by up to about 200 places, so codegen's 128-bit rule rejects
+    some chains and accepts others close to its edge.
+    """
+    width, flags = int(rng.integers(12 if slot == "accumulator" else 2, 65)), spec_flags(rng)
+    spread, center = (8, 0) if slot == "weight" else (64, scale)
+    return f"fixed<{width},{center + int(rng.integers(-spread, spread + 1))}{flags}>"
+
+
+def fuzz_chain(rng, n_rows: int, spec=random_spec):
     """A random valid chain of 1-4 dense layers, ending on a dense layer, and input rows.
 
-    Every slot of every layer gets its own random spec, each dense layer
-    is COO-compressed at random, and each dense layer but the last may be
-    followed by a ReLU, an unfused batch norm, or a binary or ternary tanh
-    with mode codes 0-3 and thresholds at randomly picked values the chain
-    produces there (less the half-unit band for ternary), so that the
-    signs vary from row to row.
+    Every slot of every layer gets its own spec from ``spec(rng, slot)``,
+    each dense layer is COO-compressed at random, and each dense layer but
+    the last may be followed by a ReLU, an unfused batch norm, or a binary
+    or ternary tanh with mode codes 0-3 and thresholds at randomly picked
+    values the chain produces there (less the half-unit band for ternary),
+    so that the signs vary from row to row.
     """
     def precision():
-        # Accumulators of fewer than 12 bits would make most chains constant.
-        return PrecisionSet.from_doc({slot: random_spec(rng, 12 if slot == "accumulator" else 2)
-                                      for slot in PrecisionSet.SLOTS}, "$")
+        return PrecisionSet.from_doc({slot: spec(rng, slot) for slot in PrecisionSet.SLOTS}, "$")
 
     width = int(rng.integers(1, 7))
     nodes = [LayerNode("input", "input", precision=precision())]
@@ -548,6 +629,8 @@ def fuzz_chain(rng, n_rows: int):
 
 FUZZ_CHAINS = 6
 FUZZ_ROWS = 50
+# Among these chains codegen emits 11, and 6 of those have outputs that vary.
+EDGE_SEED, EDGE_CHAINS, EDGE_ROWS = 1, 16, 20
 
 
 @pytest.fixture(scope="module")
@@ -633,6 +716,36 @@ class TestFuzzCorpus:
                                      for j in range(n)), bias.data[i].to_fraction())
                         overflows += not acc.min_value <= exact <= acc.max_value
         assert overflows >= 1
+
+
+class TestEdgeSpecFuzz:
+    """Random chains on edge_spec: specs up to 64 bits wide whose integer
+    bits lie far below 0 or far above the width."""
+
+    def test_emitted_chains_bit_match_and_rejections_name_the_rule(self, tmp_path):
+        # Every chain codegen emits builds and bit-matches the emulator; every
+        # other chain is rejected by the 128-bit or the 64-bit storage rule.
+        rng = np.random.Generator(np.random.Philox(key=EDGE_SEED))
+        compared, varied, rejected = 0, 0, 0
+        for c in range(EDGE_CHAINS):
+            scale = int(rng.integers(-100, 101))
+            model, rows = fuzz_chain(rng, EDGE_ROWS, functools.partial(edge_spec, scale=scale))
+            model = materialize_quantized(model)
+            try:
+                tree = emit_project(model, CodegenConfig(f"edge{c}"))
+            except codegen.CodegenError as exc:
+                assert traceback.extract_tb(exc.__traceback__)[-1].name in ("_cast_args", "_check_storage"), c
+                rejected += 1
+                continue
+            out, taps = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
+            want = [" ".join(map(str, row)) for row in out.array.reshape(EDGE_ROWS, -1).tolist()]
+            tree.write_to(tmp_path / f"edge{c}")
+            got = build_and_run(tmp_path / f"edge{c}", [" ".join(map(str, row)) for row in
+                                                        taps[0].output.array.reshape(EDGE_ROWS, -1).tolist()])
+            assert got == want, c
+            compared += 1
+            varied += len(set(want)) > 1
+        assert compared >= 10 and varied >= 5 and rejected >= 3, (compared, varied, rejected)
 
 
 def int64_overflow_model() -> ModelGraph:

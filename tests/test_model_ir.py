@@ -467,6 +467,20 @@ class TestValidate:
         diags = validate(ModelGraph.chain(nodes, (2,)))
         assert any(d.layer == "bn" and "gamma" in d.message for d in diags)
 
+    @pytest.mark.parametrize("kind", ["binary_tanh", "ternary_tanh"])
+    @pytest.mark.parametrize("result, ok", [
+        ("fixed<8,2>", True), ("fixed<2,2>", True), ("fixed<8,1,sat>", True), ("fixed<64,1,sat>", True),
+        ("fixed<8,0,sat>", True), ("fixed<8,1>", False), ("fixed<64,1>", False), ("fixed<8,0>", False),
+        ("fixed<8,-3>", False), ("fixed<8,2,u>", False), ("fixed<8,2,u,sat>", False),
+    ])
+    def test_sign_levels_must_differ(self, kind, result, ok):
+        # Where +1 wraps to a raw that is not positive, or -1 to one that is not
+        # negative, the layer would output one level for every input.
+        nodes = [LayerNode("input", "input"),
+                 LayerNode("s", kind, precision=PrecisionSet.uniform(result))]
+        diags = validate(ModelGraph.chain(nodes, (2,)))
+        assert diags == ([] if ok else [Diagnostic("s", "precision", f"result {result} cannot tell +1 from -1")])
+
     def test_compression_only_on_dense(self):
         nodes = [LayerNode("input", "input"),
                  LayerNode("r", "relu", compression=True)]
