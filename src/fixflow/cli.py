@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import functools
+import hashlib
 import json
 import logging
 import math
@@ -81,7 +82,7 @@ def _load_model(spec: str, seed: int) -> ModelGraph:
         if len(dims) < 2:
             raise ValueError(f"{spec}: need at least input and output widths")
         return trainer.build_classifier(dims[0], dims[1:-1], dims[-1], seed=seed)
-    with timed(f"load {spec}"), open(spec) as fh:
+    with timed(f"load {spec}"), open(spec, "rb") as fh:
         return parse_model(fh.read())
 
 
@@ -176,7 +177,7 @@ def cmd_convert(args, config):
     _write_text(os.path.join(out, "model.json"), text)
     with timed("emit"):
         report = codegen.emit_report(graph, pass_reports=reports,
-                                     model_hash=codegen._model_hash(text))
+                                     source_hash=hashlib.sha256(text.encode()).hexdigest())
     _write_json(os.path.join(out, "report.json"), report)
     applied = sum(len(r.rewrites) for r in reports)
     print(f"converted: {len(graph.nodes)} layers, {applied} rewrites")

@@ -19,7 +19,6 @@ is the caller's concern.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -32,7 +31,7 @@ import orjson
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
 from .kernels import compress_coo, materialize_quantized, sign_levels
-from .model_ir import ModelGraph, open_output, serialize_model, walk
+from .model_ir import ModelGraph, model_hash, open_output, walk
 
 TOOL_VERSION = __version__
 
@@ -187,8 +186,8 @@ def _overflow_args(spec: FixedPointSpec) -> str:
 
 
 def _check_storage(node, specs):
+    """Every spec in ``specs`` is one the firmware stores in long long; accumulators are not."""
     for spec in specs:
-        # Raw values are stored in long long.
         if spec.raw_dtype is not np.int64:
             raise CodegenError(
                 f"layer {node.name!r}: unsigned width {spec.width_bits} does not fit the "
@@ -369,14 +368,9 @@ def _emit_sign_activation(node, in_spec, index, width, ternary: bool):
                     for line in lines]
 
 
-def _model_hash(text: str) -> str:
-    """The model hash of manifests and reports: sha256 of the ``serialize_model`` text."""
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> ProjectTree:
     """Emit the full project tree for a validated, pass-optimized graph."""
-    source_hash = _model_hash(serialize_model(graph))
+    source_hash = model_hash(graph)
     graph = materialize_quantized(graph)
     steps = walk(graph)
     name = config.project_name
@@ -396,7 +390,7 @@ def emit_project(graph: ModelGraph, config: CodegenConfig = CodegenConfig()) -> 
             notes.append("trailing softmax is evaluated host-side; firmware emits the logits")
             continue
         prec = node.precision
-        _check_storage(node, (in_spec, prec.result, prec.weight, prec.bias, prec.accumulator)
+        _check_storage(node, (in_spec, prec.result, prec.weight, prec.bias)
                        if kind in ("dense", "batch_norm") else (in_spec, prec.result))
         if kind == "dense":
             header, kernel = _emit_dense(node, in_spec, weight_index)
@@ -532,18 +526,16 @@ REPORT_SCHEMA = {
 
 
 def emit_report(graph: ModelGraph, estimates=None, profile=None, pass_reports=None,
-                model_hash: str = None) -> dict:
+                source_hash: str = None) -> dict:
     """One structured document aggregating everything the pipeline measured.
 
-    ``model_hash`` is the sha256 of ``serialize_model(graph)``; a caller
-    that already holds that text passes its hash so it is not serialized again.
+    The model hash is sha256 of the canonical document, ``serialize_model(graph).encode()``;
+    a caller that has written that text passes its hash as ``source_hash``.
     """
-    if model_hash is None:
-        model_hash = _model_hash(serialize_model(graph))
     doc = {
         "schema_version": "1",
         "model": {
-            "hash": model_hash,
+            "hash": source_hash or model_hash(graph),
             "input_shape": list(graph.input_shape),
             "layers": [
                 {"name": node.name, "kind": node.kind, "output_width": width}

@@ -21,6 +21,8 @@ Only ``Tensor`` knows how raws are stored; other modules read its
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
@@ -356,27 +358,31 @@ def _parse_tensor(doc, path: str) -> Tensor:
         raise ParseError(f"{path}: {e}") from None
 
 
-def parse_model(text: str) -> ModelGraph:
-    """Parse and validate a model document; applies per-layer defaults. orjson decodes it if it
-    nests shallowly; where not, or orjson raises or a check fails, ``json`` decodes and decides."""
+def parse_model(data: str | bytes) -> ModelGraph:
+    """Parse and validate a model document, given as text or as its file's bytes; applies per-layer
+    defaults. orjson decodes it if it nests shallowly; where not, or orjson raises or a check fails,
+    ``json`` decodes and decides, on bytes decoded as ``open()`` decodes a UTF-8 file."""
     with suppress(ValueError):
-        if _nests_shallowly(text):
-            return _graph_from_doc(orjson.loads(text))
+        if _nests_shallowly(data):
+            return _graph_from_doc(orjson.loads(data))
+    if isinstance(data, bytes):
+        data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise ParseError(f"$: not valid JSON ({e})") from None
     return _graph_from_doc(doc)
 
 
-def _nests_shallowly(text: str) -> bool:
+def _nests_shallowly(data: str | bytes) -> bool:
     """Under 500 ``[`` and ``{``: no value, not even one a duplicate key drops, nests as deep as
-    ``json`` decodes (1000 less the caller's stack). ``str.find`` outruns ``str.count`` here."""
+    ``json`` decodes (1000 less the caller's stack). ``find`` outruns ``count`` here. In UTF-8
+    these bytes occur only as those characters, so bytes and their text count alike."""
     count = 0
-    for opener in "[{":
-        at = text.find(opener)
+    for opener in ("[{" if isinstance(data, str) else (b"[", b"{")):
+        at = data.find(opener)
         while at >= 0 and count < 500:
-            count, at = count + 1, text.find(opener, at + 1)
+            count, at = count + 1, data.find(opener, at + 1)
     return count < 500
 
 
@@ -512,7 +518,22 @@ def validate(graph: ModelGraph):
 
 
 def serialize_model(graph: ModelGraph) -> str:
-    """Canonical document text; parse -> serialize -> parse is the identity.
+    """Canonical document text; parse -> serialize -> parse is the identity. It is ASCII:
+    ``json.dumps`` escapes every other character."""
+    return b"".join(_document_parts(graph)).decode()
+
+
+def model_hash(graph: ModelGraph) -> str:
+    """The model hash of manifests and reports: sha256 of ``serialize_model(graph).encode()``,
+    fed part by part, so the text is never built."""
+    digest = hashlib.sha256()
+    for part in _document_parts(graph):
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _document_parts(graph: ModelGraph):
+    """The canonical document's bytes, in parts; one part per run of tensor values.
 
     ``json.dumps(indent=2)`` writes the document with each array tensor's ``data`` as ``[]``,
     and the values ``_real_texts`` writes go in at each ``"data": []``, which nothing else
@@ -532,26 +553,28 @@ def serialize_model(graph: ModelGraph) -> str:
                        "precision": node.precision.to_doc(), "reuse_factor": node.reuse_factor,
                        "compression": node.compression})
     doc = {"format_version": FORMAT_VERSION, "input_shape": list(graph.input_shape), "layers": layers}
-    pieces = (json.dumps(doc, indent=2) + "\n").split('"data": []')
-    sep = ",\n" + " " * 12
-    parts = [pieces[0]]
+    pieces = (json.dumps(doc, indent=2) + "\n").encode().split(b'"data": []')
+    sep = b",\n" + b" " * 12
+    yield pieces[0]
     for values, piece in zip(arrays, pieces[1:]):
-        parts.append('"data": [' + sep[1:])  # a part per run: a join here would copy the text again
-        parts += [part for text in _real_texts(values, sep) for part in (sep, text)][1:]
-        parts.append("\n" + " " * 10 + "]" + piece)
-    return "".join(parts)
+        yield b'"data": [' + sep[1:]
+        for i, text in enumerate(_real_texts(values, sep)):
+            if i:
+                yield sep
+            yield text
+        yield b"\n" + b" " * 10 + b"]" + piece
 
 
-def _real_texts(values: np.ndarray, sep: str) -> list:
-    """``values`` as ``json`` writes them, in pieces to join with ``sep``: orjson writes zeros and
-    magnitudes in [1e-4, 1e16) as ``repr`` does, a call per run; ``json`` the rest in one call."""
+def _real_texts(values: np.ndarray, sep: bytes) -> list:
+    """``values`` as ``json`` writes them, in byte pieces to join with ``sep``: orjson writes zeros
+    and magnitudes in [1e-4, 1e16) as ``repr`` does, a call per run; ``json`` the rest in one call."""
     mag = np.abs(values)
     odd = np.flatnonzero(~((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))))
-    texts = json.dumps(values[odd].tolist())[1:-1].split(", ") if odd.size else []
-    runs = zip([0] + (odd + 1).tolist(), odd.tolist() + [values.size], texts + [""])
-    pairs = [(orjson.dumps(values[a:b], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-              .replace(",", sep), text) for a, b, text in runs]
-    return [piece for pair in pairs for piece in pair if piece]  # a run can be ""
+    texts = json.dumps(values[odd].tolist()).encode()[1:-1].split(b", ") if odd.size else []
+    runs = zip([0] + (odd + 1).tolist(), odd.tolist() + [values.size], texts + [b""])
+    pairs = [(orjson.dumps(values[a:b], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b",", sep), text)
+             for a, b, text in runs]
+    return [piece for pair in pairs for piece in pair if piece]  # a run can be empty
 
 
 @contextmanager

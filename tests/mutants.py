@@ -67,11 +67,15 @@ MUTANTS = [
            "        self._mask &= x <= self._hi_in\n", "",
            ("tests/test_trainer.py::TestQuantRelu::test_equals_unfused_layers_on_edge_inputs",)),
     Mutant("tensor_values_indented_10", "model_ir.py",
-           'sep = ",\\n" + " " * 12', 'sep = ",\\n" + " " * 10',
+           'sep = b",\\n" + b" " * 12', 'sep = b",\\n" + b" " * 10',
            ("tests/test_model_ir.py::TestSerializeText::test_splice_matches_stdlib_on_random_graphs",)),
     Mutant("orjson_range_open_at_1e-4", "model_ir.py",
            "(mag >= 1e-4)", "(mag > 1e-4)",
            ("tests/test_model_ir.py::TestSerializeText::test_orjson_writes_every_run_inside_its_range",)),
+    Mutant("model_hash_skips_a_part", "model_ir.py",
+           "    for part in _document_parts(graph):\n        digest.update(part)\n",
+           "    for part in list(_document_parts(graph))[1:]:\n        digest.update(part)\n",
+           ("tests/test_model_ir.py::TestSerializeText::test_model_hash_is_that_of_the_document_bytes",)),
     Mutant("int64_min_literal_reverted", "codegen.py",
            '_INT64_MIN, _INT64_MIN_CXX = str(-(1 << 63)), "(-9223372036854775807LL - 1)"',
            "_INT64_MIN = _INT64_MIN_CXX = str(-(1 << 63))",

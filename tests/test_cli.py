@@ -53,6 +53,23 @@ class TestConvert:
         run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o")])
         assert Path(ref_model_path).read_text() == before
 
+    def test_model_file_is_decoded_as_utf8(self, ref_model_path, tmp_path, capsys):
+        # CRLF line ends read as LF; bytes that are not UTF-8 fail with the decoder's message.
+        data = Path(ref_model_path).read_bytes()
+        bad_data = data.replace(b'"name": "input"', b'"name": "in\xe9put"')
+        assert bad_data != data
+        with pytest.raises(UnicodeDecodeError) as decode:
+            bad_data.decode()
+        (tmp_path / "crlf.json").write_bytes(data.replace(b"\n", b"\r\n"))
+        (tmp_path / "bad.json").write_bytes(bad_data)
+        assert run(["convert", "--model", str(tmp_path / "crlf.json"), "--out", str(tmp_path / "a")]) == 0
+        assert run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "model.json").read_bytes() == (tmp_path / "b" / "model.json").read_bytes()
+        capsys.readouterr()
+        assert run(["convert", "--model", str(tmp_path / "bad.json"), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == f"error: {decode.value}\n"
+        assert not (tmp_path / "c").exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):

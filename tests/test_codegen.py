@@ -434,6 +434,33 @@ class TestWideSpecsCompile:
         got = build_and_run(tmp_path, rows(taps[0].output))
         assert got == rows(out) and len(set(got)) == 40
 
+    def test_unsigned_64_bit_accumulator_bit_matches_emulator(self, tmp_path):
+        # The firmware keeps accumulators in ff_wide_t, so an unsigned 64-bit
+        # one needs no long long; its raws of 2**63 and above are used.
+        model = materialize_quantized(ModelGraph.chain([
+            LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<16,6>")),
+            LayerNode("d", "dense", {"weight": Tensor((2, 2), (1.5, -0.75, 0.5, 2.0)),
+                                     "bias": Tensor((2,), (3.25, 0.5))},
+                      precision=PrecisionSet.from_doc({"weight": "fixed<16,6>", "bias": "fixed<16,6>",
+                                                       "accumulator": "fixed<64,20,u>",
+                                                       "result": "fixed<32,12,sat>"}, "$")),
+        ], (2,)))
+        emit_project(model, CodegenConfig("uacc")).write_to(tmp_path)
+        rng = np.random.Generator(np.random.Philox(key=64))
+        block = Tensor.from_numpy(rng.normal(0.0, 4.0, (40, 2)))
+        out, taps = run_inference(model, block, tap_all=True)
+
+        def rows(t):
+            return [" ".join(map(str, row)) for row in t.array.reshape(40, -1).tolist()]
+
+        # Negative sums wrap to accumulator raws of 2**63 and above.
+        acc = model.node("d").precision.accumulator
+        x = taps[0].output.to_numpy()
+        w, b = (model.node("d").param(k).to_numpy() for k in ("weight", "bias"))
+        assert ((x @ w.T + b) * 2.0 ** acc.fraction_bits < 0).any()
+        got = build_and_run(tmp_path, rows(taps[0].output))
+        assert got == rows(out) and len(set(got)) >= 30
+
 
 class TestEveryKindCompiles:
     def test_widths_agree(self):
@@ -646,6 +673,20 @@ def fuzz_corpus():
     return corpus
 
 
+def oracle_raws(node, x) -> list:
+    """The raws ``tests/oracles.py`` gives for a materialized non-input layer on the values ``x``."""
+    if node.kind == "dense":
+        return oracle_dense_mv_raws(node.param("weight"), node.param("bias"), x, node.precision)
+    if node.kind == "batch_norm":  # a diagonal dense layer
+        scale = node.param("scale")
+        diag = Tensor((scale.size, scale.size), np.diag(scale.array), scale.spec)
+        return oracle_dense_mv_raws(diag, node.param("shift"), x, node.precision)
+    if node.kind == "relu":
+        return oracle_relu_raws(x, node.precision.result)
+    return oracle_sign_raws(x, node.param("threshold").data, node.param("mode").array.tolist(),
+                            node.kind == "ternary_tanh", node.precision.result)
+
+
 class TestFuzzCorpus:
     def test_dense_taps_match_rational_oracle(self, fuzz_corpus):
         for model, all_taps in fuzz_corpus:
@@ -653,9 +694,7 @@ class TestFuzzCorpus:
                 if node.kind != "dense":
                     continue
                 for taps in all_taps:
-                    want = oracle_dense_mv_raws(node.param("weight"), node.param("bias"),
-                                                taps[k - 1].output.data, node.precision)
-                    assert taps[k].output.array.tolist() == want, node.name
+                    assert taps[k].output.array.tolist() == oracle_raws(node, taps[k - 1].output.data), node.name
 
     def test_other_kind_taps_match_rational_oracle(self, fuzz_corpus):
         checked = set()
@@ -665,18 +704,7 @@ class TestFuzzCorpus:
                     continue
                 checked.add(node.kind)
                 for taps in all_taps:
-                    x = taps[k - 1].output.data
-                    if node.kind == "batch_norm":  # a diagonal dense layer
-                        scale = node.param("scale")
-                        diag = Tensor((scale.size, scale.size), np.diag(scale.array), scale.spec)
-                        want = oracle_dense_mv_raws(diag, node.param("shift"), x, node.precision)
-                    elif node.kind == "relu":
-                        want = oracle_relu_raws(x, node.precision.result)
-                    else:
-                        want = oracle_sign_raws(x, node.param("threshold").data,
-                                                node.param("mode").array.tolist(),
-                                                node.kind == "ternary_tanh", node.precision.result)
-                    assert taps[k].output.array.tolist() == want, node.name
+                    assert taps[k].output.array.tolist() == oracle_raws(node, taps[k - 1].output.data), node.name
         assert checked == {"batch_norm", "relu", "binary_tanh", "ternary_tanh"}
 
     def test_compiled_projects_bit_match_emulator(self, fuzz_corpus, tmp_path):
@@ -723,21 +751,27 @@ class TestEdgeSpecFuzz:
     bits lie far below 0 or far above the width."""
 
     def test_emitted_chains_bit_match_and_rejections_name_the_rule(self, tmp_path):
-        # Every chain codegen emits builds and bit-matches the emulator; every
-        # other chain is rejected by the 128-bit or the 64-bit storage rule.
+        # Every chain's emulator taps equal the rational oracle's at every
+        # layer. Every chain codegen emits builds and bit-matches the emulator;
+        # every other chain is rejected by the 128-bit or the 64-bit storage rule.
         rng = np.random.Generator(np.random.Philox(key=EDGE_SEED))
-        compared, varied, rejected = 0, 0, 0
+        compared, varied, rejected, checked = 0, 0, 0, set()
         for c in range(EDGE_CHAINS):
             scale = int(rng.integers(-100, 101))
             model, rows = fuzz_chain(rng, EDGE_ROWS, functools.partial(edge_spec, scale=scale))
             model = materialize_quantized(model)
+            out, taps = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
+            for k, node in enumerate(model.nodes[1:], 1):
+                checked.add(node.kind)
+                for r in range(EDGE_ROWS):
+                    x, y = (taps[i].output.array.reshape(EDGE_ROWS, -1)[r] for i in (k - 1, k))
+                    assert y.tolist() == oracle_raws(node, Tensor(x.shape, x, taps[k - 1].output.spec).data), (c, k)
             try:
                 tree = emit_project(model, CodegenConfig(f"edge{c}"))
             except codegen.CodegenError as exc:
                 assert traceback.extract_tb(exc.__traceback__)[-1].name in ("_cast_args", "_check_storage"), c
                 rejected += 1
                 continue
-            out, taps = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
             want = [" ".join(map(str, row)) for row in out.array.reshape(EDGE_ROWS, -1).tolist()]
             tree.write_to(tmp_path / f"edge{c}")
             got = build_and_run(tmp_path / f"edge{c}", [" ".join(map(str, row)) for row in
@@ -746,6 +780,7 @@ class TestEdgeSpecFuzz:
             compared += 1
             varied += len(set(want)) > 1
         assert compared >= 10 and varied >= 5 and rejected >= 3, (compared, varied, rejected)
+        assert checked == {"dense", "relu", "batch_norm", "binary_tanh", "ternary_tanh"}, checked
 
 
 def int64_overflow_model() -> ModelGraph:

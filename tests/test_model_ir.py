@@ -21,6 +21,7 @@ from fixflow.model_ir import (
     PrecisionSet,
     Tensor,
     ValidationError,
+    model_hash,
     open_output,
     parse_model,
     serialize_model,
@@ -300,6 +301,60 @@ class TestDecoder:
         assert sum(isinstance(r, str) for r in fast) >= 8
 
 
+class TestBytes:
+    """``parse_model`` on a file's bytes does what it does on the text ``open()`` reads."""
+
+    @staticmethod
+    def outcome(parse):
+        try:
+            return serialize_model(parse())
+        except Exception as e:
+            return (type(e), str(e))
+
+    def test_bytes_parse_as_the_text_open_reads(self, tmp_path):
+        base = json.dumps(json.loads(doc([{"name": "in\u00e9\u03bb", "kind": "input"},
+                                          dense_doc("d\U0001f642", [0.5, -1.0, 0.25, 2.0], [0.0, 1.0]),
+                                          {"name": "r", "kind": "relu"}])),
+                          indent=2, ensure_ascii=False).encode()
+        assert "\u00e9".encode() in base and b"\n" in base
+        deep = b"[" * 600 + b"]" * 600
+        variants = {
+            "plain": base,
+            "crlf": base.replace(b"\n", b"\r\n"),
+            "cr": base.replace(b"\n", b"\r"),
+            "crlf, then an error": base.replace(b"\n", b"\r\n") + b"\r\n x",
+            "bom": b"\xef\xbb\xbf" + base,
+            "invalid utf-8 in a name": base.replace(b'"r"', b'"r\xff"'),
+            "invalid utf-8 after the document": base + b"\xc3",
+            "encoded surrogate": base.replace(b'"r"', b'"r\xed\xa0\x80"'),
+            "nan": base.replace(b"0.25", b"NaN"),
+            "duplicate key": base.replace(b'"kind": "relu"', b'"kind": "dense", "kind": "relu"'),
+            "past 500 openers, dropped by a duplicate key":
+                base.replace(b'"kind": "relu"', b'"kind": ' + deep + b', "kind": "relu"'),
+            "past 500 openers, kept": base.replace(b'"kind": "relu"', b'"kind": "relu", "x": ' + deep),
+        }
+        outcomes = {}
+        for name, data in variants.items():
+            path = tmp_path / "m.json"
+            path.write_bytes(data)
+
+            def from_text():
+                with open(path, encoding="utf-8") as fh:
+                    return parse_model(fh.read())
+
+            outcomes[name] = self.outcome(lambda: parse_model(data))
+            assert outcomes[name] == self.outcome(from_text), name
+        parsed = [name for name, found in outcomes.items() if isinstance(found, str)]
+        assert parsed == ["plain", "crlf", "cr", "duplicate key", "past 500 openers, dropped by a duplicate key"]
+        assert len({outcomes[name] for name in parsed}) == 1
+        assert outcomes["bom"][0] is ParseError and "BOM" in outcomes["bom"][1]
+        # Line ends read as "\n", so the diagnostic's character offset is that of the LF text.
+        assert outcomes["crlf, then an error"] == self.outcome(lambda: parse_model((base + b"\n x").decode()))
+        assert "Extra data" in outcomes["crlf, then an error"][1]
+        for name in ("invalid utf-8 in a name", "invalid utf-8 after the document", "encoded surrogate"):
+            assert outcomes[name][0] is UnicodeDecodeError, name
+
+
 def reindented(text):
     """What the stdlib's indent=2 encoder writes for the same document."""
     return json.dumps(json.loads(text), indent=2) + "\n"
@@ -433,17 +488,23 @@ class TestSerializeText:
         # show which side of each edge a value went.
         from fixflow.model_ir import _real_texts
 
-        sep = ",\n  "
+        sep = b",\n  "
         for v in (1e-4, -1e-4, math.nextafter(1e16, 0), 0.0, -0.0):
-            assert _real_texts(np.array([0.5, v, 0.5]), sep) == [sep.join(["0.5", json.dumps(v), "0.5"])]
+            assert _real_texts(np.array([0.5, v, 0.5]), sep) == [sep.join([b"0.5", json.dumps(v).encode(), b"0.5"])]
         for v in (math.nextafter(1e-4, 0), 1e16, -1e16, 5e-324, math.nan):
-            assert _real_texts(np.array([0.5, v, 0.5]), sep) == ["0.5", json.dumps(v), "0.5"]
+            assert _real_texts(np.array([0.5, v, 0.5]), sep) == [b"0.5", json.dumps(v).encode(), b"0.5"]
 
     def test_splice_matches_stdlib_on_random_graphs(self):
         rng = random.Random(2103)
         for _ in range(400):
             graph = random_graph(rng)
             assert serialize_model(graph) == stdlib_text(graph), graph
+
+    def test_model_hash_is_that_of_the_document_bytes(self):
+        rng = random.Random(2103)
+        for _ in range(400):
+            graph = random_graph(rng)
+            assert model_hash(graph) == hashlib.sha256(serialize_model(graph).encode()).hexdigest(), graph
 
 
 class TestValidate:
