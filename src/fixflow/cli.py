@@ -53,8 +53,11 @@ def timed(stage: str):
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     if str(doc.get("config_version", "1")) != "1":
@@ -78,7 +81,10 @@ def _pick(args, config, key, default):
 
 def _load_model(spec: str, seed: int) -> ModelGraph:
     if spec.startswith("arch:"):
-        dims = [int(d) for d in spec[len("arch:"):].replace(",", "x").split("x")]
+        widths = spec[len("arch:"):].replace(",", "x").split("x")
+        if not all(w.isdecimal() and int(w) > 0 for w in widths):
+            raise ValueError(f"{spec}: widths must be positive integers")
+        dims = [int(w) for w in widths]
         if len(dims) < 2:
             raise ValueError(f"{spec}: need at least input and output widths")
         return trainer.build_classifier(dims[0], dims[1:-1], dims[-1], seed=seed)
@@ -301,7 +307,9 @@ def _write_rows(path, t: Tensor, texts: dict):
 def cmd_estimate(args, config):
     graph = _load_model(args.model, args.seed)
     clock = _pick(args, config, "clock_mhz", 200.0)
-    factors = _parse_int_list(args.reuse) if args.reuse else []
+    factors = _parse_int_list(args.reuse, "--reuse") if args.reuse else []
+    if args.reuse and not factors:
+        raise ValueError(f"--reuse {args.reuse!r} holds no reuse factor")
     # One quantized copy serves the estimates and the sweep. It is dropped
     # before the real-valued graph is profiled and serialized, which keeps
     # peak memory at that of the other commands.
@@ -339,7 +347,7 @@ def cmd_scan(args, config):
     synthetic = _synthetic(args.data, args.seed)
     eval_data = data if synthetic is None else trainer.synthetic_task(
         seed=synthetic[0], sample_seed=synthetic[0] + 10_000)
-    bits = _parse_int_list(args.bits)
+    bits = _parse_int_list(args.bits, "--bits")
     try:  # raised on the evaluation rows' labels, before any training
         baseline, rows = trainer.ptq_qat_scan(
             graph, data, eval_data, bits, cfg,
@@ -366,13 +374,15 @@ def cmd_codegen(args, config):
     return 0
 
 
-def _parse_int_list(text: str):
-    """Accepts '14,28,98' or an inclusive range '3..16'."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",") if v]
+def _parse_int_list(text: str, flag: str):
+    """Accepts '14,28,98' or an inclusive range '3..16'; ValueError names ``flag``."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.strip().split(",") if v]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: expected a comma list or lo..hi of integers") from None
 
 
 @functools.cache

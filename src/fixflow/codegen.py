@@ -29,7 +29,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec
+from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, cast_extremes
 from .kernels import compress_coo, materialize_quantized, sign_levels
 from .model_ir import ModelGraph, model_hash, open_output, walk
 
@@ -171,9 +171,9 @@ def _spec_comment(spec: FixedPointSpec) -> str:
 
 def _cast_args(node, width: int, from_frac: int, spec: FixedPointSpec) -> str:
     """The arguments of an ``ff_cast`` of a ``width``-bit raw on ``from_frac`` fraction bits
-    into ``spec``: the shifted raw and a right shift's distance must fit the 128-bit type."""
-    shift = spec.fraction_bits - from_frac
-    bits = max(width, width + shift, -shift)
+    into ``spec``: every integer the cast forms from such a raw must fit the 128-bit type."""
+    extremes = cast_extremes(-1 << width - 1, (1 << width - 1) - 1, from_frac, spec)
+    bits = max(abs(v).bit_length() for v in extremes)
     if bits > _WIDE_BITS:
         raise CodegenError(f"layer {node.name!r}: intermediate needs {bits} bits, "
                            f"generated arithmetic supports {_WIDE_BITS}")

@@ -16,9 +16,9 @@ No spec is wider than 64 bits; exact products of two raws, up to 128
 bits wide, stay exact as Python ints. ``apply_overflow_array`` and
 ``cast_raw_array`` state the overflow and cast rules once, for a Python
 int or for every element of an int64 or object (Python int) array of
-raws; ``round_scaled`` states the rounding rule on float64 reals already
-scaled onto the raw grid. The scalar API is ``quantize`` and
-``FixedPointValue`` only.
+raws, and ``cast_extremes`` the integers a cast forms; ``round_scaled``
+states the rounding rule on float64 reals already scaled onto the raw
+grid. The scalar API is ``quantize`` and ``FixedPointValue`` only.
 """
 
 from __future__ import annotations
@@ -225,6 +225,19 @@ def cast_raw_array(raws, fraction_bits: int, spec: FixedPointSpec):
     """
     shift = spec.fraction_bits - fraction_bits
     return apply_overflow_array(shift_round(raws, shift, spec.rounding), spec)
+
+
+def cast_extremes(lo: int, hi: int, fraction_bits: int, spec: FixedPointSpec) -> tuple:
+    """The extreme integers ``cast_raw_array`` forms from raws in [lo, hi] before overflow.
+
+    A left shift forms the shifted raws; a right shift forms the raws, the
+    raws plus the half unit, and the half unit itself.
+    """
+    shift = spec.fraction_bits - fraction_bits
+    if shift >= 0:
+        return lo << shift, hi << shift
+    half = 1 << (-shift - 1)
+    return lo, hi + half, half
 
 
 def quantize(x, spec: FixedPointSpec) -> FixedPointValue:

@@ -30,9 +30,10 @@ The emulator runs a whole block of rows per call. Its state between
 layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
 (or ``(width,)`` for a single row): the raws of one layer output on that
 layer's result spec. Each layer computes on its ``[B, width]`` block as
-int64 when the bounds of every value it forms (products, shifted and
-rounded values, sums) fit int64, and otherwise runs the same code on
-object arrays of Python ints, so products up to 128 bits and 64-bit
+int64 when the bounds of every value it forms fit int64: its products,
+sums, and the integers each cast forms, which ``fixed_point.cast_extremes``
+states once for the emulator and codegen. Otherwise it runs the same code
+on object arrays of Python ints, so products up to 128 bits and 64-bit
 accumulators never wrap outside the spec's own overflow rule.
 """
 
@@ -43,16 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fixed_point import (
-    ROUND_HALF_UP,
-    SATURATE,
-    FixedPointSpec,
-    apply_overflow_array,
-    cast_raw_array,
-    int_dtype,
-    quantize,
-    shift_round,
-)
+from .fixed_point import (ROUND_HALF_UP, SATURATE, FixedPointSpec, apply_overflow_array,
+                          cast_extremes, cast_raw_array, int_dtype, quantize, shift_round)
 from .model_ir import (MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_LE, LayerNode, ModelGraph,
                        PrecisionSet, Tensor, walk)
 
@@ -113,13 +106,6 @@ def _extent(raws) -> tuple:
     return int(raws.min()), int(raws.max())
 
 
-def _cast_bounds(lo: int, hi: int, fraction_bits: int, spec: FixedPointSpec) -> tuple:
-    """Bounds of the values ``cast_raw_array`` forms from raws in [lo, hi]."""
-    shift = spec.fraction_bits - fraction_bits
-    formed = (lo << shift, hi << shift) if shift >= 0 else (lo, hi + (1 << (-shift - 1)))
-    return (*formed, 1 << abs(shift), spec.min_raw, spec.max_raw)
-
-
 def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionSet):
     """Result raws [B, m] under the frozen convention.
 
@@ -142,8 +128,8 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     cols = np.flatnonzero((weights != 0).any(axis=0))
     b, m, k = len(x), len(weights), len(cols)
     products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
-    terms = _cast_bounds(min(products), max(products), prod_frac, acc_spec)
-    bias_terms = _cast_bounds(blo, bhi, bias_frac, acc_spec)
+    terms = cast_extremes(min(products), max(products), prod_frac, acc_spec)
+    bias_terms = cast_extremes(blo, bhi, bias_frac, acc_spec)
     acc_range = (acc_spec.min_raw, acc_spec.max_raw)
     # A right shift moves a value towards 0 and at most to 0, so the formed
     # bounds widened to take in 0 bound every cast value. Every partial sum
@@ -159,7 +145,7 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     reach = 2 * span if saturate else span + k * max(map(abs, terms[:2]))
     dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach,
                       *bias_terms,
-                      *_cast_bounds(*acc_range, acc_spec.fraction_bits, res_spec))
+                      *cast_extremes(*acc_range, acc_spec.fraction_bits, res_spec))
     # Column-major copies, so each [columns, B, m] block and its [B, m]
     # slices are contiguous.
     weights = np.ascontiguousarray(weights[:, cols].T, dtype=dtype)[:, None, :]
@@ -383,7 +369,7 @@ def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool 
             current = Tensor(current.shape, out, res_spec)
         elif node.kind == "relu":
             frac = current.spec.fraction_bits
-            dtype = int_dtype(*_cast_bounds(0, max(_extent(current.array)[1], 0), frac, res_spec))
+            dtype = int_dtype(*cast_extremes(0, max(_extent(current.array)[1], 0), frac, res_spec))
             out = cast_raw_array(np.maximum(current.array.astype(dtype), 0), frac, res_spec)
             current = Tensor(current.shape, out, res_spec)
         elif node.kind in ("binary_tanh", "ternary_tanh"):

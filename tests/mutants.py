@@ -80,8 +80,10 @@ MUTANTS = [
            '_INT64_MIN, _INT64_MIN_CXX = str(-(1 << 63)), "(-9223372036854775807LL - 1)"',
            "_INT64_MIN = _INT64_MIN_CXX = str(-(1 << 63))",
            ("tests/test_codegen.py::TestInt64MinLiterals",)),
+    # The low extreme alone, shifted, is max(W, W + s) bits: what the other
+    # extremes add is the right shift's half unit and distance.
     Mutant("cast_bits_without_right_shift", "codegen.py",
-           "bits = max(width, width + shift, -shift)", "bits = max(width, width + shift)",
+           "for v in extremes)", "for v in extremes[:1])",
            ("tests/test_codegen.py::TestProjectStructure::test_cast_beyond_the_wide_type_rejected[right_shift]",)),
     Mutant("cast_bits_bound_inclusive", "codegen.py",
            "if bits > _WIDE_BITS:", "if bits >= _WIDE_BITS:",
@@ -92,6 +94,9 @@ MUTANTS = [
     Mutant("relu_cast_from_result_fraction", "codegen.py",
            "in_spec.width_bits, in_spec.fraction_bits, res)", "in_spec.width_bits, res.fraction_bits, res)",
            ("tests/test_codegen.py::TestEveryKindCompiles::test_compiled_project_bit_matches_emulator",)),
+    Mutant("cast_half_constant_dropped", "fixed_point.py",
+           "    return lo, hi + half, half\n", "    return lo, hi + half\n",
+           ("tests/test_kernels.py::TestCastShiftsAroundInt64::test_dense_product_cast[-64-round_half_up-16]",)),
     Mutant("storage_check_always_passes", "codegen.py",
            "        if spec.raw_dtype is not np.int64:\n", "        if False:\n",
            ("tests/test_codegen.py::TestProjectStructure::test_unsigned_64_bit_storage_rejected",)),

@@ -224,6 +224,18 @@ class TestEstimate:
         report = json.loads((out / "report.json").read_text())
         assert report["timing"]["clock_mhz"] == 100.0
 
+    @pytest.mark.parametrize("model, flags, message", [
+        ("arch:4x3", ["--reuse", "5..2"], "--reuse '5..2' holds no reuse factor"),
+        ("arch:4x3", ["--reuse", "2,x"], "--reuse '2,x': expected a comma list or lo..hi of integers"),
+        ("arch:4xqx2", [], "arch:4xqx2: widths must be positive integers"),
+        ("arch:4x0x2", [], "arch:4x0x2: widths must be positive integers"),
+        ("arch:4x-2x2", [], "arch:4x-2x2: widths must be positive integers"),
+    ])
+    def test_bad_integer_argument_names_it(self, tmp_path, capsys, model, flags, message):
+        assert run(["estimate", "--model", model, "--out", str(tmp_path / "o"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_report_written(self, ref_model_path, tmp_path):
         out = tmp_path / "est"
         assert run(["estimate", "--model", ref_model_path, "--out", str(out)]) == 0
@@ -416,6 +428,8 @@ class TestEmulate:
          "fixed_eval_limit (--fixed-eval-limit) is -5, it must be at least 1"),
         (["--bits", "4", "--fixed-eval-limit", "0"],
          "fixed_eval_limit (--fixed-eval-limit) is 0, it must be at least 1"),
+        (["--bits", "4.."], "--bits '4..': expected a comma list or lo..hi of integers"),
+        (["--bits", "2,x"], "--bits '2,x': expected a comma list or lo..hi of integers"),
     ])
     def test_scan_rejects_no_widths_and_limits_below_one(self, tmp_path, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("the float baseline trained"))
@@ -650,10 +664,12 @@ class TestConfigLeaves:
         ([{"epochs": 2}], "config must be a JSON object"),
         ({"config_version": "2"}, "unsupported config_version"),
         ({"config_version": 2}, "unsupported config_version"),
+        (b'{"epochs": }', "Expecting value: line 1 column 12 (char 11)"),
+        (b'{"epochs": 2}\xff', "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
     ])
     def test_bad_config_document_names_path(self, ref_model_path, tmp_path, capsys, doc, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         assert run(["convert", "--model", ref_model_path, "--out", str(tmp_path / "o"),
                     "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"

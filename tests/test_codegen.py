@@ -21,7 +21,7 @@ from fixflow.codegen import (
 from fixflow.cli import run
 from fixflow.kernels import materialize_quantized, run_inference
 from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError,
-                              parse_model, topo_order)
+                              parse_model, serialize_model, topo_order)
 
 from golden_model import build_reference_model, emit_reference_tree
 from oracles import oracle_dense_mv_raws, oracle_relu_raws, oracle_sign_raws
@@ -781,6 +781,40 @@ class TestEdgeSpecFuzz:
             varied += len(set(want)) > 1
         assert compared >= 10 and varied >= 5 and rejected >= 3, (compared, varied, rejected)
         assert checked == {"dense", "relu", "batch_norm", "binary_tanh", "ternary_tanh"}, checked
+
+
+def bench_reference_model():
+    """``bench/oracle.py``'s ReferenceModel, executed from its source, which stays unchanged."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "oracle.py")
+    namespace = {"__name__": "bench_oracle"}
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), namespace)
+    return namespace["ReferenceModel"]
+
+
+class TestBenchOracleOnEdgeChains:
+    """The benchmark's exact-rational reference, which reads the model
+    document and shares no code with fixflow, on edge_spec chains of dense
+    and ReLU layers only (the kinds it has)."""
+
+    def test_every_tap_matches_the_emulator(self):
+        reference_model = bench_reference_model()
+        rng = np.random.Generator(np.random.Philox(key=5))
+        chains = varied = 0
+        for _ in range(60):
+            scale = int(rng.integers(-100, 101))
+            model, rows = fuzz_chain(rng, 10, functools.partial(edge_spec, scale=scale))
+            if {node.kind for node in model.nodes} - {"input", "dense", "relu"}:
+                continue
+            reference = reference_model(serialize_model(model))
+            _, taps = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
+            got = [{tap.layer: " ".join(map(str, tap.output.array.reshape(len(rows), -1)[r].tolist()))
+                    for tap in taps} for r in range(len(rows))]
+            assert got == [reference.forward(features) for features in rows.tolist()], chains
+            chains += 1
+            varied += any(len({row[tap.layer] for row in got}) > 1 for tap in taps[1:])
+        # Some layer after the input varies from row to row in 12 of the 33 chains.
+        assert chains >= 30 and varied >= 10, (chains, varied)
 
 
 def int64_overflow_model() -> ModelGraph:

@@ -13,6 +13,7 @@ from fixflow.fixed_point import (
     FixedPointSpec,
     FixedPointValue,
     apply_overflow_array,
+    cast_extremes,
     cast_raw_array,
     decode_binary,
     encode_binary,
@@ -185,6 +186,20 @@ class TestCast:
         want = [oracle_quantize_raw(Fraction(raw, 256), narrow) for raw in raws]
         assert [cast_raw_array(raw, 8, narrow) for raw in raws] == want
         assert cast_raw_array(np.array(raws, dtype=np.int64), 8, narrow).tolist() == want
+
+    def test_extremes_of_left_and_right_shifts(self):
+        dst = spec("fixed<8,8>")  # fraction 0: a raw on fraction f shifts by -f
+        assert cast_extremes(-5, 7, -2, dst) == (-20, 28)
+        assert cast_extremes(-5, 7, 3, dst) == (-5, 11, 4)  # the raws, plus and alone the half unit 4
+
+    def test_extremes_of_a_width_need_the_documented_bits(self):
+        # README: a W-bit raw shifted by s places needs max(W, W + s, -s) bits.
+        dst = spec("fixed<8,8>")
+        for width in range(1, 129):
+            lo, hi = -1 << width - 1, (1 << width - 1) - 1
+            for shift in range(-140, 141):
+                bits = max(abs(v).bit_length() for v in cast_extremes(lo, hi, -shift, dst))
+                assert bits == max(width, width + shift, -shift), (width, shift)
 
 
 class TestMulAdd:

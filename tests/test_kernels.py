@@ -24,7 +24,7 @@ from fixflow.kernels import (
 )
 from fixflow.model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError
 
-from oracles import oracle_dense_mv_raws
+from oracles import oracle_dense_mv_raws, oracle_relu_raws
 
 
 def uniform_precision(text):
@@ -419,6 +419,55 @@ class TestBlockPath:
         want = [oracle_dense_mv_raws(Tensor((3, 2), [0] * 6, spec), bias,
                                      [FixedPointValue(0, spec)] * 2, prec)] * 4
         assert got.array.reshape(4, 3).tolist() == want
+
+
+SHIFTS = [62, 63, 64, -62, -63, -64, -65]
+
+
+class TestCastShiftsAroundInt64:
+    """Casts shifted by about 64 places, where the integers a cast forms
+    (``fixed_point.cast_extremes``) decide between int64 and Python ints."""
+
+    X_SPEC, W_SPEC = FixedPointSpec(32, 32), FixedPointSpec(33, 33)  # products on fraction 0
+
+    def check_dense(self, w, b, bias_spec, x, prec):
+        weights = Tensor((len(w), len(w[0])), [v for row in w for v in row], self.W_SPEC)
+        bias = Tensor((len(b),), b, bias_spec)
+        rows = Tensor((len(x), len(x[0])), [v for row in x for v in row], self.X_SPEC)
+        got = dense_mv(weights, bias, rows, prec).array.reshape(len(x), -1).tolist()
+        assert got == [oracle_dense_mv_raws(weights, bias, Tensor((len(r),), r, self.X_SPEC).data, prec)
+                       for r in x]
+
+    @pytest.mark.parametrize("acc_width", [16, 64])
+    @pytest.mark.parametrize("rounding", [TRUNCATE, ROUND_HALF_UP])
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_dense_product_cast(self, shift, rounding, acc_width):
+        for overflow in (WRAP, SATURATE):
+            acc = FixedPointSpec(acc_width, acc_width - shift, rounding=rounding, overflow=overflow)
+            prec = PrecisionSet(self.W_SPEC, FixedPointSpec(16, 16), acc,
+                                FixedPointSpec(16, 16 - shift, rounding=rounding))
+            # Mixed signs over two columns, the bias cast shifted as the products are.
+            self.check_dense([[1 << 31, -(1 << 32)], [-3, (1 << 31) - 7]], [-5, 1 << 14], prec.bias,
+                             [[-(1 << 31), (1 << 31) - 1], [12345, -1], [0, 1 << 30]], prec)
+            # One column of negative products from -2**62 (x = -2**31, w = 2**31) up,
+            # the bias on the accumulator's grid. At shift -64 the products and
+            # their sums fit int64, but the half unit 2**63 a rounding cast adds
+            # does not.
+            self.check_dense([[1 << 31], [1], [1 << 30]], [-3, 0, 7], acc,
+                             [[-(1 << 31)], [-1], [5 - (1 << 31)]], prec)
+
+    @pytest.mark.parametrize("res_width", [16, 64])
+    @pytest.mark.parametrize("rounding", [TRUNCATE, ROUND_HALF_UP])
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_relu_cast(self, shift, rounding, res_width):
+        res = FixedPointSpec(res_width, res_width - shift, rounding=rounding)
+        graph = ModelGraph.chain([
+            LayerNode("input", "input", precision=PrecisionSet.uniform(str(self.W_SPEC))),
+            LayerNode("r", "relu", precision=PrecisionSet.uniform(str(res))),
+        ], (5,))
+        x = Tensor((5,), [-(1 << 32), (1 << 32) - 1, 1 << 31, 0, 1], self.W_SPEC)
+        out, _ = run_inference(graph, x)
+        assert out.array.tolist() == oracle_relu_raws(x.data, res)
 
 
 class TestRunInference:
