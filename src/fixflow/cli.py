@@ -29,7 +29,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -145,27 +146,20 @@ def _training_inputs(args, config):
     graph = _load_model(args.model, args.seed)
     data = _load_dataset(args.data, args.seed)
     trainer.check_labels(data, args.data)
-    return graph, data, _training_config(args, config)
+    return graph, data, _settings(trainer.TrainingConfig, args, config)
 
 
-def _training_config(args, config) -> trainer.TrainingConfig:
-    return trainer.TrainingConfig(
-        learning_rate=_pick(args, config, "learning_rate", 0.01),
-        optimizer=_pick(args, config, "optimizer", "adam"),
-        epochs=_pick(args, config, "epochs", 50),
-        batch_size=_pick(args, config, "batch_size", 64),
-        l1_lambda=_pick(args, config, "l1_lambda", 0.0),
-        seed=args.seed,
-    )
+def _settings(cls, args, config, **given):
+    """``cls`` built from ``given`` and, for each other field that is also a flag,
+    ``_pick`` with the field's own default."""
+    for f in fields(cls):
+        if f.name not in given and hasattr(args, f.name):
+            given[f.name] = _pick(args, config, f.name, f.default)
+    return cls(**given)
 
 
 def _quantizer(args, config) -> trainer.QuantizerSpec:
-    return trainer.QuantizerSpec(
-        bits=_pick(args, config, "bits", 6),
-        integer_bits=_pick(args, config, "integer_bits", 1),
-        alpha=_pick(args, config, "alpha", 1.0),
-        mode=_pick(args, config, "mode", "fixed"),
-    )
+    return _settings(trainer.QuantizerSpec, args, config, bits=_pick(args, config, "bits", 6))
 
 
 def cmd_convert(args, config):
@@ -237,12 +231,8 @@ def cmd_prune(args, config):
     graph, data, cfg = _training_inputs(args, config)
     quantizer = _quantizer(args, config)  # checked under every method, used under qap
     method = _METHODS[args.method]
-    schedule = pruning.PruneSchedule(
-        target_fraction=_pick(args, config, "target_fraction", 0.8),
-        increment=_pick(args, config, "increment", 0.10),
-        retrain_epochs=_pick(args, config, "retrain_epochs", 20),
-        method=method,
-    )
+    schedule = _settings(pruning.PruneSchedule, args, config, method=method,
+                         target_fraction=_pick(args, config, "target_fraction", 0.8))
     if method == "qap":
         cfg = replace(cfg, quantizers=quantizer)
     model, state, history = pruning.prune_iterative(graph, data, schedule, cfg)
@@ -306,10 +296,12 @@ def _write_rows(path, t: Tensor, texts: dict):
 
 def cmd_estimate(args, config):
     graph = _load_model(args.model, args.seed)
-    clock = _pick(args, config, "clock_mhz", 200.0)
+    clock = _pick(args, config, "clock_mhz", estimator.CLOCK_MHZ)
     factors = _parse_int_list(args.reuse, "--reuse") if args.reuse else []
     if args.reuse and not factors:
         raise ValueError(f"--reuse {args.reuse!r} holds no reuse factor")
+    if factors and min(factors) < 1:
+        raise ValueError(f"--reuse {args.reuse!r} holds {min(factors)}, a reuse factor must be at least 1")
     # One quantized copy serves the estimates and the sweep. It is dropped
     # before the real-valued graph is profiled and serialized, which keeps
     # peak memory at that of the other commands.
@@ -351,7 +343,7 @@ def cmd_scan(args, config):
     try:  # raised on the evaluation rows' labels, before any training
         baseline, rows = trainer.ptq_qat_scan(
             graph, data, eval_data, bits, cfg,
-            fixed_eval_limit=_pick(args, config, "fixed_eval_limit", 1000),
+            fixed_eval_limit=_pick(args, config, "fixed_eval_limit", trainer.FIXED_EVAL_LIMIT),
         )
     except trainer.EvaluationError as exc:
         raise ValueError(f"{args.data}: {exc}") from None
@@ -375,14 +367,19 @@ def cmd_codegen(args, config):
 
 
 def _parse_int_list(text: str, flag: str):
-    """Accepts '14,28,98' or an inclusive range '3..16'; ValueError names ``flag``."""
+    """Accepts '14,28,98' or an inclusive range '3..16'; ValueError names ``flag``,
+    also for an item given twice."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.strip().split(",") if v]
+        values = [int(v) for v in text.strip().split(",") if v]
     except ValueError:
         raise ValueError(f"{flag} {text!r}: expected a comma list or lo..hi of integers") from None
+    repeated = [v for v, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{flag} {text!r} repeats {repeated[0]}")
+    return values
 
 
 @functools.cache

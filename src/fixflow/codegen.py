@@ -211,13 +211,13 @@ def _mac_exprs(node, in_spec):
 _INT64_MIN, _INT64_MIN_CXX = str(-(1 << 63)), "(-9223372036854775807LL - 1)"
 
 
-def _literal_rows(raws, per_row=12):
-    """int64 raws as initializer rows of ``per_row`` literals: orjson writes
-    the full rows as one nested array and the tail as another, and the
-    brackets become the separators."""
+def _literal_rows(raws):
+    """int64 raws as initializer rows of 12 literals: orjson writes the full
+    rows as one nested array and the tail as another, and the brackets
+    become the separators."""
     raws = np.ascontiguousarray(raws)
-    full = raws.size - raws.size % per_row
-    head = orjson.dumps(raws[:full].reshape(-1, per_row), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    full = raws.size - raws.size % 12
+    head = orjson.dumps(raws[:full].reshape(-1, 12), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     tail = orjson.dumps(raws[full:], option=orjson.OPT_SERIALIZE_NUMPY) if full < raws.size else b""
     text = b",".join(part for part in (head, tail) if part).decode()
     text = text.replace(",", ", ").replace("], [", ",\n    ").replace("[", "    ").replace("]", "")
@@ -249,7 +249,7 @@ def _emit_dense(node, in_spec, index):
         f"// {node.name}: dense {n} -> {m}",
         f"// reuse_factor={node.reuse_factor}"
         f"  (#pragma HLS PIPELINE II={node.reuse_factor};"
-        f" {math.ceil(nz / node.reuse_factor) if nz else 0} multipliers)",
+        f" {math.ceil(nz / node.reuse_factor)} multipliers)",
     ]
     if node.compression:
         coo = compress_coo(weight)

@@ -3,7 +3,7 @@
 The DSP tiling model reproduces the two known hard-block data points
 (one 25x18 multiply per block, two blocks for 25x19) and degrades
 plausibly in between; it is a model, not vendor truth. Multiplies whose
-operands both fit under ``lut_threshold`` bits map to LUTs instead and
+operands both fit in ``LUT_THRESHOLD`` bits map to LUTs instead and
 cost no DSPs.
 
 Timing follows the reuse-factor contract: a dense layer with reuse
@@ -32,13 +32,14 @@ PIPELINE_CONSTANT = 3
 INTERCONNECT_CYCLES = 1
 LUT_PER_MULT_BIT = 0.5
 LUT_PER_ACCUM_BIT = 4.0
+CLOCK_MHZ = 200.0
 
 
-def dsp_per_multiply(b1: int, b2: int, lut_threshold: int = LUT_THRESHOLD) -> int:
+def dsp_per_multiply(b1: int, b2: int) -> int:
     """DSP blocks for one b1 x b2 multiply; 0 when it maps to LUTs."""
     if b1 < 1 or b2 < 1:
         raise ValueError("bit widths must be >= 1")
-    if max(b1, b2) <= lut_threshold:
+    if max(b1, b2) <= LUT_THRESHOLD:
         return 0
     straight = math.ceil(b1 / DSP_PORT_WIDE) * math.ceil(b2 / DSP_PORT_NARROW)
     swapped = math.ceil(b1 / DSP_PORT_NARROW) * math.ceil(b2 / DSP_PORT_WIDE)
@@ -108,8 +109,9 @@ def _multiplier_cost(node, multipliers: int, b_a: int, accumulators: int):
     return multipliers * per_mult, lut
 
 
-def estimate_layer(node, f_p: float, activation_bits: int = None):
-    """(resource row, timing row) for one dense layer at pruned fraction f_p."""
+def estimate_layer(node, f_p: float, activation_bits: int):
+    """(resource row, timing row) for one dense layer at pruned fraction f_p
+    whose inputs are ``activation_bits`` wide."""
     if node.kind != "dense":
         raise ValueError(f"estimate_layer expects a dense layer, got {node.kind!r}")
     if node.reuse_factor < 1:
@@ -117,16 +119,16 @@ def estimate_layer(node, f_p: float, activation_bits: int = None):
     m, n = node.param("weight").shape
     n_mult = int(round((1.0 - f_p) * n * m))
     r = node.reuse_factor
-    multipliers = math.ceil(n_mult / r) if n_mult else 0
-    b_a = node.precision.result.width_bits if activation_bits is None else activation_bits
-    resource = LayerResource(node.name, n_mult, multipliers, *_multiplier_cost(node, multipliers, b_a, m),
-                             compute_bops(n, m, node.precision.weight.width_bits, b_a, f_p))
+    multipliers = math.ceil(n_mult / r)
+    resource = LayerResource(node.name, n_mult, multipliers,
+                             *_multiplier_cost(node, multipliers, activation_bits, m),
+                             compute_bops(n, m, node.precision.weight.width_bits, activation_bits, f_p))
     latency = r + math.ceil(math.log2(n)) if n > 1 else r
     timing = LayerTiming(node.name, r, latency + PIPELINE_CONSTANT)
     return resource, timing
 
 
-def estimate_model(graph: ModelGraph, *, clock_mhz: float = 200.0, assume_dense: bool = False):
+def estimate_model(graph: ModelGraph, *, clock_mhz: float = CLOCK_MHZ, assume_dense: bool = False):
     """Roll up per-layer estimates over the chain.
 
     Dense pruned fractions come from the zero count of the quantized
@@ -173,7 +175,7 @@ def estimate_model(graph: ModelGraph, *, clock_mhz: float = 200.0, assume_dense:
     return resource, timing
 
 
-def reuse_sweep(graph: ModelGraph, reuse_factors, clock_mhz: float = 200.0,
+def reuse_sweep(graph: ModelGraph, reuse_factors, clock_mhz: float = CLOCK_MHZ,
                 assume_dense: bool = False):
     """Estimate the model at each reuse factor applied to every dense layer.
 

@@ -67,17 +67,13 @@ class TensorProfile:
 @dataclass(frozen=True)
 class ProfileReport:
     rows: tuple
-    notes: tuple  # e.g. skipped empty tensors
 
     def to_doc(self) -> dict:
-        return {"rows": [r.to_doc() for r in self.rows], "notes": list(self.notes)}
+        return {"rows": [r.to_doc() for r in self.rows], "notes": []}
 
     @classmethod
     def from_doc(cls, doc) -> "ProfileReport":
-        return cls(
-            tuple(TensorProfile(**row) for row in doc["rows"]),
-            tuple(doc["notes"]),
-        )
+        return cls(tuple(TensorProfile(**row) for row in doc["rows"]))
 
     def row(self, layer: str, param: str) -> TensorProfile:
         for r in self.rows:
@@ -116,17 +112,12 @@ def _profile_tensor(layer: str, param: str, kind: int, tensor) -> TensorProfile:
 
 def profile_weights(graph: ModelGraph) -> ProfileReport:
     """Exact statistics over every parameter tensor; never mutates the model."""
-    rows, notes = [], []
+    rows = []
     for node in graph.nodes:
         for param, kind in _PROFILED_PARAMS.items():
-            tensor = node.params.get(param)
-            if tensor is None:
-                continue
-            if tensor.size == 0:
-                notes.append(f"{node.name}.{param}: empty tensor skipped")
-                continue
-            rows.append(_profile_tensor(node.name, param, kind, tensor))
-    return ProfileReport(tuple(rows), tuple(notes))
+            if param in node.params:  # a Tensor is never empty
+                rows.append(_profile_tensor(node.name, param, kind, node.params[param]))
+    return ProfileReport(tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -42,20 +42,18 @@ def dense_layer_dims(graph: ModelGraph):
     ]
 
 
-def model_bops(graph: ModelGraph, state=None, weight_bits=None, activation_bits=None) -> float:
-    """Sum of per-dense-layer BOPs.
+def model_bops(graph: ModelGraph, state=None, bits=None) -> float:
+    """Sum of per-dense-layer BOPs, with both operands ``bits`` wide.
 
-    Bit widths default to each layer's weight-spec width for both operands;
-    pruned fractions come from the state's masks when given.
+    ``bits`` defaults to each layer's weight-spec width; pruned fractions
+    come from the state's masks when given.
     """
     total = 0.0
     for name, n, m in dense_layer_dims(graph):
-        node = graph.node(name)
-        b_w = weight_bits if weight_bits is not None else node.precision.weight.width_bits
-        b_a = activation_bits if activation_bits is not None else b_w
+        b = graph.node(name).precision.weight.width_bits if bits is None else bits
         mask = None if state is None else state.masks.get(name)
         f_p = 0.0 if mask is None else 1.0 - _kept([mask]) / mask.size
-        total += compute_bops(n, m, b_w, b_a, f_p)
+        total += compute_bops(n, m, b, b, f_p)
     return total
 
 
@@ -160,7 +158,7 @@ def rewind_to_initial(model: ModelGraph, state: PruneState) -> ModelGraph:
 class PruneSchedule:
     target_fraction: float
     increment: float = 0.10
-    retrain_epochs: int = 30
+    retrain_epochs: int = 20
     method: str = "l1_retrain"
 
     def __post_init__(self):
@@ -207,7 +205,7 @@ def prune_iterative(model: ModelGraph, data, schedule: PruneSchedule,
                 bits = cfg.quantizers.bits
         report = _trainer.evaluate(deployed, eval_data, arithmetic="real")
         entry = PruneRecord(iteration, state.pruned_fraction, report.accuracy,
-                            report.mean_auc, model_bops(graph, state, bits, bits))
+                            report.mean_auc, model_bops(graph, state, bits))
         state.history.append(entry)
         if observer:
             observer("retrained", iteration, graph, state)

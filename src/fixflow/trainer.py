@@ -35,6 +35,7 @@ from . import kernels
 
 BN_MOMENTUM = 0.9
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FIXED_EVAL_LIMIT = 1000  # evaluation rows of ptq_qat_scan's bit-accurate runs
 
 
 class TrainingDivergedError(RuntimeError):
@@ -263,20 +264,16 @@ def init_dense_params(rng: np.random.Generator, n_out: int, n_in: int):
 
 
 def build_classifier(n_features: int, hidden, n_classes: int, seed: int = 0,
-                     precision: str = "fixed<16,6>", batch_norm: bool = False) -> ModelGraph:
-    """Initialized dense/ReLU classifier chain ending in softmax."""
+                     batch_norm: bool = False) -> ModelGraph:
+    """Initialized dense/ReLU classifier chain ending in softmax, at the default precision."""
     rng = make_rng(seed)
-    prec = PrecisionSet.uniform(precision)
-    nodes = [LayerNode("input", "input", precision=prec)]
+    nodes = [LayerNode("input", "input")]
     widths = list(hidden) + [n_classes]
     in_width = n_features
     for i, width in enumerate(widths):
         w, b = init_dense_params(rng, width, in_width)
-        nodes.append(LayerNode(
-            f"dense{i}", "dense",
-            {"weight": Tensor.from_numpy(w), "bias": Tensor.from_numpy(b)},
-            precision=prec,
-        ))
+        nodes.append(LayerNode(f"dense{i}", "dense", {"weight": Tensor.from_numpy(w),
+                                                      "bias": Tensor.from_numpy(b)}))
         if batch_norm and i < len(widths) - 1:
             c = width
             nodes.append(LayerNode(f"bn{i}", "batch_norm", {
@@ -285,11 +282,11 @@ def build_classifier(n_features: int, hidden, n_classes: int, seed: int = 0,
                 "moving_mean": Tensor.from_numpy(np.zeros(c)),
                 "moving_variance": Tensor.from_numpy(np.ones(c)),
                 "epsilon": Tensor.scalar(1e-3),
-            }, precision=prec))
+            }))
         if i < len(widths) - 1:
-            nodes.append(LayerNode(f"relu{i}", "relu", precision=prec))
+            nodes.append(LayerNode(f"relu{i}", "relu"))
         in_width = width
-    nodes.append(LayerNode("softmax", "softmax", precision=prec))
+    nodes.append(LayerNode("softmax", "softmax"))
     return ModelGraph.chain(nodes, (n_features,))
 
 
@@ -339,13 +336,12 @@ class _BatchNorm:
         self.eps = node.param("epsilon").to_numpy().item()
 
     def forward(self, x, training):
-        if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased, matching the inference-time estimate
-            self.moving_mean = BN_MOMENTUM * self.moving_mean + (1 - BN_MOMENTUM) * mean
-            self.moving_var = BN_MOMENTUM * self.moving_var + (1 - BN_MOMENTUM) * var
-        else:
-            mean, var = self.moving_mean, self.moving_var
+        """Normalize by the batch statistics and fold them into the moving ones:
+        every forward trains, inference runs ``_forward_layers``."""
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)  # biased, matching the inference-time estimate
+        self.moving_mean = BN_MOMENTUM * self.moving_mean + (1 - BN_MOMENTUM) * mean
+        self.moving_var = BN_MOMENTUM * self.moving_var + (1 - BN_MOMENTUM) * var
         self._istd = 1.0 / np.sqrt(var + self.eps)
         self._xhat = (x - mean) * self._istd
         return self.gamma * self._xhat + self.beta
@@ -466,7 +462,7 @@ class _Net:
                        for l, size, end in zip(self._stacked, sizes, itertools.accumulate(sizes))]
         self._grid = [np.repeat(np.array(values, dtype=np.float64), sizes)
                       for values in zip(*[(l.quantizer._step, *l.quantizer._limits) for l in self._stacked])]
-        self._quantize_weights()  # so a layer's forward also runs outside logits
+        self._quantize_weights()  # so a layer's forward also runs outside loss_and_grads
         self._eye = np.eye(width)  # the one-hot rows of the labels
 
     def _quantize_weights(self):
@@ -481,20 +477,15 @@ class _Net:
         for layer in self._masked:
             layer._w_eff = layer._w_eff * layer.mask
 
-    def logits(self, x, training=False, start=0):
-        """Forward from layer ``start``; the weights are quantized first."""
-        self._quantize_weights()
-        for layer in self.layers[start:]:
-            x = layer.forward(x, training)
-        return x
-
     def loss_and_grads(self, x, y, l1_lambda, start=0):
         """Mean softmax cross-entropy plus l1_lambda * sum |w|; fills grads.
 
-        The rows ``x`` enter at layer ``start``.
+        The rows ``x`` enter at layer ``start``; the weights are quantized first.
         """
-        logits = self.logits(x, training=True, start=start)
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        self._quantize_weights()
+        for layer in self.layers[start:]:
+            x = layer.forward(x, True)
+        shifted = x - x.max(axis=1, keepdims=True)
         log_z = np.exp(shifted).sum(axis=1)
         np.log(log_z, out=log_z)
         probs = shifted - log_z[:, None]
@@ -784,7 +775,7 @@ def _scan_model(model: ModelGraph, output_int_bits, bits: int) -> ModelGraph:
 
 
 def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
-                 bit_widths, cfg: TrainingConfig, fixed_eval_limit: int = 1000,
+                 bit_widths, cfg: TrainingConfig, fixed_eval_limit: int = FIXED_EVAL_LIMIT,
                  float_model: ModelGraph = None):
     """Post-training vs quantization-aware accuracy across bit widths.
 

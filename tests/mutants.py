@@ -104,6 +104,16 @@ MUTANTS = [
            '            bad("precision", f"result {res} cannot tell +1 from -1")\n', "            pass\n",
            ("tests/test_model_ir.py::TestValidate::test_sign_levels_must_differ",
             "tests/test_cli.py::TestMalformedDocuments::test_layer_rule_broken")),
+    Mutant("settings_ignore_config_leaf", "cli.py",
+           "given[f.name] = _pick(args, config, f.name, f.default)", "given[f.name] = f.default",
+           ("tests/test_cli.py::TestSettings::test_config_leaves_reach_every_field_and_flags_win",)),
+    Mutant("prune_schedule_default_30", "pruning.py",
+           "    retrain_epochs: int = 20\n", "    retrain_epochs: int = 30\n",
+           ("tests/test_cli.py::TestSettings::test_prune_defaults_are_the_library_ones",)),
+    Mutant("repeated_int_list_item_accepted", "cli.py",
+           "    if repeated:\n        raise ValueError(", "    if False:\n        raise ValueError(",
+           ("tests/test_cli.py::TestEstimate::test_bad_integer_argument_names_it",
+            "tests/test_cli.py::TestEmulate::test_scan_rejects_no_widths_and_limits_below_one")),
 ]
 
 

@@ -2,12 +2,15 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fixflow import cli, profiler
+import fixflow
+from fixflow import cli, profiler, pruning
 from fixflow.cli import run
 from fixflow.fixed_point import FixedPointSpec
 from fixflow.model_ir import Tensor, parse_model, serialize_model
@@ -79,6 +82,22 @@ class TestExitCodes:
     def test_domain_error_is_1(self, tmp_path):
         assert run(["convert", "--model", "/nonexistent.json",
                     "--out", str(tmp_path)]) == 1
+
+    def test_module_entry_point_exits_with_the_run_status(self, tmp_path):
+        # main() is the one place where run's return becomes the process status.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fixflow.__file__))}
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "fixflow.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+
+        usage = module("convert")
+        assert usage.returncode == 2 and "usage: fixflow convert" in usage.stderr
+        domain = module("convert", "--model", "/nonexistent.json", "--out", str(tmp_path / "d"))
+        assert domain.returncode == 1 and domain.stderr.startswith("error: ")
+        assert not (tmp_path / "d").exists()
+        done = module("convert", "--model", "arch:4x3", "--out", str(tmp_path / "c"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "converted: 3 layers, 0 rewrites\n", "")
 
     def test_programming_error_propagates(self, ref_model_path, tmp_path, monkeypatch):
         # A KeyError is a bug in the program, not a domain error with exit 1.
@@ -230,6 +249,10 @@ class TestEstimate:
         ("arch:4xqx2", [], "arch:4xqx2: widths must be positive integers"),
         ("arch:4x0x2", [], "arch:4x0x2: widths must be positive integers"),
         ("arch:4x-2x2", [], "arch:4x-2x2: widths must be positive integers"),
+        ("arch:4x3", ["--reuse", "0"], "--reuse '0' holds 0, a reuse factor must be at least 1"),
+        ("arch:4x3", ["--reuse=-3"], "--reuse '-3' holds -3, a reuse factor must be at least 1"),
+        ("arch:4x3", ["--reuse", "2,2"], "--reuse '2,2' repeats 2"),
+        ("arch:4x3", ["--reuse", "3,1,2,1"], "--reuse '3,1,2,1' repeats 1"),
     ])
     def test_bad_integer_argument_names_it(self, tmp_path, capsys, model, flags, message):
         assert run(["estimate", "--model", model, "--out", str(tmp_path / "o"), *flags]) == 1
@@ -242,6 +265,17 @@ class TestEstimate:
         report = json.loads((out / "report.json").read_text())
         assert report["schema_version"] == "1"
         assert report["resources"]["per_layer"]
+
+    def test_chain_without_compute_layers_has_no_interval(self, tmp_path, capsys):
+        # input -> softmax: nothing is estimated, so II is 0 and throughput 0.0.
+        path = write_doc(tmp_path, [{"name": "in", "kind": "input"}, {"name": "probs", "kind": "softmax"}])
+        out = tmp_path / "est"
+        assert run(["estimate", "--model", path, "--out", str(out), "--reuse", "1,4"]) == 0
+        timing = json.loads((out / "report.json").read_text())["timing"]
+        assert (timing["model_ii_cycles"], timing["throughput_inferences_per_second"]) == (0, 0.0)
+        assert (timing["total_latency_cycles"], timing["per_layer"]) == (0, [])
+        assert read_csv(out / "reuse_scan.csv")[1:] == [[r, "0", "0", "0", "0", "0.0"] for r in ("1", "4")]
+        assert capsys.readouterr().out.splitlines()[-1] == "DSP 0, BOPs 0, II 0 cycles at 200 MHz"
 
 
 class TestEmulate:
@@ -430,6 +464,8 @@ class TestEmulate:
          "fixed_eval_limit (--fixed-eval-limit) is 0, it must be at least 1"),
         (["--bits", "4.."], "--bits '4..': expected a comma list or lo..hi of integers"),
         (["--bits", "2,x"], "--bits '2,x': expected a comma list or lo..hi of integers"),
+        (["--bits", "4,4"], "--bits '4,4' repeats 4"),
+        (["--bits", "6,4,5,4"], "--bits '6,4,5,4' repeats 4"),
     ])
     def test_scan_rejects_no_widths_and_limits_below_one(self, tmp_path, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("the float baseline trained"))
@@ -618,6 +654,15 @@ class TestTrainAndScan:
         assert rows[0][0] == "iteration"
         assert len(rows) == 4  # header + baseline + two iterations
 
+    def test_prune_to_fraction_zero_leaves_the_model_unchanged(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))
+        out = tmp_path / "p"
+        assert run(["prune", "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(out),
+                    "--seed", "3", "--target-fraction", "0"]) == 0
+        assert capsys.readouterr().out == "target fraction 0: model unchanged\n"
+        assert (out / "model.json").read_text() == serialize_model(trainer.build_classifier(16, [4], 5, seed=3))
+        assert read_csv(out / "prune_history.csv") == [["iteration", "pruned_fraction", "accuracy", "auc", "bops"]]
+
     def test_scan_csv_columns(self, tmp_path):
         out = tmp_path / "s"
         rc = run(["scan", "--model", "arch:16x8x5", "--data", "synthetic:7:400",
@@ -648,6 +693,21 @@ class TestCodegenCommand:
         assert rc == 0
         assert (out / "firmware" / "refnet.cpp").exists()
         assert (out / "manifest.json").exists()
+
+    def test_constant_input_noted_in_manifest(self, tmp_path):
+        path = write_doc(tmp_path, [
+            {"name": "in", "kind": "input", "params": {"value": {"shape": [2], "data": [1, 2]}}},
+            {"name": "r", "kind": "relu"}])
+        out = tmp_path / "proj"
+        assert run(["codegen", "--model", path, "--out", str(out)]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert notes == ["input 'in' carries a constant value; testbench inputs override it"]
+
+    def test_chain_without_compute_layers_rejected(self, tmp_path, capsys):
+        path = write_doc(tmp_path, [{"name": "in", "kind": "input"}, {"name": "probs", "kind": "softmax"}])
+        assert run(["codegen", "--model", path, "--out", str(tmp_path / "proj")]) == 1
+        assert capsys.readouterr().err == "error: graph has no fixed-point compute layers to emit\n"
+        assert not (tmp_path / "proj").exists()
 
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -694,3 +754,58 @@ class TestConfigLeaves:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert repr(next(iter(leaf))) in err and "Traceback" not in err
+
+
+class Captured(Exception):
+    """Raised by a stub in place of a library call, with the arguments it received."""
+
+
+class TestSettings:
+    """train, qat and prune build TrainingConfig, QuantizerSpec and PruneSchedule
+    from a flag, else a config leaf, else the library's own default; the command
+    line states only --bits 6 and --target-fraction 0.8."""
+
+    def captured(self, tmp_path, monkeypatch, module, name, argv, config=None):
+        """The arguments ``module.name`` receives when ``argv`` runs with ``config``."""
+        def stub(*args):
+            raise Captured(*args)
+
+        monkeypatch.setattr(module, name, stub)
+        argv = [*argv, "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        with pytest.raises(Captured) as got:
+            run(argv)
+        assert not (tmp_path / "o").exists()
+        return got.value.args
+
+    def test_train_and_qat_defaults_are_the_library_ones(self, tmp_path, monkeypatch):
+        _, _, cfg = self.captured(tmp_path, monkeypatch, trainer, "train", ["train"])
+        assert cfg == trainer.TrainingConfig(seed=0)
+        _, _, cfg = self.captured(tmp_path, monkeypatch, trainer, "train_qat", ["qat"])
+        assert cfg == trainer.TrainingConfig(seed=0, quantizers=trainer.QuantizerSpec(6))
+
+    @pytest.mark.parametrize("flag, method", [("l1", "l1_retrain"), ("lt", "lt_rewind"), ("qap", "qap")])
+    def test_prune_defaults_are_the_library_ones(self, tmp_path, monkeypatch, flag, method):
+        _, _, schedule, cfg = self.captured(tmp_path, monkeypatch, pruning, "prune_iterative",
+                                            ["prune", "--method", flag])
+        assert schedule == pruning.PruneSchedule(0.8, method=method)
+        assert schedule.retrain_epochs == 20
+        quantizer = trainer.QuantizerSpec(6) if method == "qap" else None
+        assert cfg == trainer.TrainingConfig(seed=0, quantizers=quantizer)
+
+    def test_config_leaves_reach_every_field_and_flags_win(self, tmp_path, monkeypatch):
+        config = {"learning_rate": 0.05, "optimizer": "sgd", "epochs": 3, "batch_size": 8, "l1_lambda": 0.001,
+                  "bits": 5, "integer_bits": 2, "alpha": 0.5, "mode": "ternary",
+                  "target_fraction": 0.6, "increment": 0.3, "retrain_epochs": 4}
+        _, _, schedule, cfg = self.captured(
+            tmp_path, monkeypatch, pruning, "prune_iterative",
+            ["prune", "--method", "qap", "--seed", "3", "--epochs", "7", "--alpha", "0.25", "--mode", "fixed"],
+            config)
+        assert schedule == pruning.PruneSchedule(0.6, increment=0.3, retrain_epochs=4, method="qap")
+        assert cfg == trainer.TrainingConfig(
+            learning_rate=0.05, optimizer="sgd", epochs=7, batch_size=8, l1_lambda=0.001, seed=3,
+            quantizers=trainer.QuantizerSpec(5, integer_bits=2, alpha=0.25))
+        _, _, cfg = self.captured(tmp_path, monkeypatch, trainer, "train_qat", ["qat"], {"mode": "ternary"})
+        assert cfg.quantizers == trainer.QuantizerSpec(6, mode="ternary")

@@ -40,9 +40,9 @@ class TestDspPerMultiply:
         assert dsp_per_multiply(19, 25) == 2
 
     def test_lut_threshold(self):
-        assert dsp_per_multiply(6, 6, lut_threshold=9) == 0
-        assert dsp_per_multiply(9, 9, lut_threshold=9) == 0
-        assert dsp_per_multiply(10, 10, lut_threshold=9) == 1
+        assert dsp_per_multiply(6, 6) == 0
+        assert dsp_per_multiply(9, 9) == 0
+        assert dsp_per_multiply(10, 10) == 1
 
     def test_monotone_over_grid(self):
         for b1 in range(1, 33):
@@ -74,7 +74,7 @@ class TestEstimateLayer:
 
     def test_latency_model(self):
         model = mnist_model(reuse=14)
-        _, tim = estimate_layer(model.node("fc0"), 0.0)
+        _, tim = estimate_layer(model.node("fc0"), 0.0, activation_bits=16)
         assert tim.latency_cycles == 14 + math.ceil(math.log2(784)) + 3
 
     def test_tight_ceiling_property(self):
@@ -94,7 +94,7 @@ class TestEstimateLayer:
     def test_rejects_non_dense(self):
         model = mnist_model()
         with pytest.raises(ValueError):
-            estimate_layer(model.node("relu0"), 0.0)
+            estimate_layer(model.node("relu0"), 0.0, activation_bits=16)
 
     def test_bops_delegates_to_pruning(self):
         model = mnist_model()

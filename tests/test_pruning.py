@@ -404,7 +404,7 @@ class TestModelBops:
         rng = make_rng(31)
         model = two_layer_model(rng.normal(0, 1, (4, 4)), rng.normal(0, 1, (2, 4)))
         state = rank_and_mask(model, PruneState.fresh(model), 0.5)
-        got = model_bops(model, state, weight_bits=6, activation_bits=6)
+        got = model_bops(model, state, bits=6)
         want = 0.0
         for name, n, m in pruning.dense_layer_dims(model):
             mask = state.masks[name]
