@@ -2,8 +2,9 @@
 
 Subcommands: convert, profile, train, qat, prune, emulate, estimate,
 scan, codegen. Heavy configuration can live in a JSON config document
-passed with --config; explicit flags override config leaves. Every
-subcommand honors --seed and writes deterministic artifacts (the codegen
+passed with --config; explicit flags override config leaves, and a key
+that no command reads is an error. Every subcommand honors --seed (else
+the config's seed, else 0) and writes deterministic artifacts (the codegen
 manifest timestamp is the one quarantined exception).
 
 Exit codes: 0 success, 1 domain error, 2 usage error. Set FIXFLOW_LOG to
@@ -40,6 +41,13 @@ from .model_ir import ModelGraph, Tensor, open_output, parse_model, serialize_mo
 log = logging.getLogger("fixflow")
 
 _METHODS = {"l1": "l1_retrain", "lt": "lt_rewind", "qap": "qap"}
+# Every key some command reads from a config document, so one document can serve several commands.
+# Listed, not derived from the settings dataclasses and the flags: ``method`` is both a PruneSchedule
+# field and a flag but never a leaf, and five keys are read by name, not through ``_settings``.
+# TestConfigKeys checks the list against the keys that ``_pick`` reads.
+_CONFIG_KEYS = frozenset({"config_version", "seed", "learning_rate", "optimizer", "epochs", "batch_size",
+                          "l1_lambda", "bits", "integer_bits", "alpha", "mode", "target_fraction", "increment",
+                          "retrain_epochs", "clock_mhz", "fixed_eval_limit"})
 
 
 @contextmanager
@@ -63,6 +71,9 @@ def _load_config(path):
         raise ValueError(f"{path}: config must be a JSON object")
     if str(doc.get("config_version", "1")) != "1":
         raise ValueError(f"{path}: unsupported config_version")
+    unknown = [key for key in doc if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
     return doc
 
 
@@ -97,8 +108,14 @@ def _synthetic(spec: str, seed: int):
     """``(task seed, samples)`` of a ``synthetic[:seed[:samples]]`` dataset argument, else None."""
     if spec != "synthetic" and not spec.startswith("synthetic:"):
         return None
-    given = [int(p) for p in spec.split(":")[1:3]]
-    return tuple(given + [seed, 2000][len(given):])
+    given = spec.split(":")[1:]
+    try:
+        task, samples = [int(p) for p in given] + [seed, 2000][len(given):]
+    except ValueError:  # a field that is not an integer, or a third field
+        raise ValueError(f"--data {spec!r}: expected synthetic[:seed[:samples]] of integers") from None
+    if samples < 1:
+        raise ValueError(f"--data {spec!r} holds {samples} samples, a dataset needs at least 1")
+    return task, samples
 
 
 def _load_dataset(spec: str, seed: int) -> trainer.Dataset:
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dataset CSV path or synthetic[:seed[:samples]]")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config document; flags override leaves")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         for flags in flag_groups:
             flags(p)
         p.set_defaults(handler=handler)
@@ -461,6 +478,7 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config = _load_config(args.config)
+        args.seed = _pick(args, config, "seed", 0)
         return args.handler(args, config)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

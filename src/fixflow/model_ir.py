@@ -565,11 +565,16 @@ def _document_parts(graph: ModelGraph):
         yield b"\n" + b" " * 10 + b"]" + piece
 
 
-def _real_texts(values: np.ndarray, sep: bytes) -> list:
-    """``values`` as ``json`` writes them, in byte pieces to join with ``sep``: orjson writes zeros
-    and magnitudes in [1e-4, 1e16) as ``repr`` does, a call per run; ``json`` the rest in one call."""
+def _orjson_is_repr(values: np.ndarray) -> np.ndarray:
+    """Where orjson writes a float64 as ``repr`` does: zero, or a finite magnitude in [1e-4, 1e16)."""
     mag = np.abs(values)
-    odd = np.flatnonzero(~((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))))
+    return (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
+
+
+def _real_texts(values: np.ndarray, sep: bytes) -> list:
+    """``values`` as ``json`` writes them, in byte pieces to join with ``sep``: orjson a call per run
+    of values it writes as ``repr`` does (``_orjson_is_repr``); ``json`` the rest in one call."""
+    odd = np.flatnonzero(~_orjson_is_repr(values))
     texts = json.dumps(values[odd].tolist()).encode()[1:-1].split(b", ") if odd.size else []
     runs = zip([0] + (odd + 1).tolist(), odd.tolist() + [values.size], texts + [b""])
     pairs = [(orjson.dumps(values[a:b], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b",", sep), text)

@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import orjson
 
 from .fixed_point import MAX_SPEC_WIDTH, ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
-from .model_ir import LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, open_output, walk
+from .model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, _orjson_is_repr, _with_dense_weights,
+                       open_output, walk)
 from . import kernels
 
 BN_MOMENTUM = 0.9
@@ -224,6 +226,9 @@ def load_csv_dataset(path) -> Dataset:
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
+_CSV_BLOCK_VALUES = 1 << 12  # of features per orjson call in save_csv_dataset
+
+
 def _write_csv(path, header, rows):
     """Write a CSV artifact: the header row, then each row of cells."""
     with open_output(path, newline="") as fh:
@@ -233,8 +238,21 @@ def _write_csv(path, header, rows):
 
 
 def save_csv_dataset(dataset: Dataset, path):
-    _write_csv(path, [f"f{i}" for i in range(dataset.features.shape[1])] + ["label"],
-               ([*map(repr, x), y] for x, y in zip(dataset.features.tolist(), dataset.labels.tolist())))
+    """Write ``dataset`` as ``_write_csv`` writes ``[*map(repr, x), y]`` rows under an
+    ``f0,...,label`` header. orjson formats a block of rows per call, and ``repr`` each row
+    holding a feature that orjson writes otherwise (``_orjson_is_repr``)."""
+    width = dataset.features.shape[1]
+    step = max(1, _CSV_BLOCK_VALUES // max(1, width))
+    sep = b"," if width else b""
+    with open_output(path, newline="") as fh:
+        fh.write(",".join([f"f{i}" for i in range(width)] + ["label"]) + "\r\n")
+        for start in range(0, len(dataset), step):
+            block = np.ascontiguousarray(dataset.features[start:start + step])
+            rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            for i in np.flatnonzero(~_orjson_is_repr(block).all(axis=1)):
+                rows[i] = ",".join(map(repr, block[i].tolist())).encode()
+            labels = orjson.dumps(dataset.labels[start:start + step].tolist())[1:-1].split(b",")
+            fh.write((b"\r\n".join(map(sep.join, zip(rows, labels))) + b"\r\n").decode())
 
 
 def synthetic_task(seed: int = 7, n_samples: int = 2000, n_features: int = 16,

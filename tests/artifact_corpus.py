@@ -19,7 +19,9 @@ and without ``--taps`` too, and so does a dense -> relu model whose
 land in its ``console.txt``. Last, both trainable models train a float
 baseline and then QAT with the scan's weight and activation quantizers
 at 4 and 6 bits; the model and loss trace of each land in
-``<model>/qat_scan<bits>``.
+``<model>/qat_scan<bits>``. Then ``inputs/edges.csv`` pins the dataset
+writer's bytes, and ``csv/train_minus_zero`` trains on a hand-written CSV
+with a ``-0`` feature, which the loader reads as -0.0.
 
 The printout, one ``sha256  path`` line per file in path order, leaves the
 manifest's ``generated_at`` out and depends only on the ``fixflow`` that
@@ -175,6 +177,24 @@ def build(out):
             with open(os.path.join(path, "model.json"), "w") as fh:
                 fh.write(serialize_model(model))
             trainer.write_loss_trace(trace, os.path.join(path, "loss_trace.csv"))
+
+    # Dataset CSVs: the writer's bytes on features that orjson and repr spell
+    # apart (below 1e-4, -0.0, 1e16 and up), and a hand-written LF file with a
+    # -0 field, trained through the command line.
+    data = trainer.synthetic_task(seed=7, n_samples=40, sample_seed=702)
+    features = data.features.copy()
+    features[::3] *= 1e-6
+    features[1::4] *= 1e17
+    features[2, :5] = -0.0
+    trainer.save_csv_dataset(trainer.Dataset(features, data.labels, data.class_count),
+                             os.path.join(inputs, "edges.csv"))
+    data = trainer.synthetic_task(seed=7, n_samples=60, sample_seed=703)
+    lines = [",".join([*map(repr, x), str(y)]) for x, y in zip(data.features.tolist(), data.labels.tolist())]
+    lines[0] = "-0" + lines[0][lines[0].index(","):]
+    path = os.path.join(inputs, "minus_zero.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([",".join(f"f{i}" for i in range(16)) + ",label", *lines]) + "\n")
+    fixflow(out, "csv/train_minus_zero", "train", "--model", "arch:16x8x5", "--data", path, "--epochs", "1")
 
 
 def digests(out):

@@ -72,6 +72,9 @@ MUTANTS = [
     Mutant("orjson_range_open_at_1e-4", "model_ir.py",
            "(mag >= 1e-4)", "(mag > 1e-4)",
            ("tests/test_model_ir.py::TestSerializeText::test_orjson_writes_every_run_inside_its_range",)),
+    Mutant("csv_writer_ignores_repr_rule", "trainer.py",
+           "for i in np.flatnonzero(~_orjson_is_repr(block).all(axis=1)):", "for i in []:",
+           ("tests/test_trainer.py::TestDataPlumbing::test_csv_writer_matches_csv_module_on_each_edge_value",)),
     Mutant("model_hash_skips_a_part", "model_ir.py",
            "    for part in _document_parts(graph):\n        digest.update(part)\n",
            "    for part in list(_document_parts(graph))[1:]:\n        digest.update(part)\n",
@@ -114,6 +117,15 @@ MUTANTS = [
            "    if repeated:\n        raise ValueError(", "    if False:\n        raise ValueError(",
            ("tests/test_cli.py::TestEstimate::test_bad_integer_argument_names_it",
             "tests/test_cli.py::TestEmulate::test_scan_rejects_no_widths_and_limits_below_one")),
+    Mutant("seed_flag_defaults_to_zero", "cli.py",
+           '        p.add_argument("--seed", type=int)\n', '        p.add_argument("--seed", type=int, default=0)\n',
+           ("tests/test_cli.py::TestConfigKeys::test_seed_leaf_is_the_seed_flag_and_the_flag_wins",)),
+    Mutant("unknown_config_key_accepted", "cli.py",
+           "    if unknown:\n", "    if False:\n",
+           ("tests/test_cli.py::TestConfigKeys::test_unknown_key_names_path_and_key",)),
+    Mutant("synthetic_samples_unchecked", "cli.py",
+           "    if samples < 1:\n", "    if False:\n",
+           ("tests/test_cli.py::TestEmulate::test_scan_rejects_no_widths_and_limits_below_one",)),
 ]
 
 

@@ -466,6 +466,12 @@ class TestEmulate:
         (["--bits", "2,x"], "--bits '2,x': expected a comma list or lo..hi of integers"),
         (["--bits", "4,4"], "--bits '4,4' repeats 4"),
         (["--bits", "6,4,5,4"], "--bits '6,4,5,4' repeats 4"),
+        (["--bits", "4", "--data", "synthetic:abc"], "--data 'synthetic:abc': expected synthetic[:seed[:samples]] of integers"),
+        (["--bits", "4", "--data", "synthetic:"], "--data 'synthetic:': expected synthetic[:seed[:samples]] of integers"),
+        (["--bits", "4", "--data", "synthetic:7:60:9"],
+         "--data 'synthetic:7:60:9': expected synthetic[:seed[:samples]] of integers"),
+        (["--bits", "4", "--data", "synthetic:7:-5"], "--data 'synthetic:7:-5' holds -5 samples, a dataset needs at least 1"),
+        (["--bits", "4", "--data", "synthetic:7:0"], "--data 'synthetic:7:0' holds 0 samples, a dataset needs at least 1"),
     ])
     def test_scan_rejects_no_widths_and_limits_below_one(self, tmp_path, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("the float baseline trained"))
@@ -809,3 +815,58 @@ class TestSettings:
             quantizers=trainer.QuantizerSpec(5, integer_bits=2, alpha=0.25))
         _, _, cfg = self.captured(tmp_path, monkeypatch, trainer, "train_qat", ["qat"], {"mode": "ternary"})
         assert cfg.quantizers == trainer.QuantizerSpec(6, mode="ternary")
+
+
+class TestConfigKeys:
+    """A config document holds only keys that some command reads, its ``seed``
+    leaf seeds every command, and ``--seed`` overrides it."""
+
+    def train(self, tmp_path, name, *extra, config=None):
+        argv = ["train", "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--epochs", "1",
+                "--out", str(tmp_path / name), *extra]
+        if config is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / f"{name}.json")]
+        assert run(argv) == 0
+        return (tmp_path / name / "model.json").read_bytes()
+
+    def test_seed_leaf_is_the_seed_flag_and_the_flag_wins(self, tmp_path, capsys):
+        leaf = self.train(tmp_path, "leaf", config={"seed": 5})
+        assert leaf == self.train(tmp_path, "flag", "--seed", "5") != self.train(tmp_path, "unseeded")
+        assert self.train(tmp_path, "both", "--seed", "3", config={"seed": 5}) == self.train(
+            tmp_path, "flag3", "--seed", "3")
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("train", {"epoch": 1, "method": "qap"}, "epoch"),
+        ("prune", {"epochs": 1, "method": "qap"}, "method"),
+        ("estimate", {"reuse": "2,8"}, "reuse"),
+        ("emulate", {"taps": True}, "taps"),
+        ("codegen", {"name": "net"}, "name"),
+    ])
+    def test_unknown_key_names_path_and_key(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--model", "arch:16x4x5", "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        if command in ("train", "prune", "emulate"):
+            argv += ["--data", "synthetic:7:60"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_one_document_serves_every_command_and_each_key_is_read(self, tmp_path, monkeypatch, capsys):
+        doc = {"config_version": "1", "seed": 2, "learning_rate": 0.01, "optimizer": "adam", "epochs": 1,
+               "batch_size": 16, "l1_lambda": 0.0, "bits": 5, "integer_bits": 1, "alpha": 1.0, "mode": "fixed",
+               "target_fraction": 0.5, "increment": 0.5, "retrain_epochs": 1, "clock_mhz": 100.0,
+               "fixed_eval_limit": 20}
+        assert set(doc) == cli._CONFIG_KEYS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        read, pick = set(), cli._pick
+        monkeypatch.setattr(cli, "_pick", lambda args, config, key, default: read.add(key) or pick(
+            args, config, key, default))
+        for command, extra in (("train", []), ("qat", []), ("prune", []), ("scan", ["--bits", "4"]),
+                               ("estimate", []), ("emulate", []), ("convert", [])):
+            data = [] if command in ("estimate", "convert") else ["--data", "synthetic:7:60"]
+            assert run([command, "--model", "arch:16x4x5", *data, "--out", str(tmp_path / command),
+                        "--config", str(cfg), *extra]) == 0, capsys.readouterr().err
+        assert read == cli._CONFIG_KEYS - {"config_version"}

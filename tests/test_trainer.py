@@ -1,3 +1,4 @@
+import csv
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -661,6 +662,37 @@ class TestDataPlumbing:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_csv_dataset(path)
+
+    # save_csv_dataset as it was before orjson: the block writer must write the same bytes.
+    @staticmethod
+    def reference_save(data, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{i}" for i in range(data.features.shape[1])] + ["label"])
+            writer.writerows([*map(repr, x), y] for x, y in zip(data.features.tolist(), data.labels.tolist()))
+
+    EDGE_FEATURES = [0.0, -0.0, 1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 5e-324,
+                     1.7976931348623157e308, np.nan, np.inf, 1e-7, 3e17, 5e-5, 0.1, 123.456]
+
+    @pytest.mark.parametrize("rows, width", [(1, 3), (7, 1), (600, 16), (3, 0), (0, 4)])
+    def test_csv_writer_matches_csv_module_on_both_sides_of_the_repr_rule(self, tmp_path, rows, width):
+        rng = make_rng(rows + width)
+        edges = np.array(self.EDGE_FEATURES)
+        features = rng.normal(0, 1, (rows, width)) * 10.0 ** rng.integers(-6, 18, (rows, width))
+        some = rng.random((rows, width)) < 0.2
+        features[some] = rng.choice(edges, some.sum()) * rng.choice([-1.0, 1.0], some.sum())
+        data = Dataset(np.asfortranarray(features), rng.integers(0, 2**40, rows), 2**40)
+        save_csv_dataset(data, tmp_path / "fast.csv")
+        self.reference_save(data, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_csv_writer_matches_csv_module_on_each_edge_value(self, tmp_path):
+        edges = np.array(self.EDGE_FEATURES)
+        features = np.concatenate([edges, -edges, np.full(3, 0.5)]).reshape(-1, 1)
+        data = Dataset(features * np.ones((1, 2)), np.arange(len(features)), len(features))
+        save_csv_dataset(data, tmp_path / "fast.csv")
+        self.reference_save(data, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_synthetic_task_split_shares_task(self):
         a = synthetic_task(seed=7, n_samples=100, sample_seed=1)
