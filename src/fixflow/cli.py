@@ -41,13 +41,25 @@ from .model_ir import ModelGraph, Tensor, open_output, parse_model, serialize_mo
 log = logging.getLogger("fixflow")
 
 _METHODS = {"l1": "l1_retrain", "lt": "lt_rewind", "qap": "qap"}
-# Every key some command reads from a config document, so one document can serve several commands.
-# Listed, not derived from the settings dataclasses and the flags: ``method`` is both a PruneSchedule
-# field and a flag but never a leaf, and five keys are read by name, not through ``_settings``.
-# TestConfigKeys checks the list against the keys that ``_pick`` reads.
-_CONFIG_KEYS = frozenset({"config_version", "seed", "learning_rate", "optimizer", "epochs", "batch_size",
-                          "l1_lambda", "bits", "integer_bits", "alpha", "mode", "target_fraction", "increment",
-                          "retrain_epochs", "clock_mhz", "fixed_eval_limit"})
+
+
+@functools.cache
+def _config_keys() -> frozenset:
+    """Every key some command reads from a config document, so one document can serve several
+    commands: each settings field that is a flag (but ``method``, a flag and never a leaf), and
+    the keys that ``_pick`` reads by name and no settings class holds."""
+    commands = next(a.choices for a in build_parser()._actions if isinstance(a.choices, dict))
+    flags = {a.dest for p in commands.values() for a in p._actions}
+    return frozenset({"config_version", "clock_mhz", "fixed_eval_limit"} | {
+        f.name for cls in (trainer.TrainingConfig, trainer.QuantizerSpec, pruning.PruneSchedule)
+        for f in fields(cls) if f.name in flags and f.name != "method"})
+
+
+def __getattr__(name):
+    """``_CONFIG_KEYS`` is ``_config_keys()``, derived when first read: an import builds no parser."""
+    if name == "_CONFIG_KEYS":
+        return _config_keys()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @contextmanager
@@ -71,24 +83,28 @@ def _load_config(path):
         raise ValueError(f"{path}: config must be a JSON object")
     if str(doc.get("config_version", "1")) != "1":
         raise ValueError(f"{path}: unsupported config_version")
-    unknown = [key for key in doc if key not in _CONFIG_KEYS]
+    unknown = [key for key in doc if key not in _config_keys()]
     if unknown:
         raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
     return doc
 
 
 def _pick(args, config, key, default):
-    """Flag value if given, else config leaf read as the default's type, else default."""
+    """Flag value if given, else config leaf read as the default's type, else default.
+    A leaf that the cast changes (1.9 for an int, "5" for a number) or a bool is an error."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key not in config:
         return default
+    leaf, kind = config[key], type(default)
     try:
-        return type(default)(config[key])
+        value = kind(leaf)
+        if isinstance(leaf, bool) or (type(leaf) is not kind and value != leaf):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"config key {key!r}: {config[key]!r} is not a "
-                         f"{type(default).__name__}") from None
+        raise ValueError(f"config key {key!r}: {leaf!r} is not a {kind.__name__}") from None
+    return value
 
 
 def _load_model(spec: str, seed: int) -> ModelGraph:

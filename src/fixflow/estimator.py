@@ -136,8 +136,11 @@ def estimate_model(graph: ModelGraph, *, clock_mhz: float = CLOCK_MHZ, assume_de
     Batch norm scales count as one multiply per channel at reuse 1;
     activations cost one cycle; softmax and the input node are excluded
     from estimation. Real-valued weights are quantized first; an already
-    quantized graph is used as it is.
+    quantized graph is used as it is. The clock must be above 0 and its
+    rate in Hz finite.
     """
+    if not (clock_mhz > 0 and math.isfinite(clock_mhz * 1e6)):
+        raise ValueError(f"clock (--clock-mhz) is {clock_mhz!r} MHz, it must be above 0 and its rate in Hz finite")
     if not assume_dense:
         graph = materialize_quantized(graph)
     resources, timings = [], []

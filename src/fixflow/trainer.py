@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,15 +80,21 @@ class QuantizerSpec:
             object.__setattr__(self, "bits", 2)
         if not 1 <= self.bits <= MAX_SPEC_WIDTH:
             raise ValueError(f"quantizer bits (--bits) is {self.bits}, it must be in 1..{MAX_SPEC_WIDTH}")
-        if self.alpha <= 0:
-            raise ValueError("quantizer alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"quantizer alpha (--alpha) is {self.alpha!r}, it must be finite and > 0")
         # The fixed mode's grid, the real value of one raw step on it (alpha
         # scaled) and the real limits, built once for every apply.
         spec, step, limits = None, None, (-self.alpha, self.alpha)
         if self.mode == "fixed":
             spec = FixedPointSpec(self.bits, self.integer_bits, rounding=ROUND_HALF_UP, overflow=SATURATE)
-            step = math.ldexp(self.alpha, -spec.fraction_bits)
+            try:
+                step = math.ldexp(self.alpha, -spec.fraction_bits)
+            except OverflowError:
+                step = math.inf
             limits = (spec.min_raw * step, spec.max_raw * step)
+            if not (sys.float_info.min <= step and math.isfinite(limits[0])):  # |min_raw| > max_raw
+                raise ValueError(f"quantizer integer bits (--integer-bits) is {self.integer_bits}: at {self.bits} "
+                                 f"bits and alpha (--alpha) {self.alpha!r}, the grid leaves the normal floats")
         for name, value in (("spec", spec), ("_step", step), ("_limits", limits)):
             object.__setattr__(self, name, value)
 
@@ -310,7 +317,10 @@ def build_classifier(n_features: int, hidden, n_classes: int, seed: int = 0,
 
 class _Dense:
     """A dense layer. ``_Net._quantize_weights`` sets its forward weight
-    ``_w_eff`` and its STE mask ``_ste`` (None without a quantizer)."""
+    ``_w_eff`` and its STE mask ``_ste`` (None without a quantizer), and
+    ``_Net`` sets ``_head`` on its first layer with parameters."""
+
+    _head = False
 
     def __init__(self, node: LayerNode, quantizer, mask):
         self.name = node.name
@@ -323,20 +333,20 @@ class _Dense:
                 raise ValueError(f"{self.name}: mask shape {self.mask.shape} != weight shape {self.w.shape}")
             self.w *= self.mask  # pruned masters are pinned at zero
 
-    def forward(self, x, training):
+    def forward(self, x, owned):
         self._x = x
-        out = x @ self._w_eff.T
+        out = np.dot(x, self._w_eff.T)
         out += self.b
         return out
 
     def backward(self, dy):
-        dw = dy.T @ self._x
+        np.dot(dy.T, self._x, out=self.dw)
         if self._ste is not None:
-            dw *= self._ste  # STE with range clipping
+            self.dw *= self._ste  # STE with range clipping
         if self.mask is not None:
-            dw *= self.mask
-        self.dw, self.db = dw, dy.sum(axis=0)
-        return dy @ self._w_eff
+            self.dw *= self.mask
+        np.add.reduce(dy, axis=0, out=self.db)
+        return None if self._head else np.dot(dy, self._w_eff)
 
     def params(self):
         return [("w", self.w, lambda: self.dw), ("b", self.b, lambda: self.db)]
@@ -353,7 +363,7 @@ class _BatchNorm:
         self.moving_var = node.param("moving_variance").to_numpy().reshape(-1)
         self.eps = node.param("epsilon").to_numpy().item()
 
-    def forward(self, x, training):
+    def forward(self, x, owned):
         """Normalize by the batch statistics and fold them into the moving ones:
         every forward trains, inference runs ``_forward_layers``."""
         mean = x.mean(axis=0)
@@ -366,8 +376,8 @@ class _BatchNorm:
 
     def backward(self, dy):
         n = dy.shape[0]
-        self.dgamma = (dy * self._xhat).sum(axis=0)
-        self.dbeta = dy.sum(axis=0)
+        np.add.reduce(dy * self._xhat, axis=0, out=self.dgamma)
+        np.add.reduce(dy, axis=0, out=self.dbeta)
         dxhat = dy * self.gamma
         return self._istd * (
             dxhat - dxhat.mean(axis=0) - self._xhat * (dxhat * self._xhat).mean(axis=0)
@@ -392,9 +402,9 @@ class _Relu(_Masked):
     def __init__(self, node):
         self.name = node.name
 
-    def forward(self, x, training):
+    def forward(self, x, owned):
         self._mask = x > 0
-        return x * self._mask
+        return np.multiply(x, self._mask, out=x if owned else None)
 
 
 class _FakeQuant(_Masked):
@@ -404,7 +414,7 @@ class _FakeQuant(_Masked):
         self.name = f"{name}.quant"
         self.quantizer = quantizer
 
-    def forward(self, x, training):
+    def forward(self, x, owned):
         out, self._mask = self.quantizer.fake_quant(x)
         return out
 
@@ -420,7 +430,7 @@ class _QuantRelu(_Masked):
         self._step, self._hi_in, self._hi_out = q_in._step, q_in._limits[1], q_out._limits[1]
         self._hi = min(self._hi_in, self._hi_out)
 
-    def forward(self, x, training):
+    def forward(self, x, owned):
         values = round_scaled(x / self._step, ROUND_HALF_UP)
         values *= self._step
         self._mask = values <= self._hi_out
@@ -437,7 +447,7 @@ class _Net:
     def __init__(self, graph: ModelGraph, cfg: TrainingConfig):
         self.layers = []
         act_quant = cfg.activation_quantizers or {}
-        for node, _, _, width in walk(graph):
+        for node, *_ in walk(graph):
             if node.kind == "dense":
                 self.layers.append(_Dense(node, cfg.quantizer_for(node.name),
                                           None if cfg.masks is None else cfg.masks.get(node.name)))
@@ -456,18 +466,23 @@ class _Net:
                     self.layers[-2:] = [_QuantRelu(node.name, before.quantizer, q)]
                 else:
                     self.layers.append(_FakeQuant(node.name, q))
-        # Every trainable array becomes a view of one flat buffer, so the
-        # optimizer updates all of them with one set of elementwise calls.
+        # Every trainable array becomes a view of one flat buffer, and its
+        # gradient ("d" + name) a view of one laid out alike, which backward
+        # writes in place: the optimizer updates them all with one set of
+        # elementwise calls.
         params = [(layer, *param) for layer in self.layers for param in layer.params()]
-        self.grads = [grad for *_, grad in params]
         self.theta = np.concatenate([value for _, _, value, _ in params] or [np.empty(0)], axis=None)
+        self.grad = np.zeros_like(self.theta)
         start = 0
         for layer, name, value, _ in params:
-            setattr(layer, name, self.theta[start:start + value.size].reshape(value.shape))
+            for prefix, flat in (("", self.theta), ("d", self.grad)):
+                setattr(layer, prefix + name, flat[start:start + value.size].reshape(value.shape))
             start += value.size
-        # Backward stops at the first layer with parameters: the layers
-        # before it have nothing to train.
+        # Backward stops at the first layer with parameters, and that layer
+        # returns no dx: the layers before it have nothing to train.
         self._first = self.layers.index(params[0][0]) if params else len(self.layers)
+        if params:
+            params[0][0]._head = True
         # The fixed-mode weight quantizers run as one call on the stacked
         # masters, with each layer's step and real limits repeated over its
         # weights; binary and ternary layers quantize their own.
@@ -481,7 +496,6 @@ class _Net:
         self._grid = [np.repeat(np.array(values, dtype=np.float64), sizes)
                       for values in zip(*[(l.quantizer._step, *l.quantizer._limits) for l in self._stacked])]
         self._quantize_weights()  # so a layer's forward also runs outside loss_and_grads
-        self._eye = np.eye(width)  # the one-hot rows of the labels
 
     def _quantize_weights(self):
         """Set each dense layer's forward weight and STE mask from its master."""
@@ -496,22 +510,24 @@ class _Net:
             layer._w_eff = layer._w_eff * layer.mask
 
     def loss_and_grads(self, x, y, l1_lambda, start=0):
-        """Mean softmax cross-entropy plus l1_lambda * sum |w|; fills grads.
+        """Mean softmax cross-entropy plus l1_lambda * sum |w|; fills ``grad``.
 
         The rows ``x`` enter at layer ``start``; the weights are quantized first.
+        A layer may overwrite its input unless that is ``x`` itself.
         """
         self._quantize_weights()
-        for layer in self.layers[start:]:
-            x = layer.forward(x, True)
+        for i, layer in enumerate(self.layers[start:]):
+            x = layer.forward(x, i > 0)
         shifted = x - x.max(axis=1, keepdims=True)
         log_z = np.exp(shifted).sum(axis=1)
         np.log(log_z, out=log_z)
         probs = shifted - log_z[:, None]
         np.exp(probs, out=probs)
-        n = len(y)
-        data_loss = float((log_z - shifted[np.arange(n), y]).mean())
+        n, rows = len(y), np.arange(len(y))
+        data_loss = float((log_z - shifted[rows, y]).mean())
         penalty = 0.0
-        grad = probs - self._eye[y]
+        grad = probs.copy()
+        grad[rows, y] -= 1.0  # probs minus the one-hot rows: p - 0.0 is p
         grad /= n
         for layer in reversed(self.layers[self._first:]):
             grad = layer.backward(grad)
@@ -549,30 +565,39 @@ class _Net:
 
 
 class _Optimizer:
-    """SGD or Adam on the net's flat parameter buffer, one update per step."""
+    """SGD or Adam on the net's flat parameter and gradient buffers, one
+    update per step. Adam's moments m and v are the rows of one array, so
+    each elementwise call updates both."""
 
     def __init__(self, cfg: TrainingConfig, net: _Net):
         self.cfg = cfg
         self.step_count = 0
-        self.m = np.zeros_like(net.theta)
-        self.v = np.zeros_like(net.theta)
+        self.moments = np.zeros((2, net.theta.size))
+        self._scratch = np.empty_like(self.moments)
+        self._betas = np.array([[ADAM_BETA1], [ADAM_BETA2]])
+        self._gains = 1 - self._betas
 
     def step(self, net: _Net):
         """One update of every parameter. A pruned master stays at zero: its
-        gradient entries are masked to zero, so the update subtracts zero."""
-        cfg = self.cfg
+        gradient entries are masked to zero, so the update subtracts zero.
+        Adam rounds each element as m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g,
+        then theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with c = 1 - b**t."""
+        cfg, g = self.cfg, net.grad
         self.step_count += 1
-        g = np.concatenate([grad() for grad in net.grads], axis=None)
         if cfg.optimizer == "sgd":
             net.theta -= cfg.learning_rate * g
-        else:
-            self.m *= ADAM_BETA1
-            self.m += (1 - ADAM_BETA1) * g
-            self.v *= ADAM_BETA2
-            self.v += (1 - ADAM_BETA2) * g * g
-            mhat = self.m / (1 - ADAM_BETA1 ** self.step_count)
-            vhat = self.v / (1 - ADAM_BETA2 ** self.step_count)
-            net.theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            return
+        mv, s = self.moments, self._scratch
+        mv *= self._betas
+        np.multiply(self._gains, g, out=s)
+        s[1] *= g
+        mv += s
+        np.divide(mv, [[1 - ADAM_BETA1 ** self.step_count], [1 - ADAM_BETA2 ** self.step_count]], out=s)
+        s[0] *= cfg.learning_rate
+        np.sqrt(s[1], out=s[1])
+        s[1] += ADAM_EPS
+        s[0] /= s[1]
+        net.theta -= s[0]
 
 
 @dataclass(frozen=True)
@@ -608,16 +633,16 @@ def train(model: ModelGraph, data: Dataset, cfg: TrainingConfig):
     trace = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        losses, hits = [], 0
+        losses, preds = [], []
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            x, y = features[idx], data.labels[idx]
-            loss, probs = net.loss_and_grads(x, y, cfg.l1_lambda, first)
+            loss, probs = net.loss_and_grads(features[idx], data.labels[idx], cfg.l1_lambda, first)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss} at epoch {epoch}")
             opt.step(net)
             losses.append(loss * len(idx))
-            hits += int((probs.argmax(axis=1) == y).sum())
+            preds.append(probs.argmax(axis=1))
+        hits = int((np.concatenate(preds) == data.labels[order]).sum())
         trace.append(EpochStats(epoch, sum(losses) / n, hits / n))
     return net.write_back(model), trace
 

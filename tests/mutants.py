@@ -126,6 +126,31 @@ MUTANTS = [
     Mutant("synthetic_samples_unchecked", "cli.py",
            "    if samples < 1:\n", "    if False:\n",
            ("tests/test_cli.py::TestEmulate::test_scan_rejects_no_widths_and_limits_below_one",)),
+    Mutant("adam_second_moment_of_g_squared", "trainer.py",
+           "        s[1] *= g\n", "        s[1] = self._gains[1] * (g * g)\n",
+           ("tests/test_trainer.py::TestStep::test_step_equals_copying_step[adam]",)),
+    Mutant("relu_writes_callers_rows", "trainer.py",
+           "out=x if owned else None)", "out=x)",
+           ("tests/test_trainer.py::TestStep::test_relu_after_the_input_leaves_the_callers_rows",)),
+    Mutant("quantizer_alpha_may_be_infinite", "trainer.py",
+           "if not (math.isfinite(self.alpha) and self.alpha > 0):", "if not self.alpha > 0:",
+           ("tests/test_cli.py::TestStrictValues::test_quantizer_outside_the_floats_names_the_flag",)),
+    Mutant("quantizer_grid_unchecked", "trainer.py",
+           "            if not (sys.float_info.min <= step and", "            if False and not (sys.float_info.min <= step and",
+           ("tests/test_cli.py::TestStrictValues::test_quantizer_outside_the_floats_names_the_flag",)),
+    Mutant("clock_unchecked", "estimator.py",
+           "    if not (clock_mhz > 0 and math.isfinite(clock_mhz * 1e6)):\n", "    if False:\n",
+           ("tests/test_cli.py::TestStrictValues::test_clock_without_a_finite_rate_names_the_flag",
+            "tests/test_cli.py::TestStrictValues::test_reuse_sweep_checks_the_clock")),
+    Mutant("config_leaf_cast_may_change_it", "cli.py",
+           "(type(leaf) is not kind and value != leaf)", "False",
+           ("tests/test_cli.py::TestStrictValues::test_leaf_its_cast_would_change_names_the_key",)),
+    Mutant("config_leaf_may_be_bool", "cli.py",
+           "isinstance(leaf, bool) or ", "",
+           ("tests/test_cli.py::TestStrictValues::test_leaf_its_cast_would_change_names_the_key",)),
+    Mutant("config_keys_take_method", "cli.py",
+           ' and f.name != "method"', "",
+           ("tests/test_cli.py::TestConfigKeys",)),
 ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fixflow
-from fixflow import cli, profiler, pruning
+from fixflow import cli, estimator, profiler, pruning
 from fixflow.cli import run
 from fixflow.fixed_point import FixedPointSpec
 from fixflow.model_ir import Tensor, parse_model, serialize_model
@@ -870,3 +870,74 @@ class TestConfigKeys:
             assert run([command, "--model", "arch:16x4x5", *data, "--out", str(tmp_path / command),
                         "--config", str(cfg), *extra]) == 0, capsys.readouterr().err
         assert read == cli._CONFIG_KEYS - {"config_version"}
+
+
+class TestStrictValues:
+    """A quantizer grid outside the floats, a clock without a finite rate and a
+    config leaf that its cast would change exit 1 and name the flag or key."""
+
+    GRID = ("quantizer integer bits (--integer-bits) is {}: at {} bits and alpha (--alpha) {}, "
+            "the grid leaves the normal floats")
+    ALPHA = "quantizer alpha (--alpha) is {}, it must be finite and > 0"
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("qat", ["--integer-bits", "1100"], GRID.format(1100, 6, 1.0)),
+        ("qat", ["--integer-bits", "2000"], GRID.format(2000, 6, 1.0)),
+        ("qat", ["--integer-bits", "99999999999999999999"], GRID.format(99999999999999999999, 6, 1.0)),
+        ("qat", ["--integer-bits", "-2000"], GRID.format(-2000, 6, 1.0)),
+        ("qat", ["--alpha", "1e308", "--bits", "8", "--integer-bits", "8"], GRID.format(8, 8, 1e308)),
+        ("qat", ["--alpha", "nan"], ALPHA.format("nan")),
+        ("qat", ["--alpha", "inf"], ALPHA.format("inf")),
+        ("qat", ["--mode", "binary", "--alpha", "inf"], ALPHA.format("inf")),
+        ("prune", ["--method", "qap", "--integer-bits", "2000"], GRID.format(2000, 6, 1.0)),
+        ("prune", ["--alpha=-inf"], ALPHA.format("-inf")),
+    ])
+    def test_quantizer_outside_the_floats_names_the_flag(self, tmp_path, capsys, command, flags, message):
+        argv = [command, "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(tmp_path / "o"),
+                "--epochs", "1", *flags]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("clock", ["nan", "0", "-1", "inf", "1e308"])
+    @pytest.mark.parametrize("given", ["flag", "leaf"])
+    def test_clock_without_a_finite_rate_names_the_flag(self, tmp_path, capsys, clock, given):
+        argv = ["estimate", "--model", "arch:4x3x2", "--out", str(tmp_path / "o")]
+        if given == "flag":
+            argv += ["--clock-mhz", clock]
+        else:
+            (tmp_path / "cfg.json").write_text(f'{{"clock_mhz": {clock.replace("nan", "NaN").replace("inf", "Infinity")}}}')
+            argv += ["--config", str(tmp_path / "cfg.json"), "--reuse", "1,2"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (f"error: clock (--clock-mhz) is {float(clock)!r} MHz, "
+                                           "it must be above 0 and its rate in Hz finite\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_reuse_sweep_checks_the_clock(self):
+        model = trainer.build_classifier(4, [3], 2)
+        with pytest.raises(ValueError, match=r"clock \(--clock-mhz\) is nan MHz"):
+            estimator.reuse_sweep(model, [1, 2], clock_mhz=float("nan"))
+
+    @pytest.mark.parametrize("command, leaf", [
+        ("train", {"epochs": 1.9}), ("train", {"seed": True}), ("train", {"batch_size": "8"}),
+        ("train", {"learning_rate": "0.1"}), ("train", {"optimizer": 1}), ("qat", {"bits": False}),
+        ("qat", {"alpha": "nan"}), ("scan", {"fixed_eval_limit": 10.5}),
+    ])
+    def test_leaf_its_cast_would_change_names_the_key(self, tmp_path, capsys, command, leaf):
+        (tmp_path / "cfg.json").write_text(json.dumps(leaf))
+        argv = [command, "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(tmp_path / "o"),
+                "--config", str(tmp_path / "cfg.json"), *(["--bits", "4"] if command == "scan" else [])]
+        assert run(argv) == 1
+        (key, value), = leaf.items()
+        kind = {"optimizer": "str", "learning_rate": "float", "alpha": "float"}.get(key, "int")
+        assert capsys.readouterr().err == f"error: config key {key!r}: {value!r} is not a {kind}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_leaf_of_the_same_value_is_read(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"epochs": 2.0, "learning_rate": 1}))
+        argv = ["train", "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--config", str(tmp_path / "cfg.json")]
+        assert run([*argv, "--out", str(tmp_path / "leaf")]) == 0
+        assert run([*argv[:-2], "--epochs", "2", "--learning-rate", "1", "--out", str(tmp_path / "flag")]) == 0
+        assert len(read_csv(tmp_path / "leaf" / "loss_trace.csv")) == 3
+        for name in ("model.json", "loss_trace.csv"):
+            assert (tmp_path / "leaf" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()

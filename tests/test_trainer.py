@@ -8,7 +8,7 @@ import pytest
 
 from fixflow import kernels, trainer
 from fixflow.fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
-from fixflow.model_ir import Tensor
+from fixflow.model_ir import LayerNode, ModelGraph, Tensor, walk
 from fixflow.trainer import (
     Dataset,
     EvaluationError,
@@ -161,6 +161,209 @@ class TestOptimizer:
             assert a.params.keys() == b.params.keys()
             for key in a.params:
                 assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
+
+
+class _CopyingDense(trainer._Dense):
+    """The dense step on arrays of its own: ``@`` products, fresh gradients, and
+    dx also from the first layer."""
+
+    def forward(self, x, owned):
+        self._x = x
+        out = x @ self._w_eff.T
+        out += self.b
+        return out
+
+    def backward(self, dy):
+        dw = dy.T @ self._x
+        if self._ste is not None:
+            dw *= self._ste
+        if self.mask is not None:
+            dw *= self.mask
+        self.dw, self.db = dw, dy.sum(axis=0)
+        return dy @ self._w_eff
+
+
+class _CopyingBatchNorm(trainer._BatchNorm):
+    def backward(self, dy):
+        self.dgamma = (dy * self._xhat).sum(axis=0)
+        self.dbeta = dy.sum(axis=0)
+        dxhat = dy * self.gamma
+        return self._istd * (dxhat - dxhat.mean(axis=0) - self._xhat * (dxhat * self._xhat).mean(axis=0))
+
+
+class _CopyingRelu(trainer._Relu):
+    def forward(self, x, owned):
+        self._mask = x > 0
+        return x * self._mask
+
+
+class _CopyingNet(trainer._Net):
+    """The loss and its gradient with the labels' one-hot rows subtracted."""
+
+    def __init__(self, graph, cfg):
+        super().__init__(graph, cfg)
+        self._eye = np.eye(walk(graph)[-1][3])
+
+    def loss_and_grads(self, x, y, l1_lambda, start=0):
+        self._quantize_weights()
+        for layer in self.layers[start:]:
+            x = layer.forward(x, True)
+        shifted = x - x.max(axis=1, keepdims=True)
+        log_z = np.exp(shifted).sum(axis=1)
+        np.log(log_z, out=log_z)
+        probs = shifted - log_z[:, None]
+        np.exp(probs, out=probs)
+        n = len(y)
+        data_loss = float((log_z - shifted[np.arange(n), y]).mean())
+        penalty = 0.0
+        grad = probs - self._eye[y]
+        grad /= n
+        for layer in reversed(self.layers[self._first:]):
+            grad = layer.backward(grad)
+        if l1_lambda > 0:
+            for layer in self._dense:
+                penalty += float(np.abs(layer.w).sum())
+                layer.dw += l1_lambda * np.sign(layer.w)
+                if layer.mask is not None:
+                    layer.dw *= layer.mask
+        return data_loss + l1_lambda * penalty, probs
+
+
+class _CopyingOptimizer:
+    """SGD or Adam on the flat buffer, with the gradients concatenated per
+    step and Adam's moments and every intermediate in arrays of their own."""
+
+    def __init__(self, cfg, net):
+        self.cfg = cfg
+        self.step_count = 0
+        self.m = np.zeros_like(net.theta)
+        self.v = np.zeros_like(net.theta)
+
+    def step(self, net):
+        cfg = self.cfg
+        self.step_count += 1
+        g = np.concatenate([grad() for layer in net.layers for *_, grad in layer.params()], axis=None)
+        if cfg.optimizer == "sgd":
+            net.theta -= cfg.learning_rate * g
+        else:
+            self.m *= trainer.ADAM_BETA1
+            self.m += (1 - trainer.ADAM_BETA1) * g
+            self.v *= trainer.ADAM_BETA2
+            self.v += (1 - trainer.ADAM_BETA2) * g * g
+            mhat = self.m / (1 - trainer.ADAM_BETA1 ** self.step_count)
+            vhat = self.v / (1 - trainer.ADAM_BETA2 ** self.step_count)
+            net.theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + trainer.ADAM_EPS)
+
+
+def _copying_train(monkeypatch, model, data, cfg):
+    """``train`` with a step that builds every array it uses and accuracy
+    counted per step: the reference for the step that writes into buffers of
+    the net and the optimizer."""
+    with monkeypatch.context() as patched:
+        for name, cls in (("_Dense", _CopyingDense), ("_BatchNorm", _CopyingBatchNorm), ("_Relu", _CopyingRelu)):
+            patched.setattr(trainer, name, cls)
+        net = _CopyingNet(model, cfg)
+        opt = _CopyingOptimizer(cfg, net)
+        rng = make_rng(cfg.seed)
+        n = len(data)
+        batch = max(1, min(cfg.batch_size, n))
+        features, first = data.features, 0
+        if net.layers and isinstance(net.layers[0], trainer._FakeQuant):
+            features, first = net.layers[0].quantizer.fake_quant(features)[0], 1
+        trace = []
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            losses, hits = [], 0
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                x, y = features[idx], data.labels[idx]
+                loss, probs = net.loss_and_grads(x, y, cfg.l1_lambda, first)
+                opt.step(net)
+                losses.append(loss * len(idx))
+                hits += int((probs.argmax(axis=1) == y).sum())
+            trace.append(trainer.EpochStats(epoch, sum(losses) / n, hits / n))
+        return net.write_back(model), trace
+
+
+def _relu_first_model(seed):
+    """input -> relu -> dense -> relu -> dense -> softmax: a ReLU on the caller's rows."""
+    rng = make_rng(seed)
+    nodes = [LayerNode("input", "input"), LayerNode("relu_in", "relu")]
+    for i, (n_out, n_in) in enumerate([(12, 16), (5, 12)]):
+        w, b = trainer.init_dense_params(rng, n_out, n_in)
+        nodes.append(LayerNode(f"dense{i}", "dense", {"weight": Tensor.from_numpy(w), "bias": Tensor.from_numpy(b)}))
+        if i == 0:
+            nodes.append(LayerNode("relu0", "relu"))
+    nodes.append(LayerNode("softmax", "softmax"))
+    return ModelGraph.chain(nodes, (16,))
+
+
+class TestStep:
+    """The training step that writes gradients, Adam's moments and ReLU outputs
+    into buffers, byte for byte against ``_copying_train``."""
+
+    @staticmethod
+    def scan_quantizers(model, data, bits):
+        ptq = trainer.scan_precisions(model, data.features, bits)
+        return ({n.name: QuantizerSpec(bits, n.precision.weight.integer_bits) for n in ptq.nodes if n.kind == "dense"},
+                {n.name: QuantizerSpec(bits, n.precision.result.integer_bits) for n in ptq.nodes if n.kind != "softmax"})
+
+    @pytest.mark.parametrize("case", [
+        "adam", "sgd", "adam_l1", "sgd_l1", "masks", "sgd_l1_masks", "batch_norm", "qat", "binary", "ternary",
+        "quant_relu", "quant_relu_batch_norm", "relu_first", "n_below_batch"])
+    def test_step_equals_copying_step(self, monkeypatch, case):
+        data = synthetic_task(seed=7, n_samples=20 if case == "n_below_batch" else 203, sample_seed=5)
+        model = (_relu_first_model(4) if case == "relu_first" else
+                 build_classifier(16, [12, 8], 5, seed=2, batch_norm="batch_norm" in case))
+        cfg = TrainingConfig(epochs=3, batch_size=32, seed=5, learning_rate=0.05,
+                             optimizer="sgd" if case.startswith("sgd") else "adam",
+                             l1_lambda=0.01 if "_l1" in case else 0.0)
+        if "masks" in case:
+            rng = make_rng(6)
+            cfg = replace(cfg, masks={name: rng.random(w.shape) < 0.6 for name, w in weights_of(model).items()})
+        elif case == "qat":
+            cfg = replace(cfg, quantizers=QuantizerSpec(4, 2), activation_quantizers={
+                "input": QuantizerSpec(6, 3), "relu0": QuantizerSpec(5, 3), "dense2": QuantizerSpec(6, 4)})
+        elif case in ("binary", "ternary"):
+            cfg = replace(cfg, quantizers=QuantizerSpec(1, mode=case, alpha=0.5))
+        elif case.startswith("quant_relu"):
+            quantizers, act = self.scan_quantizers(model, data, 6)
+            cfg = replace(cfg, quantizers=quantizers, activation_quantizers=act)
+            assert [type(layer) for layer in trainer._Net(model, cfg).layers].count(trainer._QuantRelu) == 2
+        rows = data.features.copy()
+        got, got_trace = train(model, data, cfg)
+        assert data.features.tobytes() == rows.tobytes()
+        want, want_trace = _copying_train(monkeypatch, model, data, cfg)
+        assert len(data) % 32 != 0  # a short last batch, or one batch of every row
+        assert got_trace == want_trace
+        for a, b in zip(got.nodes, want.nodes):
+            assert a.params.keys() == b.params.keys()
+            for key in a.params:
+                assert a.param(key).to_numpy().tobytes() == b.param(key).to_numpy().tobytes(), (a.name, key)
+        if "masks" in case:  # pruned masters stay -0.0
+            assert any((np.signbit(w) & (w == 0)).any() for w in weights_of(got).values())
+
+    def test_relu_after_the_input_leaves_the_callers_rows(self):
+        data = synthetic_task(seed=7, n_samples=32, sample_seed=5)
+        net = trainer._Net(_relu_first_model(4), TrainingConfig())
+        x, rows = data.features, data.features.copy()
+        assert isinstance(net.layers[0], trainer._Relu) and (x < 0).any()
+        loss, probs = net.loss_and_grads(x, data.labels, 0.0)
+        grad = net.grad.copy()
+        assert x.tobytes() == rows.tobytes()
+        again, probs_again = net.loss_and_grads(x, data.labels, 0.0)
+        assert again == loss and probs_again.tobytes() == probs.tobytes()
+        assert net.grad.tobytes() == grad.tobytes()
+
+    def test_dot_equals_matmul_on_random_shapes(self):
+        # The step's np.dot products give the bits of ``@`` with this numpy and BLAS.
+        rng = make_rng(21)
+        for _ in range(300):
+            n, k, m = (int(v) for v in rng.integers(1, 81, 3))
+            x, w, dy = rng.normal(size=(n, k)), rng.normal(size=(m, k)), rng.normal(size=(n, m))
+            assert np.dot(x, w.T).tobytes() == (x @ w.T).tobytes(), (n, k, m)
+            assert np.dot(dy.T, x).tobytes() == (dy.T @ x).tobytes(), (n, k, m)
+            assert np.dot(dy, w).tobytes() == (dy @ w).tobytes(), (n, k, m)
 
 
 def _reference_apply(q, w):
@@ -720,7 +923,7 @@ class TestGradients:
         eps = 1e-6
         for layer in net.layers:
             for pname, value, grad_fn in layer.params():
-                grad = grad_fn()
+                grad = grad_fn().copy()
                 flat = value.reshape(-1)
                 idx = int(rng.integers(0, flat.size))
                 orig = flat[idx]
