@@ -23,6 +23,7 @@ import argparse
 import fnmatch
 import functools
 import hashlib
+import io
 import json
 import logging
 import math
@@ -140,21 +141,30 @@ def _load_dataset(spec: str, seed: int) -> trainer.Dataset:
 
 
 def _load_input_rows(spec: str, seed: int) -> np.ndarray:
+    """The rows of a dataset argument, or of a file of lines of whitespace-separated numbers,
+    read once: through ``trainer._read_number_rows`` when one space separates the values
+    (a comma of the file's own is no separator), else, and for every error, ``_rows_by_line``."""
     if _synthetic(spec, seed) is not None or spec.endswith(".csv"):
         return _load_dataset(spec, seed).features
-    rows = []
     with open(spec) as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                row = [float(v) for v in line.split()]
-                if not all(map(math.isfinite, row)):
-                    raise ValueError(f"non-finite value in {line.strip()!r}")
-                if rows and row and len(row) != len(rows[0]):
-                    raise ValueError(f"{len(row)} values, the first row has {len(rows[0])}")
-            except ValueError as exc:
-                raise ValueError(f"{spec}:{number}: {exc}") from None
-            if row:  # blank lines are skipped
-                rows.append(row)
+        text = fh.read()
+    fast = None if "," in text else trainer._read_number_rows(text.replace(" ", ","))
+    return fast[0] if fast else _rows_by_line(text, spec)
+
+
+def _rows_by_line(text: str, spec: str) -> np.ndarray:
+    rows = []
+    for number, line in enumerate(io.StringIO(text), 1):
+        try:
+            row = [float(v) for v in line.split()]
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite value in {line.strip()!r}")
+            if rows and row and len(row) != len(rows[0]):
+                raise ValueError(f"{len(row)} values, the first row has {len(rows[0])}")
+        except ValueError as exc:
+            raise ValueError(f"{spec}:{number}: {exc}") from None
+        if row:  # blank lines are skipped
+            rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 
@@ -166,6 +176,18 @@ def _out_dir(args) -> str:
 def _write_text(path, text):
     with timed(f"write {path}"), open_output(path) as fh:
         fh.write(text)
+
+
+def _model_text(graph: ModelGraph) -> str:
+    """``serialize_model(graph)`` of a trained model; a value that is not finite, which
+    ``parse_model`` would refuse, is an error."""
+    for node in graph.nodes:
+        for key, t in node.params.items():
+            values = t.to_numpy()
+            if not np.isfinite(values).all():
+                raise ValueError(f"layer {node.name!r}: param {key!r} holds {values[~np.isfinite(values)][0]}, "
+                                 "a model document holds finite numbers")
+    return serialize_model(graph)
 
 
 def _write_json(path, doc):
@@ -236,7 +258,7 @@ def cmd_train(args, config):
     graph, data, cfg = _training_inputs(args, config)
     trained, trace = trainer.train(graph, data, cfg)
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), serialize_model(trained))
+    _write_text(os.path.join(out, "model.json"), _model_text(trained))
     trainer.write_loss_trace(trace, os.path.join(out, "loss_trace.csv"))
     report = trainer.evaluate(trained, data)
     print(f"trained {cfg.epochs} epochs: loss {trace[-1].loss:.4f}, "
@@ -250,9 +272,10 @@ def cmd_qat(args, config):
     cfg = replace(cfg, quantizers=quantizer)
     trained, trace = trainer.train_qat(graph, data, cfg)
     deployed = trainer.quantize_model_weights(trained, quantizer)
+    texts = _model_text(trained), _model_text(deployed)  # both, before a file is written
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), serialize_model(trained))
-    _write_text(os.path.join(out, "model_quantized.json"), serialize_model(deployed))
+    _write_text(os.path.join(out, "model.json"), texts[0])
+    _write_text(os.path.join(out, "model_quantized.json"), texts[1])
     trainer.write_loss_trace(trace, os.path.join(out, "loss_trace.csv"))
     report = trainer.evaluate(deployed, data)
     print(f"qat({quantizer.bits} bits) {cfg.epochs} epochs: loss {trace[-1].loss:.4f}, "
@@ -270,7 +293,7 @@ def cmd_prune(args, config):
         cfg = replace(cfg, quantizers=quantizer)
     model, state, history = pruning.prune_iterative(graph, data, schedule, cfg)
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), serialize_model(model))
+    _write_text(os.path.join(out, "model.json"), _model_text(model))
     pruning.write_prune_history(history, os.path.join(out, "prune_history.csv"))
     final = history[-1] if history else None
     if final:

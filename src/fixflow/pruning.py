@@ -163,11 +163,15 @@ class PruneSchedule:
 
     def __post_init__(self):
         if not 0.0 <= self.target_fraction <= 1.0:
-            raise ValueError("target_fraction must be in [0, 1]")
-        if self.increment <= 0:
-            raise ValueError("increment must be > 0")
+            raise ValueError(f"target fraction (--target-fraction) is {self.target_fraction!r}, it must be in [0, 1]")
+        if not self.increment > 0:
+            raise ValueError(f"increment (--increment) is {self.increment!r}, it must be > 0")
         if self.target_fraction > 0 and self.increment > self.target_fraction:
-            raise ValueError("increment must not exceed target_fraction")
+            raise ValueError(f"increment (--increment) is {self.increment!r}, it must not exceed the target "
+                             f"fraction (--target-fraction) {self.target_fraction!r}")
+        if not 1 <= self.retrain_epochs <= _trainer.MAX_EPOCHS:
+            raise ValueError(f"retrain epochs (--retrain-epochs) is {self.retrain_epochs}, "
+                             f"it must be in 1..{_trainer.MAX_EPOCHS}")
         if self.method not in ("l1_retrain", "lt_rewind", "qap"):
             raise ValueError(f"unknown pruning method {self.method!r}")
 
@@ -189,6 +193,9 @@ def prune_iterative(model: ModelGraph, data, schedule: PruneSchedule,
         raise ValueError("qap needs cfg.quantizers for the retrain step")
     eval_data = data if eval_data is None else eval_data
     state = PruneState.fresh(model)
+    if schedule.increment * state.total_weights < 1:  # the loop would creep on, pruning nothing
+        raise ValueError(f"increment (--increment) is {schedule.increment!r}, less than one of "
+                         f"the model's {state.total_weights} prunable weights")
     train_fn = _trainer.train_qat if schedule.method == "qap" else _trainer.train
 
     def retrain(graph, state, epochs, step_seed):

@@ -23,6 +23,7 @@ bit-identical trajectories.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import sys
@@ -39,6 +40,7 @@ from . import kernels
 BN_MOMENTUM = 0.9
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FIXED_EVAL_LIMIT = 1000  # evaluation rows of ptq_qat_scan's bit-accurate runs
+MAX_EPOCHS = 2**63 - 1  # an int64 count; a larger one would run for ever
 
 
 class TrainingDivergedError(RuntimeError):
@@ -160,14 +162,16 @@ class TrainingConfig:
     masks: dict = None  # {layer name: 0/1 array shaped like the weight}
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate (--learning-rate) is {self.learning_rate!r}, it must be finite and > 0")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ValueError(f"epochs (--epochs) is {self.epochs}, it must be in 1..{MAX_EPOCHS}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size (--batch-size) is {self.batch_size}, it must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.l1_lambda < 0:
-            raise ValueError("l1_lambda must be >= 0")
+        if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
+            raise ValueError(f"L1 lambda (--l1-lambda) is {self.l1_lambda!r}, it must be finite and >= 0")
 
     def quantizer_for(self, layer_name: str):
         if self.quantizers is None:
@@ -200,37 +204,114 @@ def load_csv_dataset(path) -> Dataset:
 
     A bad row raises ValueError naming ``<path>:<line>``: another width than
     the header, a feature that is not a finite number, or a label that
-    ``int()`` does not parse or that is negative. A file without data rows
-    raises too.
+    ``int()`` does not parse or that is negative or past int64. A file without
+    data rows raises too.
+
+    The file is read once. Text without ``"`` goes through ``_read_number_rows``;
+    any text that it does not take bit for bit goes through ``csv`` in
+    ``_read_csv_rows``, which words every error.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1].strip() != "label":
-            raise ValueError(f"{path}: last column must be named 'label'")
-        feats, labels, lines = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} columns, the header has {len(header)}")
-                x, label = list(map(float, row[:-1])), int(row[-1])
-                if label < 0:
-                    raise ValueError(f"label {label} is negative")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            feats.append(x)
-            labels.append(label)
-            lines.append(reader.line_num)
+        text = fh.read()
+    line = text.partition("\n")[0].partition("\r")[0]
+    header = line.split(",")  # csv's split of a line without quotes
+    fast = None
+    if '"' not in text and header[-1].strip() == "label" and len(line) <= csv.field_size_limit():
+        fast = _read_number_rows(text, len(line), len(header), labelled=True)
+    features, labels = fast or _read_csv_rows(io.StringIO(text, newline=""), path)
+    return Dataset(features, labels, int(labels.max()) + 1)
+
+
+def _read_csv_rows(fh, path):
+    """``(features, labels)`` of the CSV text in ``fh``, read by ``csv`` one row at a time."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if not header or header[-1].strip() != "label":
+        raise ValueError(f"{path}: last column must be named 'label'")
+    feats, labels, lines = [], [], []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} columns, the header has {len(header)}")
+            x, label = list(map(float, row[:-1])), int(row[-1])
+            if label < 0:
+                raise ValueError(f"label {label} is negative")
+            if label >= 2**63:
+                raise ValueError(f"label {label} is past the int64 range")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        feats.append(x)
+        labels.append(label)
+        lines.append(reader.line_num)
     if not feats:
         raise ValueError(f"{path}: no data rows")
     features = np.array(feats, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{lines[bad[0]]}: non-finite feature in {feats[bad[0]]}")
-    labels = np.array(labels, dtype=np.int64)
-    return Dataset(features, labels, int(labels.max()) + 1)
+    return features, np.array(labels, dtype=np.int64)
+
+
+_READ_BLOCK_CHARS = 1 << 16  # of text per orjson call in _read_number_rows
+
+
+def _line_blocks(text, start):
+    """The non-blank lines of ``text[start:]``, in blocks cut after a ``\\n`` some
+    ``_READ_BLOCK_CHARS`` on. Lines end at ``\\r\\n``, ``\\r`` and ``\\n``, as ``csv``
+    ends them: each ``\\r`` reads as ``\\n``, which adds only blank lines. ``str.splitlines``
+    would also end them at ``\\x0c``, ``\\x85`` and other characters that ``csv`` keeps
+    in a field."""
+    while start < len(text):
+        end = text.find("\n", start + _READ_BLOCK_CHARS) + 1 or len(text)
+        yield list(filter(None, text[start:end].replace("\r", "\n").split("\n")))
+        start = end
+
+
+def _read_number_rows(text, start=0, width=None, labelled=False):
+    """``(features, labels)`` of the non-blank lines of ``text[start:]``, when orjson reads
+    each line as ``width`` comma-separated numbers (``None``: the first line's count) that
+    ``float()`` reads the same bit for bit: JSON floats, all finite, and with ``labelled``
+    a last JSON int >= 0, the label (``labels`` is None without). A JSON int feature does
+    not qualify: orjson reads ``-0`` as 0, ``float`` as -0.0.
+
+    Returns None for any other text, for text without rows and for a line longer than
+    ``csv.field_size_limit()`` (``csv`` refuses a longer field): the caller's loop then
+    reads the same text and words the error. Each block of lines is float64 before the
+    next decodes, so few Python floats are alive at once.
+    """
+    feats, labels = [], []
+    for lines in _line_blocks(text, start):
+        if not lines:
+            continue
+        if max(map(len, lines)) > csv.field_size_limit():
+            return None
+        try:
+            rows = orjson.loads("[[" + "],[".join(lines) + "]]")
+        except orjson.JSONDecodeError:
+            return None
+        width = width or len(rows[0])
+        # One row of scalars per line: so no bracket of the JSON came from the text.
+        kinds = list(map(type, itertools.chain.from_iterable(rows)))
+        if (not width or len(rows) != len(lines) or set(map(len, rows)) != {width}
+                or kinds.count(float) != len(rows) * (width - labelled)):
+            return None
+        if labelled:
+            if kinds[width - 1::width].count(int) != len(rows):
+                return None
+            try:
+                labels.append(np.array(list(map(list.pop, rows)), dtype=np.int64))
+            except OverflowError:  # past int64: the loop names the line
+                return None
+            if labels[-1].min() < 0:
+                return None
+        feats.append(np.array(rows, dtype=np.float64))
+        if not np.isfinite(feats[-1]).all():
+            return None
+    if not feats:
+        return None
+    return np.concatenate(feats), np.concatenate(labels) if labelled else None
 
 
 _CSV_BLOCK_VALUES = 1 << 12  # of features per orjson call in save_csv_dataset
@@ -789,7 +870,11 @@ def _output_int_bits(model: ModelGraph, features: np.ndarray):
         if node.kind in ("binary_tanh", "ternary_tanh"):
             raise ValueError(f"layer {node.name!r}: kind {node.kind!r} not supported in scans")
         if node.kind != "softmax":
-            act_int = _int_bits_for(float(np.abs(out).max()) if out.size else 1.0)
+            peak = float(np.abs(out).max()) if out.size else 1.0
+            if not math.isfinite(peak):
+                raise ValueError(f"layer {node.name!r}: the float model's outputs on the training rows "
+                                 f"reach {peak}, so they give the scan no range")
+            act_int = _int_bits_for(peak)
         ints.append(act_int)
     return ints
 

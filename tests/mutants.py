@@ -151,6 +151,47 @@ MUTANTS = [
     Mutant("config_keys_take_method", "cli.py",
            ' and f.name != "method"', "",
            ("tests/test_cli.py::TestConfigKeys",)),
+    # The orjson reader takes a file only where float() reads it bit for bit.
+    Mutant("csv_reader_accepts_minus_zero", "trainer.py",
+           "or kinds.count(float) != len(rows) * (width - labelled)):",
+           "or kinds.count(float) + kinds.count(int) != len(rows) * width):",
+           ("tests/test_readers.py::TestFastPath::test_minus_zero_feature_is_minus_zero",)),
+    Mutant("csv_reader_skips_field_count", "trainer.py",
+           "set(map(len, rows)) != {width}", "False",
+           ("tests/test_readers.py::TestFastPath::test_ragged_rows_name_the_line",)),
+    Mutant("csv_reader_splits_like_splitlines", "trainer.py",
+           '.replace("\\r", "\\n").split("\\n")', ".splitlines()",
+           ("tests/test_readers.py::TestFastPath::test_form_feed_stays_inside_a_field",)),
+    Mutant("csv_label_past_int64_unchecked", "trainer.py",
+           "            if label >= 2**63:\n", "            if False:\n",
+           ("tests/test_readers.py::TestFastPath::test_label_past_int64_names_the_line",)),
+    Mutant("learning_rate_may_be_nan", "trainer.py",
+           "if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):", "if self.learning_rate <= 0:",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---learning-rate-nan]",)),
+    Mutant("l1_lambda_may_be_nan", "trainer.py",
+           "if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):", "if self.l1_lambda < 0:",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---l1-lambda-nan]",)),
+    Mutant("batch_size_unchecked", "trainer.py",
+           "        if self.batch_size < 1:\n", "        if False:\n",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---batch-size-0]",)),
+    Mutant("epochs_past_int64", "trainer.py",
+           "if not 1 <= self.epochs <= MAX_EPOCHS:", "if self.epochs < 1:",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---epochs-9223372036854775809]",)),
+    Mutant("increment_may_be_nan", "pruning.py",
+           "        if not self.increment > 0:\n", "        if self.increment <= 0:\n",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[prune---increment-nan]",)),
+    Mutant("retrain_epochs_unchecked", "pruning.py",
+           "        if not 1 <= self.retrain_epochs <= _trainer.MAX_EPOCHS:\n", "        if False:\n",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[prune---retrain-epochs-0]",)),
+    Mutant("increment_below_one_weight", "pruning.py",
+           "    if schedule.increment * state.total_weights < 1:", "    if False:",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[prune---increment-1e-320]",)),
+    Mutant("scan_range_may_be_infinite", "trainer.py",
+           "            if not math.isfinite(peak):\n", "            if False:\n",
+           ("tests/test_flag_fuzz.py::test_scan_of_a_model_whose_outputs_leave_the_floats_exits_1",)),
+    Mutant("trained_model_may_hold_nan", "cli.py",
+           "            if not np.isfinite(values).all():\n", "            if False:\n",
+           ("tests/test_flag_fuzz.py::test_qat_deployment_past_the_quantizer_grid_writes_no_nan",)),
 ]
 
 
