@@ -56,13 +56,6 @@ def _config_keys() -> frozenset:
         for f in fields(cls) if f.name in flags and f.name != "method"})
 
 
-def __getattr__(name):
-    """``_CONFIG_KEYS`` is ``_config_keys()``, derived when first read: an import builds no parser."""
-    if name == "_CONFIG_KEYS":
-        return _config_keys()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @contextmanager
 def timed(stage: str):
     """Log the wall time of ``stage`` at INFO; with INFO off it costs one level check."""
@@ -178,20 +171,8 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _model_text(graph: ModelGraph) -> str:
-    """``serialize_model(graph)`` of a trained model; a value that is not finite, which
-    ``parse_model`` would refuse, is an error."""
-    for node in graph.nodes:
-        for key, t in node.params.items():
-            values = t.to_numpy()
-            if not np.isfinite(values).all():
-                raise ValueError(f"layer {node.name!r}: param {key!r} holds {values[~np.isfinite(values)][0]}, "
-                                 "a model document holds finite numbers")
-    return serialize_model(graph)
-
-
 def _write_json(path, doc):
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _training_inputs(args, config):
@@ -226,9 +207,9 @@ def cmd_convert(args, config):
         for p in problems:
             print(f"error: {p}", file=sys.stderr)
         return 1
-    out = _out_dir(args)
     with timed("serialize"):
         text = serialize_model(graph)
+    out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), text)
     with timed("emit"):
         report = codegen.emit_report(graph, pass_reports=reports,
@@ -258,7 +239,7 @@ def cmd_train(args, config):
     graph, data, cfg = _training_inputs(args, config)
     trained, trace = trainer.train(graph, data, cfg)
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), _model_text(trained))
+    _write_text(os.path.join(out, "model.json"), serialize_model(trained))
     trainer.write_loss_trace(trace, os.path.join(out, "loss_trace.csv"))
     report = trainer.evaluate(trained, data)
     print(f"trained {cfg.epochs} epochs: loss {trace[-1].loss:.4f}, "
@@ -272,7 +253,7 @@ def cmd_qat(args, config):
     cfg = replace(cfg, quantizers=quantizer)
     trained, trace = trainer.train_qat(graph, data, cfg)
     deployed = trainer.quantize_model_weights(trained, quantizer)
-    texts = _model_text(trained), _model_text(deployed)  # both, before a file is written
+    texts = serialize_model(trained), serialize_model(deployed)  # both, before a file is written
     out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), texts[0])
     _write_text(os.path.join(out, "model_quantized.json"), texts[1])
@@ -293,14 +274,10 @@ def cmd_prune(args, config):
         cfg = replace(cfg, quantizers=quantizer)
     model, state, history = pruning.prune_iterative(graph, data, schedule, cfg)
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), _model_text(model))
+    _write_text(os.path.join(out, "model.json"), serialize_model(model))
     pruning.write_prune_history(history, os.path.join(out, "prune_history.csv"))
-    final = history[-1] if history else None
-    if final:
-        print(f"pruned to {final.fraction:.2f}: accuracy {final.accuracy:.4f}, "
-              f"BOPs {final.bops:.0f}")
-    else:
-        print("target fraction 0: model unchanged")
+    final = history[-1]
+    print(f"pruned to {final.fraction:.2f}: accuracy {final.accuracy:.4f}, BOPs {final.bops:.0f}")
     return 0
 
 
@@ -353,7 +330,7 @@ def _write_rows(path, t: Tensor, texts: dict):
 def cmd_estimate(args, config):
     graph = _load_model(args.model, args.seed)
     clock = _pick(args, config, "clock_mhz", estimator.CLOCK_MHZ)
-    factors = _parse_int_list(args.reuse, "--reuse") if args.reuse else []
+    factors = _parse_int_list(args.reuse, "--reuse", 2**63 - 1) if args.reuse else []
     if args.reuse and not factors:
         raise ValueError(f"--reuse {args.reuse!r} holds no reuse factor")
     if factors and min(factors) < 1:
@@ -395,8 +372,8 @@ def cmd_scan(args, config):
     synthetic = _synthetic(args.data, args.seed)
     eval_data = data if synthetic is None else trainer.synthetic_task(
         seed=synthetic[0], sample_seed=synthetic[0] + 10_000)
-    bits = _parse_int_list(args.bits, "--bits")
-    try:  # raised on the evaluation rows' labels, before any training
+    bits = _parse_int_list(args.bits, "--bits", trainer.MAX_SPEC_WIDTH)
+    try:  # raised on the evaluation rows' labels, before any training, or on a baseline of accuracy 0
         baseline, rows = trainer.ptq_qat_scan(
             graph, data, eval_data, bits, cfg,
             fixed_eval_limit=_pick(args, config, "fixed_eval_limit", trainer.FIXED_EVAL_LIMIT),
@@ -422,16 +399,19 @@ def cmd_codegen(args, config):
     return 0
 
 
-def _parse_int_list(text: str, flag: str):
-    """Accepts '14,28,98' or an inclusive range '3..16'; ValueError names ``flag``,
-    also for an item given twice."""
+def _parse_int_list(text: str, flag: str, most: int):
+    """Accepts '14,28,98' or an inclusive range '3..16' whose ends lie in 1..``most``, checked
+    before the range is built; ValueError names ``flag``, also for an item given twice."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        values = [int(v) for v in text.strip().split(",") if v]
+        ends = [int(v) for v in text.split("..", 1)] if ".." in text else []
+        values = [] if ends else [int(v) for v in text.strip().split(",") if v]
     except ValueError:
         raise ValueError(f"{flag} {text!r}: expected a comma list or lo..hi of integers") from None
+    if ends:
+        for end in ends:
+            if not 1 <= end <= most:
+                raise ValueError(f"{flag} {text!r} holds {end}, a range end must be in 1..{most}")
+        return list(range(ends[0], ends[1] + 1))
     repeated = [v for v, count in Counter(values).items() if count > 1]
     if repeated:
         raise ValueError(f"{flag} {text!r} repeats {repeated[0]}")

@@ -519,7 +519,8 @@ def validate(graph: ModelGraph):
 
 def serialize_model(graph: ModelGraph) -> str:
     """Canonical document text; parse -> serialize -> parse is the identity. It is ASCII:
-    ``json.dumps`` escapes every other character."""
+    ``json.dumps`` escapes every other character. A value that is not finite, which
+    ``parse_model`` refuses, raises ValueError naming its layer and param."""
     return b"".join(_document_parts(graph)).decode()
 
 
@@ -544,6 +545,9 @@ def _document_parts(graph: ModelGraph):
         params = {}
         for key, t in sorted(node.params.items()):
             data = t.to_numpy().reshape(-1)  # quantized values as their exact reals
+            if not np.isfinite(data).all():
+                raise ValueError(f"layer {node.name!r}: param {key!r} holds {data[~np.isfinite(data)][0]}, "
+                                 "a model document holds finite numbers")
             if t.shape == (1,) and not t.is_quantized():
                 params[key] = data[0].item()
             else:

@@ -184,16 +184,15 @@ def prune_iterative(model: ModelGraph, data, schedule: PruneSchedule,
     baseline. ``l1_retrain`` continues from the trained weights with masks
     fixed; ``lt_rewind`` resets survivors to the initial snapshot before
     each retrain; ``qap`` is rewinding with quantization-aware retraining.
-    Returns (model, state, history).
+    At target fraction 0 the history is the baseline alone. Returns
+    (model, state, history).
     """
-    if schedule.target_fraction == 0.0:
-        return model, PruneState.fresh(model), []
-
     if schedule.method == "qap" and cfg.quantizers is None:
         raise ValueError("qap needs cfg.quantizers for the retrain step")
     eval_data = data if eval_data is None else eval_data
     state = PruneState.fresh(model)
-    if schedule.increment * state.total_weights < 1:  # the loop would creep on, pruning nothing
+    # Below one weight the loop would creep on, pruning nothing; at fraction 0 it takes no step.
+    if schedule.target_fraction > 0 and schedule.increment * state.total_weights < 1:
         raise ValueError(f"increment (--increment) is {schedule.increment!r}, less than one of "
                          f"the model's {state.total_weights} prunable weights")
     train_fn = _trainer.train_qat if schedule.method == "qap" else _trainer.train

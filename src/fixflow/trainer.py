@@ -918,7 +918,8 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     (baseline EvalReport, [ScanRow ...]). An empty ``bit_widths``, a width
     outside 1..MAX_SPEC_WIDTH or a ``fixed_eval_limit`` below 1 raises
     ValueError, and evaluation rows that ``check_labels`` rejects raise
-    EvaluationError, before any training.
+    EvaluationError, before any training; so does a baseline of accuracy
+    0, before any width runs.
     """
     bit_widths = [int(bits) for bits in bit_widths]
     if not bit_widths:
@@ -934,6 +935,9 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     if float_model is None:
         float_model, _ = train(model, train_data, cfg)
     baseline = evaluate(float_model, subset)
+    if baseline.accuracy == 0:
+        raise EvaluationError(f"the float baseline's accuracy on {subset.labels.size} evaluation rows is 0, "
+                              "and a scan's accuracies are relative to it")
     qat_cfg_base = replace(cfg, learning_rate=cfg.learning_rate / 2, epochs=max(1, cfg.epochs // 2))
     output_int_bits = _output_int_bits(float_model, train_data.features)
     rows = []

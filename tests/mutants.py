@@ -184,14 +184,39 @@ MUTANTS = [
            "        if not 1 <= self.retrain_epochs <= _trainer.MAX_EPOCHS:\n", "        if False:\n",
            ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[prune---retrain-epochs-0]",)),
     Mutant("increment_below_one_weight", "pruning.py",
-           "    if schedule.increment * state.total_weights < 1:", "    if False:",
+           "    if schedule.target_fraction > 0 and schedule.increment * state.total_weights < 1:", "    if False:",
            ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[prune---increment-1e-320]",)),
     Mutant("scan_range_may_be_infinite", "trainer.py",
            "            if not math.isfinite(peak):\n", "            if False:\n",
            ("tests/test_flag_fuzz.py::test_scan_of_a_model_whose_outputs_leave_the_floats_exits_1",)),
-    Mutant("trained_model_may_hold_nan", "cli.py",
-           "            if not np.isfinite(values).all():\n", "            if False:\n",
-           ("tests/test_flag_fuzz.py::test_qat_deployment_past_the_quantizer_grid_writes_no_nan",)),
+    Mutant("trained_model_may_hold_nan", "model_ir.py",
+           "            if not np.isfinite(data).all():\n", "            if False:\n",
+           ("tests/test_flag_fuzz.py::test_qat_deployment_past_the_quantizer_grid_writes_no_nan",
+            "tests/test_model_ir.py::TestSerializeText::test_a_value_that_is_not_finite_is_refused",
+            "tests/test_cli.py::TestConvert::test_fusion_that_overflows_writes_nothing")),
+    Mutant("convert_makes_out_before_serializing", "cli.py",
+           '    with timed("serialize"):\n        text = serialize_model(graph)\n    out = _out_dir(args)\n',
+           '    out = _out_dir(args)\n    with timed("serialize"):\n        text = serialize_model(graph)\n',
+           ("tests/test_cli.py::TestConvert::test_fusion_that_overflows_writes_nothing",)),
+    Mutant("report_json_may_hold_nan", "cli.py",
+           "allow_nan=False", "allow_nan=True",
+           ("tests/test_cli.py::TestConvert::test_report_holding_nan_is_not_written",)),
+    Mutant("scan_baseline_may_be_zero", "trainer.py",
+           "    if baseline.accuracy == 0:\n", "    if False:\n",
+           ("tests/test_cli.py::TestTrainAndScan::test_scan_refuses_a_baseline_of_accuracy_zero",)),
+    Mutant("range_ends_unchecked", "cli.py",
+           "            if not 1 <= end <= most:\n", "            if False:\n",
+           ("tests/test_cli.py::TestEstimate::test_bad_integer_argument_names_it",
+            "tests/test_cli.py::TestEmulate::test_scan_rejects_no_widths_and_limits_below_one")),
+    Mutant("prune_fraction_zero_returns_untrained", "pruning.py",
+           '    if schedule.method == "qap" and cfg.quantizers is None:\n',
+           '    if schedule.target_fraction == 0.0:\n        return model, PruneState.fresh(model), []\n'
+           '    if schedule.method == "qap" and cfg.quantizers is None:\n',
+           ("tests/test_pruning.py::TestPruneIterative::test_target_zero_trains_the_baseline",
+            "tests/test_cli.py::TestTrainAndScan::test_prune_to_fraction_zero_trains_the_baseline")),
+    Mutant("increment_checked_at_fraction_zero", "pruning.py",
+           "schedule.target_fraction > 0 and schedule.increment", "schedule.increment",
+           ("tests/test_pruning.py::TestPruneIterative::test_target_zero_trains_the_baseline",)),
 ]
 
 

@@ -73,6 +73,27 @@ class TestConvert:
         assert capsys.readouterr().err == f"error: {decode.value}\n"
         assert not (tmp_path / "c").exists()
 
+    def test_fusion_that_overflows_writes_nothing(self, tmp_path, capsys):
+        # gamma 1e200 times weight 1e200 is inf: the fused document would not parse.
+        path = write_doc(tmp_path, [
+            {"name": "d0", "kind": "dense", "params": {"weight": {"shape": [2, 2], "data": [1e200] * 4},
+                                                       "bias": {"shape": [2], "data": [0.0, 0.0]}}},
+            {"name": "bn", "kind": "batch_norm", "params": dict(
+                TestMalformedDocuments.BN_PARAMS, gamma={"shape": [2], "data": [1e200, 1.0]},
+                beta={"shape": [2], "data": [0.0, 0.0]})}])
+        with np.errstate(over="ignore"):
+            assert run(["convert", "--model", path, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("error: layer 'd0': param 'weight' holds inf, "
+                                           "a model document holds finite numbers\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_report_holding_nan_is_not_written(self, tmp_path):
+        # RFC 8259 JSON has no NaN or Infinity; a report that holds one is an error, not a file.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cli._write_json(str(tmp_path / "report.json"), {"mean": value})
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -179,6 +200,14 @@ class TestMalformedDocuments:
         err = self.run_failing(tmp_path, capsys, layers, "convert")
         assert "$.layers[0].precision.weight" in err and "string" in err
 
+    @pytest.mark.parametrize("precision, message", [
+        ({"weight": "fixed<8,2>", "weights": "fixed<8,2>"}, "$.layers[0].precision.weights: unknown precision slot"),
+        (8, "$.layers[0].precision: precision must be a string or object"),
+    ])
+    def test_precision_neither_slots_nor_a_string(self, tmp_path, capsys, precision, message):
+        layers = [{"name": "r", "kind": "relu", "precision": precision}]
+        assert self.run_failing(tmp_path, capsys, layers, "convert") == f"error: {message}\n"
+
     DENSE = {"weight": {"shape": [2, 2], "data": [0.5, -0.25, 1.0, 0.75]},
              "bias": {"shape": [2], "data": [0.0, 0.5]}}
 
@@ -245,6 +274,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("model, flags, message", [
         ("arch:4x3", ["--reuse", "5..2"], "--reuse '5..2' holds no reuse factor"),
+        ("arch:4x3", ["--reuse", "1..99999999999999999999"],
+         "--reuse '1..99999999999999999999' holds 99999999999999999999, a range end must be in 1..9223372036854775807"),
         ("arch:4x3", ["--reuse", "2,x"], "--reuse '2,x': expected a comma list or lo..hi of integers"),
         ("arch:4xqx2", [], "arch:4xqx2: widths must be positive integers"),
         ("arch:4x0x2", [], "arch:4x0x2: widths must be positive integers"),
@@ -458,6 +489,8 @@ class TestEmulate:
 
     @pytest.mark.parametrize("flags, message", [
         (["--bits", "4..2"], "bit_widths (--bits) holds no width"),
+        (["--bits", "1..99999999999999999999"],
+         "--bits '1..99999999999999999999' holds 99999999999999999999, a range end must be in 1..64"),
         (["--bits", "4", "--fixed-eval-limit", "-5"],
          "fixed_eval_limit (--fixed-eval-limit) is -5, it must be at least 1"),
         (["--bits", "4", "--fixed-eval-limit", "0"],
@@ -502,6 +535,16 @@ class TestProfile:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1] == f"profiled {len(report.rows)} tensors, {len(coverage)} findings"
         assert len(lines) == len(coverage) + 1
+
+    def test_prints_each_finding(self, tmp_path, capsys):
+        # 3.5 leaves fixed<6,2>'s range; 2**-5 is below its resolution of 2**-4.
+        model = write_doc(tmp_path, [{"name": "d", "kind": "dense", "precision": "fixed<6,2>", "params": {
+            "weight": {"shape": [2, 2], "data": [3.5, 0.5, 0.25, -1.0]}, "bias": {"shape": [2], "data": [0.03125, 0.0]}}}])
+        assert run(["profile", "--model", model, "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "warning: [d.weight] max |value| 3.5 exceeds fixed<6,2> range (headroom -1 bits)",
+            "info: [d.bias] smallest nonzero |value| 0.03125 is below the fixed<6,2> resolution and truncates to zero",
+            "profiled 2 tensors, 2 findings"]
 
 
 class TestFoldedBatchNorm:
@@ -660,14 +703,48 @@ class TestTrainAndScan:
         assert rows[0][0] == "iteration"
         assert len(rows) == 4  # header + baseline + two iterations
 
-    def test_prune_to_fraction_zero_leaves_the_model_unchanged(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("a model trained"))
-        out = tmp_path / "p"
-        assert run(["prune", "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(out),
-                    "--seed", "3", "--target-fraction", "0"]) == 0
-        assert capsys.readouterr().out == "target fraction 0: model unchanged\n"
-        assert (out / "model.json").read_text() == serialize_model(trainer.build_classifier(16, [4], 5, seed=3))
-        assert read_csv(out / "prune_history.csv") == [["iteration", "pruned_fraction", "accuracy", "auc", "bops"]]
+    def test_prune_to_fraction_zero_trains_the_baseline(self, tmp_path, capsys):
+        args = ["--model", "arch:16x4x5", "--data", "synthetic:7:60", "--seed", "3", "--epochs", "2"]
+        assert run(["prune", *args, "--out", str(tmp_path / "p"), "--target-fraction", "0"]) == 0
+        assert capsys.readouterr().out.startswith("pruned to 0.00: accuracy ")
+        assert run(["train", *args, "--out", str(tmp_path / "t")]) == 0
+        assert (tmp_path / "p" / "model.json").read_text() == (tmp_path / "t" / "model.json").read_text()
+        rows = read_csv(tmp_path / "p" / "prune_history.csv")
+        assert [row[:2] for row in rows] == [["iteration", "pruned_fraction"], ["0", "0.0"]]
+
+    def test_features_unlike_the_model_inputs_rejected(self, tmp_path, capsys):
+        assert run(["train", "--model", "arch:4x3x5", "--data", "synthetic:7:50",
+                    "--out", str(tmp_path / "o"), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == "error: dataset has 16 features, model expects 4\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, layer, message", [
+        ("train", {"name": "bn", "kind": "batch_norm", "params": {"scale": {"shape": [2], "data": [1, 2]},
+                                                                  "shift": {"shape": [2], "data": [0, 0]}}},
+         "bn: cannot train a constant-folded batch_norm"),
+        ("train", {"name": "bt", "kind": "binary_tanh"}, "layer 'bt': kind 'binary_tanh' is not trainable"),
+        ("scan", {"name": "bt", "kind": "binary_tanh"}, "layer 'bt': kind 'binary_tanh' is not trainable"),
+    ])
+    def test_untrainable_layer_rejected(self, tmp_path, capsys, command, layer, message):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n1,2,0\n3,4,1\n")
+        model = write_doc(tmp_path, [layer, {"name": "d", "kind": "dense", "params": TestMalformedDocuments.DENSE}])
+        extra = ["--bits", "4"] if command == "scan" else []
+        assert run([command, "--model", model, "--data", str(data), "--out", str(tmp_path / "o"),
+                    "--epochs", "1", *extra]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_scan_refuses_a_baseline_of_accuracy_zero(self, tmp_path, capsys):
+        # At this seed and rate the float baseline labels both rows wrong; every
+        # accuracy of the scan would be divided by 0.
+        data = tmp_path / "two.csv"
+        data.write_text("f0,f1,label\n1.0,0.0,0\n-1.0,0.0,1\n")
+        assert run(["scan", "--model", "arch:2x2", "--data", str(data), "--epochs", "1", "--learning-rate",
+                    "1e-12", "--bits", "4", "--seed", "2", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: the float baseline's accuracy on 2 evaluation rows "
+                                           "is 0, and a scan's accuracies are relative to it\n")
+        assert not (tmp_path / "o").exists()
 
     def test_scan_csv_columns(self, tmp_path):
         out = tmp_path / "s"
@@ -858,7 +935,7 @@ class TestConfigKeys:
                "batch_size": 16, "l1_lambda": 0.0, "bits": 5, "integer_bits": 1, "alpha": 1.0, "mode": "fixed",
                "target_fraction": 0.5, "increment": 0.5, "retrain_epochs": 1, "clock_mhz": 100.0,
                "fixed_eval_limit": 20}
-        assert set(doc) == cli._CONFIG_KEYS
+        assert set(doc) == cli._config_keys()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         read, pick = set(), cli._pick
@@ -869,7 +946,7 @@ class TestConfigKeys:
             data = [] if command in ("estimate", "convert") else ["--data", "synthetic:7:60"]
             assert run([command, "--model", "arch:16x4x5", *data, "--out", str(tmp_path / command),
                         "--config", str(cfg), *extra]) == 0, capsys.readouterr().err
-        assert read == cli._CONFIG_KEYS - {"config_version"}
+        assert read == cli._config_keys() - {"config_version"}
 
 
 class TestStrictValues:

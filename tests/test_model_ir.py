@@ -385,6 +385,28 @@ AWKWARD_NAMES = ['"data": []', 'q"uo\\te', "\u00e9\u03bb\U0001f642", "a\nb\t\x7f
 SPECS = ["fixed<16,6>", "fixed<8,3,u>", "fixed<64,1>", "fixed<64,64,u>", "fixed<12,-4>", "fixed<10,20>"]
 
 
+def refusal(graph):
+    """The ValueError text of writing ``graph``, naming its first value in document
+    order that is not finite; None when every value is finite."""
+    for node in graph.nodes:
+        for key, t in sorted(node.params.items()):
+            bad = [v for v in t.to_numpy().reshape(-1).tolist() if not math.isfinite(v)]
+            if bad:
+                return f"layer {node.name!r}: param {key!r} holds {bad[0]}, a model document holds finite numbers"
+    return None
+
+
+def written_or_refused(graph, write):
+    """``write(graph)``, or None after checking that it raises the ``refusal`` of ``graph``."""
+    message = refusal(graph)
+    if message is None:
+        return write(graph)
+    with pytest.raises(ValueError) as refused:
+        write(graph)
+    assert str(refused.value) == message
+    return None
+
+
 def random_graph(rng):
     """A chain of random layers with awkward names, scalar and tensor params named
     like document fields, 1-element tensors, real and quantized, and extreme reals;
@@ -451,10 +473,10 @@ class TestSerializeText:
 
     def test_arrays_of_awkward_reals_match_the_stdlib(self):
         # Both sides of each edge of the range orjson writes, values below
-        # it, non-finite values, zeros and the smallest subnormal, alone,
-        # spread through a long array of ordinary values, and a 1 M-value
-        # log-uniform array that also crosses both edges.
-        edges = [0.0, 5e-324, 1e-4, 1e16, math.inf, math.nan, 1.5e-5, 9.99e-5]
+        # it, zeros and the smallest subnormal, alone, spread through a long
+        # array of ordinary values, and a 1 M-value log-uniform array that
+        # also crosses both edges.
+        edges = [0.0, 5e-324, 1e-4, 1e16, 1.7976931348623157e308, 1.5e-5, 9.99e-5]
         edges += [math.nextafter(e, d) for e in (1e-4, 1e16) for d in (0, math.inf)]
         edges += [-e for e in edges]
         rng = np.random.default_rng(2103)
@@ -495,16 +517,40 @@ class TestSerializeText:
             assert _real_texts(np.array([0.5, v, 0.5]), sep) == [b"0.5", json.dumps(v).encode(), b"0.5"]
 
     def test_splice_matches_stdlib_on_random_graphs(self):
-        rng = random.Random(2103)
-        for _ in range(400):
+        # 400 graphs of finite values are written; each graph drawn on the way that holds
+        # a value that is not finite is refused.
+        rng, written = random.Random(2103), 0
+        while written < 400:
             graph = random_graph(rng)
-            assert serialize_model(graph) == stdlib_text(graph), graph
+            text = written_or_refused(graph, serialize_model)
+            if text is not None:
+                assert text == stdlib_text(graph), graph
+                written += 1
 
     def test_model_hash_is_that_of_the_document_bytes(self):
-        rng = random.Random(2103)
-        for _ in range(400):
+        rng, hashed = random.Random(2103), 0
+        while hashed < 400:
             graph = random_graph(rng)
-            assert model_hash(graph) == hashlib.sha256(serialize_model(graph).encode()).hexdigest(), graph
+            digest = written_or_refused(graph, model_hash)
+            if digest is not None:
+                assert digest == hashlib.sha256(serialize_model(graph).encode()).hexdigest(), graph
+                hashed += 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("write", [serialize_model, model_hash])
+    def test_a_value_that_is_not_finite_is_refused(self, value, write):
+        from test_passes import bn_params
+
+        dense = LayerNode("d0", "dense", {"weight": Tensor.from_numpy(np.array([[0.5, value], [1.0, 0.25]])),
+                                          "bias": Tensor.from_numpy(np.zeros(2))})
+        bn = LayerNode("bn", "batch_norm", bn_params([1.0, value], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 0.001))
+        eps = LayerNode("bn", "batch_norm", bn_params([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], value))
+        for layer, param in ((dense, "weight"), (bn, "gamma"), (eps, "epsilon")):
+            graph = ModelGraph.chain([LayerNode("input", "input"), layer], (2,))
+            with pytest.raises(ValueError) as refused:
+                write(graph)
+            assert str(refused.value) == (f"layer {layer.name!r}: param {param!r} holds {value}, "
+                                          "a model document holds finite numbers")
 
 
 class TestValidate:

@@ -311,13 +311,18 @@ class TestPruneIterative:
         model = build_classifier(4, [8], 2, seed=2)
         return model, data
 
-    def test_target_zero_returns_unchanged(self):
+    def test_target_zero_trains_the_baseline(self):
+        # An increment below one weight is no error here: no step takes it.
         model, data = self.small_setup()
         cfg = TrainingConfig(epochs=5, seed=1)
         out, state, history = prune_iterative(
-            model, data, PruneSchedule(target_fraction=0.0), cfg)
-        assert out is model
-        assert history == []
+            model, data, PruneSchedule(target_fraction=0.0, increment=1e-3), cfg)
+        baseline, _ = trainer.train(model, data, cfg)
+        for node in baseline.nodes:
+            for key, t in node.params.items():
+                assert (out.node(node.name).param(key).to_numpy() == t.to_numpy()).all()
+        assert [(rec.iteration, rec.fraction) for rec in history] == [(0, 0.0)]
+        assert state.pruned_fraction == 0.0
 
     def test_lt_rewind_exactness_every_iteration(self):
         model, data = self.small_setup()

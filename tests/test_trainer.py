@@ -625,6 +625,15 @@ class TestScan:
         trainer.write_scan_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
+    def test_binary_tanh_gives_a_scan_no_range(self):
+        # Training refuses the kind first, so only a float model given to the scan reaches this rule.
+        data = synthetic_task(seed=7, n_samples=40, sample_seed=1)
+        model = build_classifier(16, [8], 5, seed=1)
+        nodes = list(model.nodes)
+        float_model = ModelGraph.chain(nodes[:2] + [LayerNode("bt", "binary_tanh")] + nodes[2:], model.input_shape)
+        with pytest.raises(ValueError, match="^layer 'bt': kind 'binary_tanh' not supported in scans$"):
+            trainer.ptq_qat_scan(model, data, data, [4], TrainingConfig(epochs=1), float_model=float_model)
+
     def test_materialized_masters_equal_their_snap(self):
         """The scan deploys the QAT masters under the scan precisions without
         snapping them: materializing them gives the raws of materializing
