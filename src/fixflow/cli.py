@@ -37,7 +37,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import codegen, estimator, kernels, passes, profiler, pruning, trainer
-from .model_ir import ModelGraph, Tensor, open_output, parse_model, serialize_model, validate
+from .model_ir import ModelGraph, Tensor, format_rows, parse_model, serialize_model, validate, write_output
 
 log = logging.getLogger("fixflow")
 
@@ -166,9 +166,10 @@ def _out_dir(args) -> str:
     return args.out
 
 
-def _write_text(path, text):
-    with timed(f"write {path}"), open_output(path) as fh:
-        fh.write(text)
+def _write_text(path, text: str | bytes):
+    """Write a whole artifact, ``text`` as UTF-8 bytes."""
+    with timed(f"write {path}"):
+        write_output(path, text if isinstance(text, bytes) else text.encode())
 
 
 def _write_json(path, doc):
@@ -208,12 +209,12 @@ def cmd_convert(args, config):
             print(f"error: {p}", file=sys.stderr)
         return 1
     with timed("serialize"):
-        text = serialize_model(graph)
+        data = serialize_model(graph).encode()
     out = _out_dir(args)
-    _write_text(os.path.join(out, "model.json"), text)
+    _write_text(os.path.join(out, "model.json"), data)
     with timed("emit"):
         report = codegen.emit_report(graph, pass_reports=reports,
-                                     source_hash=hashlib.sha256(text.encode()).hexdigest())
+                                     source_hash=hashlib.sha256(data).hexdigest())
     _write_json(os.path.join(out, "report.json"), report)
     applied = sum(len(r.rewrites) for r in reports)
     print(f"converted: {len(graph.nodes)} layers, {applied} rewrites")
@@ -315,15 +316,13 @@ def cmd_emulate(args, config):
 
 
 def _write_rows(path, t: Tensor, texts: dict):
-    """Write the raws of a quantized block of rows, or the reals of a real one, one line per row.
-
-    One %-template formats the block; %d and %r give the bytes of str and repr. ``texts``
-    maps each tensor formatted before to its text, so no tensor is formatted twice.
+    """Write the raws of a quantized block of rows, or the reals of a real one, one line per row
+    of values joined by spaces, as ``str`` and ``repr`` write them (``format_rows``). ``texts``
+    maps each tensor formatted before to its bytes, so no tensor is formatted twice.
     """
     with timed(f"format {path}"):
         if t not in texts:
-            line = " ".join(["%d" if t.is_quantized() else "%r"] * t.shape[-1]) + "\n"
-            texts[t] = (line * (t.size // t.shape[-1])) % tuple(t.array.tolist())
+            texts[t] = b"\n".join(format_rows(t.array.reshape(-1, t.shape[-1]), b" ") + [b""])
     _write_text(path, texts[t])
 
 
@@ -400,8 +399,9 @@ def cmd_codegen(args, config):
 
 
 def _parse_int_list(text: str, flag: str, most: int):
-    """Accepts '14,28,98' or an inclusive range '3..16' whose ends lie in 1..``most``, checked
-    before the range is built; ValueError names ``flag``, also for an item given twice."""
+    """Accepts '14,28,98' of items at most 2**63-1, or an inclusive range '3..16' whose ends lie
+    in 1..``most``, checked before the range is built; ValueError names ``flag``, also for an item
+    given twice. The caller checks the items against its own domain."""
     try:
         ends = [int(v) for v in text.split("..", 1)] if ".." in text else []
         values = [] if ends else [int(v) for v in text.strip().split(",") if v]
@@ -412,6 +412,9 @@ def _parse_int_list(text: str, flag: str, most: int):
             if not 1 <= end <= most:
                 raise ValueError(f"{flag} {text!r} holds {end}, a range end must be in 1..{most}")
         return list(range(ends[0], ends[1] + 1))
+    for value in values:
+        if value > 2**63 - 1:
+            raise ValueError(f"{flag} {text!r} holds {value}, an item must be at most {2**63 - 1}")
     repeated = [v for v, count in Counter(values).items() if count > 1]
     if repeated:
         raise ValueError(f"{flag} {text!r} repeats {repeated[0]}")

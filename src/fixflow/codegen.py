@@ -31,7 +31,7 @@ import orjson
 from . import __version__
 from .fixed_point import ROUND_HALF_UP, SATURATE, FixedPointSpec, cast_extremes
 from .kernels import compress_coo, materialize_quantized, sign_levels
-from .model_ir import ModelGraph, model_hash, open_output, walk
+from .model_ir import ModelGraph, model_hash, walk, write_output
 
 TOOL_VERSION = __version__
 
@@ -73,8 +73,7 @@ class ProjectTree:
             os.makedirs(os.path.join(out_dir, folder), exist_ok=True)
         for path, text in files:
             full = os.path.join(out_dir, path)
-            with open_output(full) as fh:
-                fh.write(text)
+            write_output(full, text.encode())
             if path.endswith(".sh"):
                 os.chmod(full, 0o755)
 

@@ -586,17 +586,56 @@ def _real_texts(values: np.ndarray, sep: bytes) -> list:
     return [piece for pair in pairs for piece in pair if piece]  # a run can be empty
 
 
+def format_rows(block: np.ndarray, sep: bytes) -> list:
+    """Each row of the 2-D ``block`` as bytes, its values joined by ``sep``: an int as ``str``
+    and a float as ``repr`` writes it. orjson formats the whole block in one call, an object
+    block (ints inside 64 bits) as its ``tolist()``; a float row holding a value that orjson
+    writes otherwise (``_orjson_is_repr``) is formatted through ``repr``."""
+    data = block.tolist() if block.dtype == object else np.ascontiguousarray(block)
+    text = orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    rows = text.replace(b",", sep).split(b"]" + sep + b"[")  # no value holds "," or "]"
+    if block.dtype.kind == "f":
+        for i in np.flatnonzero(~_orjson_is_repr(block).all(axis=1)):
+            rows[i] = sep.decode().join(map(repr, block[i].tolist())).encode()
+    return rows
+
+
+def _open_in_place(path) -> int:
+    """The descriptor of ``open(path, "w")`` for every file the program writes, but an existing
+    file is overwritten in place, and ``_close_in_place`` cuts it at the descriptor's offset:
+    truncating it to zero first frees its blocks, which on ext4 costs more than the write.
+    Inode, mode and symlink following are those of ``open``."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
+def _close_in_place(fd: int):
+    """Cut a regular file at the offset of ``fd``, then close it; pipes and devices, which
+    ``open`` does not truncate either, are not cut. Writers call it even on error."""
+    try:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+
+
+def write_output(path, data: bytes):
+    """Write the whole file ``path`` as ``data``, in place (``_open_in_place``)."""
+    fd = _open_in_place(path)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, memoryview(data)[written:])
+    finally:
+        _close_in_place(fd)
+
+
 @contextmanager
 def open_output(path, newline=None):
-    """``open(path, "w", newline=newline)`` for every file the program writes, but an
-    existing file is overwritten in place and cut to its new end on close, even on error:
-    truncating it to zero first frees its blocks, which on ext4 costs more than the write.
-    Bytes, inode, mode and symlink following are those of ``open``; pipes and devices,
-    which ``open`` does not truncate either, are not cut."""
-    with open(path, "w", newline=newline,
-              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
-        try:
+    """``open(path, "w", newline=newline)`` for a file written as a stream, in place
+    (``_open_in_place``): the bytes are those of ``open``."""
+    fd = _open_in_place(path)
+    try:
+        with open(fd, "w", newline=newline, closefd=False) as fh:
             yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+    finally:
+        _close_in_place(fd)

@@ -74,14 +74,14 @@ def fuse_batchnorm_into_dense(graph: ModelGraph):
         if not (node.kind == "dense" and nxt.kind == "batch_norm"
                 and _real_params(node) and _real_params(nxt)):
             return None
-        try:
-            scale, shift = batch_norm_scale_shift(nxt.params)
-        except ValueError as e:
-            raise ValueError(f"cannot fuse {nxt.name!r} into {node.name!r}: {e}") from None
-        return node.with_params(
-            weight=Tensor.from_numpy(scale[:, None] * node.param("weight").to_numpy()),
-            bias=Tensor.from_numpy(scale * node.param("bias").to_numpy() + shift),
-        ), nxt.name
+        with np.errstate(over="ignore", invalid="ignore"):  # the serializer names a value past the floats
+            try:
+                scale, shift = batch_norm_scale_shift(nxt.params)
+            except ValueError as e:
+                raise ValueError(f"cannot fuse {nxt.name!r} into {node.name!r}: {e}") from None
+            weight = scale[:, None] * node.param("weight").to_numpy()
+            bias = scale * node.param("bias").to_numpy() + shift
+        return node.with_params(weight=Tensor.from_numpy(weight), bias=Tensor.from_numpy(bias)), nxt.name
 
     return _fuse_pairs(graph, "fuse_batchnorm_into_dense", fuse)
 

@@ -33,7 +33,7 @@ import numpy as np
 import orjson
 
 from .fixed_point import MAX_SPEC_WIDTH, ROUND_HALF_UP, SATURATE, FixedPointSpec, round_scaled
-from .model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, _orjson_is_repr, _with_dense_weights,
+from .model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, _with_dense_weights, format_rows,
                        open_output, walk)
 from . import kernels
 
@@ -328,17 +328,14 @@ def _write_csv(path, header, rows):
 def save_csv_dataset(dataset: Dataset, path):
     """Write ``dataset`` as ``_write_csv`` writes ``[*map(repr, x), y]`` rows under an
     ``f0,...,label`` header. orjson formats a block of rows per call, and ``repr`` each row
-    holding a feature that orjson writes otherwise (``_orjson_is_repr``)."""
+    holding a feature that orjson writes otherwise (``format_rows``)."""
     width = dataset.features.shape[1]
     step = max(1, _CSV_BLOCK_VALUES // max(1, width))
     sep = b"," if width else b""
     with open_output(path, newline="") as fh:
         fh.write(",".join([f"f{i}" for i in range(width)] + ["label"]) + "\r\n")
         for start in range(0, len(dataset), step):
-            block = np.ascontiguousarray(dataset.features[start:start + step])
-            rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-            for i in np.flatnonzero(~_orjson_is_repr(block).all(axis=1)):
-                rows[i] = ",".join(map(repr, block[i].tolist())).encode()
+            rows = format_rows(dataset.features[start:start + step], b",")
             labels = orjson.dumps(dataset.labels[start:start + step].tolist())[1:-1].split(b",")
             fh.write((b"\r\n".join(map(sep.join, zip(rows, labels))) + b"\r\n").decode())
 

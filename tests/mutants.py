@@ -72,9 +72,22 @@ MUTANTS = [
     Mutant("orjson_range_open_at_1e-4", "model_ir.py",
            "(mag >= 1e-4)", "(mag > 1e-4)",
            ("tests/test_model_ir.py::TestSerializeText::test_orjson_writes_every_run_inside_its_range",)),
-    Mutant("csv_writer_ignores_repr_rule", "trainer.py",
+    Mutant("csv_writer_ignores_repr_rule", "model_ir.py",
            "for i in np.flatnonzero(~_orjson_is_repr(block).all(axis=1)):", "for i in []:",
            ("tests/test_trainer.py::TestDataPlumbing::test_csv_writer_matches_csv_module_on_each_edge_value",)),
+    Mutant("real_rows_without_repr_fallback", "model_ir.py",
+           '    if block.dtype.kind == "f":\n', "    if False:\n",
+           ("tests/test_cli.py::TestRowWriter::test_bytes_equal_the_per_row_join[reals]",)),
+    Mutant("object_raws_down_the_numpy_path", "model_ir.py",
+           "data = block.tolist() if block.dtype == object else np.ascontiguousarray(block)",
+           "data = np.ascontiguousarray(block)",
+           ("tests/test_cli.py::TestRowWriter::test_bytes_equal_the_per_row_join[object_u64]",)),
+    Mutant("whole_file_writer_never_cuts", "model_ir.py",
+           "            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))\n", "            pass\n",
+           ("tests/test_model_ir.py::TestWriteOutput::test_shorter_rewrite_leaves_exactly_the_new_bytes",)),
+    Mutant("whole_file_writer_stops_at_a_short_write", "model_ir.py",
+           "        while written < len(data):\n", "        while False:\n",
+           ("tests/test_model_ir.py::TestWriteOutput::test_short_writes_are_continued",)),
     Mutant("model_hash_skips_a_part", "model_ir.py",
            "    for part in _document_parts(graph):\n        digest.update(part)\n",
            "    for part in list(_document_parts(graph))[1:]:\n        digest.update(part)\n",
@@ -195,8 +208,8 @@ MUTANTS = [
             "tests/test_model_ir.py::TestSerializeText::test_a_value_that_is_not_finite_is_refused",
             "tests/test_cli.py::TestConvert::test_fusion_that_overflows_writes_nothing")),
     Mutant("convert_makes_out_before_serializing", "cli.py",
-           '    with timed("serialize"):\n        text = serialize_model(graph)\n    out = _out_dir(args)\n',
-           '    out = _out_dir(args)\n    with timed("serialize"):\n        text = serialize_model(graph)\n',
+           '    with timed("serialize"):\n        data = serialize_model(graph).encode()\n    out = _out_dir(args)\n',
+           '    out = _out_dir(args)\n    with timed("serialize"):\n        data = serialize_model(graph).encode()\n',
            ("tests/test_cli.py::TestConvert::test_fusion_that_overflows_writes_nothing",)),
     Mutant("report_json_may_hold_nan", "cli.py",
            "allow_nan=False", "allow_nan=True",
@@ -204,6 +217,13 @@ MUTANTS = [
     Mutant("scan_baseline_may_be_zero", "trainer.py",
            "    if baseline.accuracy == 0:\n", "    if False:\n",
            ("tests/test_cli.py::TestTrainAndScan::test_scan_refuses_a_baseline_of_accuracy_zero",)),
+    Mutant("list_items_past_int64_unchecked", "cli.py",
+           "        if value > 2**63 - 1:\n", "        if False:\n",
+           ("tests/test_flag_fuzz.py::test_reuse_item_past_int64_exits_1_naming_the_flag",)),
+    Mutant("fusion_overflow_warns", "passes.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
+           ("tests/test_cli.py::TestConvert::test_fusion_that_overflows_prints_only_the_error",
+            "tests/test_cli.py::TestConvert::test_fusion_that_overflows_writes_nothing")),
     Mutant("range_ends_unchecked", "cli.py",
            "            if not 1 <= end <= most:\n", "            if False:\n",
            ("tests/test_cli.py::TestEstimate::test_bad_integer_argument_names_it",

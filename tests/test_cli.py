@@ -81,11 +81,30 @@ class TestConvert:
             {"name": "bn", "kind": "batch_norm", "params": dict(
                 TestMalformedDocuments.BN_PARAMS, gamma={"shape": [2], "data": [1e200, 1.0]},
                 beta={"shape": [2], "data": [0.0, 0.0]})}])
-        with np.errstate(over="ignore"):
-            assert run(["convert", "--model", path, "--out", str(tmp_path / "o")]) == 1
+        assert run(["convert", "--model", path, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == ("error: layer 'd0': param 'weight' holds inf, "
                                            "a model document holds finite numbers\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("weight, gamma, variance, message", [
+        (1e200, 1e200, 1.0, "param 'weight' holds inf"),  # the fused weight overflows
+        (1.0, 1e300, 1e-300, "param 'bias' holds nan"),  # so does the batch norm's scale
+    ], ids=["weight", "scale"])
+    def test_fusion_that_overflows_prints_only_the_error(self, tmp_path, weight, gamma, variance, message):
+        # numpy's overflow warning, with its source line, came before the error on standard error.
+        path = write_doc(tmp_path, [
+            {"name": "d0", "kind": "dense", "params": {"weight": {"shape": [2, 2], "data": [weight, 0.0, weight, 0.0]},
+                                                       "bias": {"shape": [2], "data": [0.0, 0.0]}}},
+            {"name": "bn", "kind": "batch_norm", "params": dict(
+                TestMalformedDocuments.BN_PARAMS, gamma={"shape": [2], "data": [gamma, 1.0]},
+                beta={"shape": [2], "data": [0.0, 0.0]}, moving_variance={"shape": [2], "data": [variance, 1.0]},
+                epsilon=1e-300)}])
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fixflow.__file__))}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run([sys.executable, "-m", "fixflow.cli", "convert", "--model", path,
+                               "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: layer 'd0': {message}, a model document holds finite numbers\n"
 
     def test_report_holding_nan_is_not_written(self, tmp_path):
         # RFC 8259 JSON has no NaN or Infinity; a report that holds one is an error, not a file.
@@ -652,7 +671,7 @@ class TestRowWriter:
         texts = {}
         cli._write_rows(tmp_path / "rows.txt", tensor, texts)
         assert (tmp_path / "rows.txt").read_bytes() == joined_rows(tensor).encode()
-        assert texts == {tensor: joined_rows(tensor)}
+        assert texts == {tensor: joined_rows(tensor).encode()}
 
     def test_a_tensor_is_formatted_once(self, tmp_path, monkeypatch):
         tensor = Tensor((2, 2), np.array([1, -2, 3, -4]), FixedPointSpec(8, 2))

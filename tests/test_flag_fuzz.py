@@ -55,7 +55,7 @@ DOMAIN = {
     "increment": lambda v: 1 / 63 <= v <= 0.5,  # at least one of the 63 weights of arch:16x3x5
     "fixed_eval_limit": lambda v: v >= 1,
     "clock_mhz": lambda v: v > 0 and math.isfinite(v * 1e6),
-    "reuse": lambda v: v >= 1,
+    "reuse": lambda v: 1 <= v < 2**63,
 }
 
 
@@ -187,6 +187,14 @@ def test_config_leaf_values(tmp_path, command, flag, dest, kind):
 def test_found_value_exits_1_naming_the_flag(tmp_path, command, flag, value):
     code, text = _run(tmp_path, command, {**BASE[command], flag: value})
     assert code == 1 and text.startswith("error: ") and f"({flag})" in text, text
+    assert not (tmp_path / "o").exists()
+
+
+def test_reuse_item_past_int64_exits_1_naming_the_flag(tmp_path):
+    # exit 0, the factor swept into reuse_scan.csv, where the same value as a range end exits 1
+    value = "99999999999999999999"
+    code, text = _run(tmp_path, "estimate", {**BASE["estimate"], "--reuse": value})
+    assert code == 1 and text == f"error: --reuse {value!r} holds {value}, an item must be at most {2**63 - 1}\n"
     assert not (tmp_path / "o").exists()
 
 

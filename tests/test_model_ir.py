@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import json
 import math
 import os
 import random
 import struct
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -28,6 +30,7 @@ from fixflow.model_ir import (
     topo_order,
     validate,
     walk,
+    write_output,
 )
 
 
@@ -805,24 +808,21 @@ class TestQuantized:
             Tensor((3,), (0.5, bad, 1.0)).quantized(FixedPointSpec(16, 8))
 
 
-def write(path, text):
-    with open_output(path) as fh:
-        fh.write(text)
+class InPlaceCases:
+    """The in-place rule of every file the program writes, for the writer ``self.write(path, text)``."""
 
-
-class TestOpenOutput:
     def test_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
         path = tmp_path / "f.txt"
-        write(path, "a much longer first text\n" * 50)
-        write(path, "short\n")
+        self.write(path, "a much longer first text\n" * 50)
+        self.write(path, "short\n")
         assert path.read_bytes() == b"short\n"
 
     def test_rewrite_keeps_inode_and_mode(self, tmp_path):
         path = tmp_path / "f.txt"
-        write(path, "first\n")
+        self.write(path, "first\n")
         path.chmod(0o640)
         before = path.stat()
-        write(path, "second, longer\n")
+        self.write(path, "second, longer\n")
         after = path.stat()
         assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
         assert path.read_text() == "second, longer\n"
@@ -832,7 +832,7 @@ class TestOpenOutput:
         try:
             with open(tmp_path / "by_open.txt", "w") as fh:
                 fh.write("x")
-            write(tmp_path / "by_helper.txt", "x")
+            self.write(tmp_path / "by_helper.txt", "x")
         finally:
             os.umask(old)
         assert (tmp_path / "by_helper.txt").stat().st_mode == (tmp_path / "by_open.txt").stat().st_mode
@@ -842,18 +842,41 @@ class TestOpenOutput:
         target.write_text("old target text, longer than the new\n")
         link = tmp_path / "link.txt"
         link.symlink_to(target)
-        write(link, "new\n")
+        self.write(link, "new\n")
         assert link.is_symlink() and target.read_text() == "new\n"
 
     def test_device_is_written_not_cut(self, tmp_path):
         link = tmp_path / "discard.txt"
         link.symlink_to(os.devnull)
-        write(link, "thrown away\n")
+        self.write(link, "thrown away\n")
         assert link.is_symlink()
+
+    def test_fifo_reader_receives_every_byte(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        text = "".join(f"{i} {-i}\n" for i in range(40_000))  # several pipe buffers
+        received = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        self.write(fifo, text)
+        reader.join(timeout=30)
+        assert not reader.is_alive() and received == [text.encode()]
+
+
+class TestOpenOutput(InPlaceCases):
+    @staticmethod
+    def write(path, text):
+        with open_output(path) as fh:
+            fh.write(text)
 
     def test_error_inside_the_block_cuts_at_what_was_written(self, tmp_path):
         path = tmp_path / "f.txt"
-        write(path, "old text that must not survive\n")
+        self.write(path, "old text that must not survive\n")
         with pytest.raises(RuntimeError):
             with open_output(path) as fh:
                 fh.write("new\n")
@@ -865,3 +888,37 @@ class TestOpenOutput:
         trainer._write_csv(path, ["a", "b"], [[1, 2], [3, 4], [5, 6]])
         trainer._write_csv(path, ["a", "b"], [[7, 8]])
         assert path.read_bytes() == b"a,b\r\n7,8\r\n"
+
+
+class TestWriteOutput(InPlaceCases):
+    @staticmethod
+    def write(path, text):
+        write_output(path, text.encode())
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+        self.write(path, "old text that is longer than the new\n")
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+        write_output(path, b"new text\n")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"new text\n"
+
+    def test_error_mid_write_cuts_at_what_was_written_and_closes(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+        self.write(path, "old text that must not survive\n")
+        real_write, calls = os.write, []
+
+        def write_then_fail(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:4])
+
+        open_fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "write", write_then_fail)
+        with pytest.raises(OSError):
+            write_output(path, b"new text, stopped\n")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"new "
+        assert len(os.listdir("/proc/self/fd")) == open_fds
