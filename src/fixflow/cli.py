@@ -42,6 +42,7 @@ from .model_ir import ModelGraph, Tensor, format_rows, parse_model, serialize_mo
 log = logging.getLogger("fixflow")
 
 _METHODS = {"l1": "l1_retrain", "lt": "lt_rewind", "qap": "qap"}
+MAX_RANGE_ITEMS = 1 << 16  # of an integer-list flag's lo..hi, refused before it is built
 
 
 @functools.cache
@@ -239,10 +240,10 @@ def cmd_profile(args, config):
 def cmd_train(args, config):
     graph, data, cfg = _training_inputs(args, config)
     trained, trace = trainer.train(graph, data, cfg)
+    report = trainer.evaluate(trained, data)  # refuses outputs past the floats, before any write
     out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), serialize_model(trained))
     trainer.write_loss_trace(trace, os.path.join(out, "loss_trace.csv"))
-    report = trainer.evaluate(trained, data)
     print(f"trained {cfg.epochs} epochs: loss {trace[-1].loss:.4f}, "
           f"accuracy {report.accuracy:.4f}, mean AUC {report.mean_auc:.4f}")
     return 0
@@ -255,11 +256,11 @@ def cmd_qat(args, config):
     trained, trace = trainer.train_qat(graph, data, cfg)
     deployed = trainer.quantize_model_weights(trained, quantizer)
     texts = serialize_model(trained), serialize_model(deployed)  # both, before a file is written
+    report = trainer.evaluate(deployed, data)
     out = _out_dir(args)
     _write_text(os.path.join(out, "model.json"), texts[0])
     _write_text(os.path.join(out, "model_quantized.json"), texts[1])
     trainer.write_loss_trace(trace, os.path.join(out, "loss_trace.csv"))
-    report = trainer.evaluate(deployed, data)
     print(f"qat({quantizer.bits} bits) {cfg.epochs} epochs: loss {trace[-1].loss:.4f}, "
           f"accuracy {report.accuracy:.4f}")
     return 0
@@ -400,8 +401,9 @@ def cmd_codegen(args, config):
 
 def _parse_int_list(text: str, flag: str, most: int):
     """Accepts '14,28,98' of items at most 2**63-1, or an inclusive range '3..16' whose ends lie
-    in 1..``most``, checked before the range is built; ValueError names ``flag``, also for an item
-    given twice. The caller checks the items against its own domain."""
+    in 1..``most`` and that spans at most ``MAX_RANGE_ITEMS`` items, checked before the range is
+    built; ValueError names ``flag``, also for an item given twice. The caller checks the items
+    against its own domain."""
     try:
         ends = [int(v) for v in text.split("..", 1)] if ".." in text else []
         values = [] if ends else [int(v) for v in text.strip().split(",") if v]
@@ -411,6 +413,9 @@ def _parse_int_list(text: str, flag: str, most: int):
         for end in ends:
             if not 1 <= end <= most:
                 raise ValueError(f"{flag} {text!r} holds {end}, a range end must be in 1..{most}")
+        count = ends[1] - ends[0] + 1
+        if count > MAX_RANGE_ITEMS:
+            raise ValueError(f"{flag} {text!r} spans {count} items, a range may span at most {MAX_RANGE_ITEMS}")
         return list(range(ends[0], ends[1] + 1))
     for value in values:
         if value > 2**63 - 1:

@@ -17,14 +17,18 @@ ascending packed index (``out * n_in + in``) is the ascending input
 index of the dense order, so dense and sparse results are bit-identical.
 Softmax is evaluated in real arithmetic at the output only.
 
-``_mac`` forms the products of all rows for a block of input columns at
-a time. A wrapping accumulator is computed as one wrap of the exact sum of
-the bias and the rounded products: wrapping is reduction mod ``2**W``,
-which commutes with addition, so this equals wrapping every product and
-every add. A saturating accumulator still clamps every product and every
-add, in ascending input index, once per add whatever the number of rows,
+A wrapping accumulator is computed as one wrap of the exact sum of the
+bias and the rounded products: wrapping is reduction mod ``2**W``, which
+commutes with addition, so this equals wrapping every product and every
+add. A saturating accumulator still clamps every product and every add,
+in ascending input index, once per add whatever the number of rows,
 unless the bounds of the cast bias and products prove that no clamp can
-fire: then it is the exact sum too.
+fire: then it is the exact sum too. An exact sum on int64 whose product
+cast is a left shift (the accumulator holds at least the products'
+fraction bits) is one int64 matmul, shifted, plus the cast bias. Every
+other sum (under a right shift, which rounds each product; on Python
+ints; or where a clamp may fire) forms the products of all rows for a
+block of input columns at a time.
 
 The emulator runs a whole block of rows per call. Its state between
 layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
@@ -114,12 +118,15 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     product is cast into the accumulator and added, with overflow after
     the add; one final cast into the result spec.
 
-    The exact products of every row with the k nonzero-weight columns are
-    shift-rounded into the accumulator a block of columns at a time. A
-    wrapping accumulator takes one wrap of the exact sum, which equals
-    wrapping each product and every add (mod 2**W); so does a saturating
-    one whose worst-case sums stay in range. Any other saturating one
-    clamps the products, then every add.
+    A wrapping accumulator takes one wrap of the exact sum of the cast
+    bias and the cast products of the k nonzero-weight columns, which
+    equals wrapping each product and every add (mod 2**W); so does a
+    saturating one whose worst-case sums stay in range. On int64, with
+    ``shift`` >= 0 (each cast product is the exact product shifted left),
+    that sum is ``(x @ w.T) << shift`` plus the cast bias, one matmul
+    whose every partial sum ``reach`` bounds. Otherwise the products are
+    shift-rounded into the accumulator a block of columns at a time, and
+    any other saturating accumulator clamps the products, then every add.
     """
     acc_spec, res_spec = precision.accumulator, precision.result
     (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
@@ -146,21 +153,29 @@ def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionS
     dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach,
                       *bias_terms,
                       *cast_extremes(*acc_range, acc_spec.fraction_bits, res_spec))
-    # Column-major copies, so each [columns, B, m] block and its [B, m]
-    # slices are contiguous.
-    weights = np.ascontiguousarray(weights[:, cols].T, dtype=dtype)[:, None, :]
-    x = np.ascontiguousarray(x[:, cols].T, dtype=dtype)[:, :, None]
-    acc = np.repeat(cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)[None, :], b, axis=0)
     shift = acc_spec.fraction_bits - prod_frac
-    step = max(1, _BLOCK_ELEMENTS // max(1, b * m))
-    for c in range(0, k, step):
-        formed = shift_round(x[c:c + step] * weights[c:c + step], shift, acc_spec.rounding)
-        if saturate:
-            formed = apply_overflow_array(formed, acc_spec)
-            for term in formed:
-                acc = apply_overflow_array(acc + term, acc_spec)
-        else:
-            acc = acc + formed.sum(axis=0)
+    bias = cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)
+    if dtype is np.int64 and shift >= 0 and not saturate:
+        # Each cast product is the exact product shifted left, so the exact
+        # sum is one matmul, shifted; ``reach`` bounds every partial sum.
+        acc = x[:, cols].astype(dtype, copy=False) @ weights[:, cols].T.astype(dtype, copy=False)
+        acc <<= shift
+        acc += bias
+    else:
+        # Column-major copies, so each [columns, B, m] block and its [B, m]
+        # slices are contiguous.
+        weights = np.ascontiguousarray(weights[:, cols].T, dtype=dtype)[:, None, :]
+        x = np.ascontiguousarray(x[:, cols].T, dtype=dtype)[:, :, None]
+        acc = np.repeat(bias[None, :], b, axis=0)
+        step = max(1, _BLOCK_ELEMENTS // max(1, b * m))
+        for c in range(0, k, step):
+            formed = shift_round(x[c:c + step] * weights[c:c + step], shift, acc_spec.rounding)
+            if saturate:
+                formed = apply_overflow_array(formed, acc_spec)
+                for term in formed:
+                    acc = apply_overflow_array(acc + term, acc_spec)
+            else:
+                acc = acc + formed.sum(axis=0)
     if not saturate:
         acc = apply_overflow_array(acc, acc_spec)
     return cast_raw_array(acc, acc_spec.fraction_bits, res_spec)

@@ -22,6 +22,7 @@ bit-identical trajectories.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -507,9 +508,12 @@ class _QuantRelu(_Masked):
         self.name = name
         self._step, self._hi_in, self._hi_out = q_in._step, q_in._limits[1], q_out._limits[1]
         self._hi = min(self._hi_in, self._hi_out)
+        # The step is a power of two in the normal floats, so its reciprocal is
+        # exact and x * (1 / step) rounds the real x / step as x / step does.
+        self._per_step = 1.0 / self._step
 
     def forward(self, x, owned):
-        values = round_scaled(x / self._step, ROUND_HALF_UP)
+        values = round_scaled(x * self._per_step, ROUND_HALF_UP)
         values *= self._step
         self._mask = values <= self._hi_out
         self._mask &= x <= self._hi_in
@@ -756,24 +760,31 @@ def forward_real(model: ModelGraph, features: np.ndarray) -> np.ndarray:
 
 
 def _forward_layers(model: ModelGraph, x: np.ndarray):
-    """Yield (node, output batch) for each layer of the real forward."""
-    for node, *_ in walk(model):
-        if node.kind == "dense":
-            x = x @ node.param("weight").to_numpy().T + node.param("bias").to_numpy()
-        elif node.kind == "relu":
-            x = np.maximum(x, 0.0)
-        elif node.kind == "batch_norm":
-            scale, shift = kernels.batch_norm_scale_shift(node.params)
-            x = x * scale + shift
-        elif node.kind in ("binary_tanh", "ternary_tanh"):
-            thresholds, modes = kernels.sign_params(node, x.shape[1])
-            x = kernels.sign_activation(x, thresholds, modes,
-                                        0.5 if node.kind == "ternary_tanh" else 0.0)
-        elif node.kind == "softmax":
-            shifted = x - x.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            x = e / e.sum(axis=1, keepdims=True)
-        yield node, x
+    """Yield (node, output batch) for each layer of the real forward.
+
+    Outputs past the floats are the caller's to name, so numpy's overflow and
+    invalid-value warnings are off from the first layer until the generator
+    ends or is closed; a caller that stops early closes it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node, *_ in walk(model):
+            if node.kind == "dense":
+                x = x @ node.param("weight").to_numpy().T
+                x += node.param("bias").to_numpy()
+            elif node.kind == "relu":
+                x = np.maximum(x, 0.0)
+            elif node.kind == "batch_norm":
+                scale, shift = kernels.batch_norm_scale_shift(node.params)
+                x = x * scale + shift
+            elif node.kind in ("binary_tanh", "ternary_tanh"):
+                thresholds, modes = kernels.sign_params(node, x.shape[1])
+                x = kernels.sign_activation(x, thresholds, modes,
+                                            0.5 if node.kind == "ternary_tanh" else 0.0)
+            elif node.kind == "softmax":
+                shifted = x - x.max(axis=1, keepdims=True)
+                e = np.exp(shifted)
+                x = e / e.sum(axis=1, keepdims=True)
+            yield node, x
 
 
 def _rank_auc(scores: np.ndarray, is_positive: np.ndarray) -> float:
@@ -808,7 +819,11 @@ def check_labels(data: Dataset, where: str):
 
 
 def evaluate(model: ModelGraph, data: Dataset, arithmetic: str = "real") -> EvalReport:
-    """Accuracy and per-class one-vs-rest AUC under real or fixed arithmetic."""
+    """Accuracy and per-class one-vs-rest AUC under real or fixed arithmetic.
+
+    Outputs that are not all finite raise EvaluationError: a model trained
+    past the floats' range gives no accuracy, and no model should be kept.
+    """
     check_labels(data, "evaluation data")
     if arithmetic == "real":
         scores = forward_real(model, data.features)
@@ -816,12 +831,19 @@ def evaluate(model: ModelGraph, data: Dataset, arithmetic: str = "real") -> Eval
         scores = emulate_batch(model, data.features)
     else:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    preds = scores.argmax(axis=1)
-    accuracy = float((preds == data.labels).mean())
+    if not np.isfinite(scores).all():
+        raise EvaluationError(f"the model's outputs on the {len(data)} evaluation rows are not finite: "
+                              "a smaller learning rate (--learning-rate) keeps the trained weights "
+                              "inside the floats")
     aucs = tuple(
         _rank_auc(scores[:, c], data.labels == c) for c in range(data.class_count)
     )
-    return EvalReport(accuracy, aucs, float(np.mean(aucs)))
+    return EvalReport(_accuracy(scores, data.labels), aucs, float(np.mean(aucs)))
+
+
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    """The share of rows whose highest score, the first of a tie, is at their label."""
+    return float((scores.argmax(axis=1) == labels).mean())
 
 
 def emulate_batch(model: ModelGraph, features: np.ndarray) -> np.ndarray:
@@ -861,18 +883,21 @@ def scan_precisions(model: ModelGraph, features: np.ndarray, bits: int) -> Model
 
 def _output_int_bits(model: ModelGraph, features: np.ndarray):
     """Each layer's output integer bits on ``features``, in walk order, from
-    one real forward; softmax keeps the logits'. A scan finds them once."""
+    one real forward; softmax, the last layer, keeps the logits' and its
+    output is not formed. A scan finds them once."""
     ints, act_int = [], None
-    for node, out in _forward_layers(model, np.asarray(features, dtype=np.float64)):
-        if node.kind in ("binary_tanh", "ternary_tanh"):
-            raise ValueError(f"layer {node.name!r}: kind {node.kind!r} not supported in scans")
-        if node.kind != "softmax":
-            peak = float(np.abs(out).max()) if out.size else 1.0
-            if not math.isfinite(peak):
-                raise ValueError(f"layer {node.name!r}: the float model's outputs on the training rows "
-                                 f"reach {peak}, so they give the scan no range")
-            act_int = _int_bits_for(peak)
-        ints.append(act_int)
+    with contextlib.closing(_forward_layers(model, np.asarray(features, dtype=np.float64))) as layers:
+        for node, *_ in walk(model):
+            if node.kind in ("binary_tanh", "ternary_tanh"):
+                raise ValueError(f"layer {node.name!r}: kind {node.kind!r} not supported in scans")
+            if node.kind != "softmax":
+                _, out = next(layers)
+                peak = float(max(out.max(), -out.min())) if out.size else 1.0
+                if not math.isfinite(peak):
+                    raise ValueError(f"layer {node.name!r}: the float model's outputs on the training rows "
+                                     f"reach {peak}, so they give the scan no range")
+                act_int = _int_bits_for(peak)
+            ints.append(act_int)
     return ints
 
 
@@ -906,12 +931,12 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
 
     The float baseline trains once from the given initialized model
     (pass ``float_model`` to reuse an existing one). At each width, PTQ
-    assigns the scan precision configuration to the baseline and
-    evaluates it under bit-accurate fixed arithmetic; QAT fine-tunes the
-    baseline with the weight and activation quantizers of that
-    configuration (half the epochs, half the learning rate), and is
-    evaluated the same way. Accuracies are relative to the
-    real-arithmetic float baseline on the same samples. Returns
+    assigns the scan precision configuration to the baseline and takes
+    its accuracy under bit-accurate fixed arithmetic, by ``evaluate``'s
+    rule; QAT fine-tunes the baseline with the weight and activation
+    quantizers of that configuration (half the epochs, half the learning
+    rate), and its accuracy is taken the same way. Accuracies are relative
+    to the real-arithmetic float baseline on the same samples. Returns
     (baseline EvalReport, [ScanRow ...]). An empty ``bit_widths``, a width
     outside 1..MAX_SPEC_WIDTH or a ``fixed_eval_limit`` below 1 raises
     ValueError, and evaluation rows that ``check_labels`` rejects raise
@@ -931,16 +956,17 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
     check_labels(subset, f"the first {fixed_eval_limit} evaluation rows (fixed_eval_limit)")
     if float_model is None:
         float_model, _ = train(model, train_data, cfg)
+    # Before the baseline's evaluation: this names the layer whose outputs leave the floats.
+    output_int_bits = _output_int_bits(float_model, train_data.features)
     baseline = evaluate(float_model, subset)
     if baseline.accuracy == 0:
         raise EvaluationError(f"the float baseline's accuracy on {subset.labels.size} evaluation rows is 0, "
                               "and a scan's accuracies are relative to it")
     qat_cfg_base = replace(cfg, learning_rate=cfg.learning_rate / 2, epochs=max(1, cfg.epochs // 2))
-    output_int_bits = _output_int_bits(float_model, train_data.features)
     rows = []
     for bits in bit_widths:
         ptq_model = _scan_model(float_model, output_int_bits, bits)
-        ptq = evaluate(ptq_model, subset, arithmetic="fixed")
+        ptq = _accuracy(emulate_batch(ptq_model, subset.features), subset.labels)
         quantizers = {
             node.name: QuantizerSpec(bits, node.precision.weight.integer_bits)
             for node in ptq_model.nodes if node.kind == "dense"
@@ -955,9 +981,8 @@ def ptq_qat_scan(model: ModelGraph, train_data: Dataset, eval_data: Dataset,
         # Fine-tune the PTQ model: training keeps each node's precision, so the
         # result deploys under the assignment the quantizers came from.
         qat_model, _ = train_qat(ptq_model, train_data, qat_cfg)
-        qat = evaluate(qat_model, subset, arithmetic="fixed")
-        rows.append(ScanRow(bits, ptq.accuracy / baseline.accuracy,
-                            qat.accuracy / baseline.accuracy))
+        qat = _accuracy(emulate_batch(qat_model, subset.features), subset.labels)
+        rows.append(ScanRow(bits, ptq / baseline.accuracy, qat / baseline.accuracy))
     return baseline, rows
 
 

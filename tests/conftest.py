@@ -1,6 +1,6 @@
 import pytest
 
-from fixflow import trainer
+from fixflow import kernels, trainer
 
 # Pinned seeds for the bundled task and its train/eval draws; the whole
 # suite, including acceptance, is deterministic given these.
@@ -31,3 +31,34 @@ def jet_float_model(jet_init_model, jet_train_data):
     cfg = trainer.TrainingConfig(epochs=100, seed=TRAIN_SEED, learning_rate=0.01)
     model, _ = trainer.train(jet_init_model, jet_train_data, cfg)
     return model
+
+
+@pytest.fixture()
+def mac_calls(monkeypatch):
+    """A list that gets, per ``kernels._mac`` call, the dtype it chose and whether its blocked loop ran."""
+    calls, current = [], []
+    mac, pick, shift_round = kernels._mac, kernels.int_dtype, kernels.shift_round
+
+    def spy_mac(*args):
+        current.append({"dtype": None, "loop": False})
+        try:
+            return mac(*args)
+        finally:
+            calls.append(current.pop())
+
+    def spy_pick(*bounds):
+        dtype = pick(*bounds)
+        if current:
+            current[-1]["dtype"] = dtype
+        return dtype
+
+    def spy_shift_round(*args):
+        if current:
+            current[-1]["loop"] = True
+        return shift_round(*args)
+
+    monkeypatch.setattr(kernels, "_mac", spy_mac)
+    monkeypatch.setattr(kernels, "int_dtype", spy_pick)
+    monkeypatch.setattr(kernels, "shift_round", spy_shift_round)
+    return calls
+

@@ -51,9 +51,18 @@ MUTANTS = [
            ("tests/test_kernels.py::TestDenseMv::test_matches_rational_oracle_randomized",
             "tests/test_kernels.py::TestBlockPath::test_random_blocks_match_oracle_and_per_add_reference")),
     Mutant("saturating_sum_clamped_once", "kernels.py",
-           "            for term in formed:\n                acc = apply_overflow_array(acc + term, acc_spec)\n",
-           "            acc = apply_overflow_array(acc + formed.sum(axis=0), acc_spec)\n",
+           "                for term in formed:\n                    acc = apply_overflow_array(acc + term, acc_spec)\n",
+           "                acc = apply_overflow_array(acc + formed.sum(axis=0), acc_spec)\n",
            ("tests/test_kernels.py::TestBlockPath::test_random_blocks_match_oracle_and_per_add_reference",)),
+    # The exact sum is one matmul only where each cast product is the exact
+    # product shifted left and no clamp can fire.
+    Mutant("matmul_at_a_right_shift", "kernels.py",
+           "if dtype is np.int64 and shift >= 0 and not saturate:", "if dtype is np.int64 and not saturate:",
+           ("tests/test_codegen.py::TestExactSumMatmul::test_edge_spec_chains",
+            "tests/test_kernels.py::TestBlockPath::test_left_shift_sums_match_the_per_add_reference")),
+    Mutant("matmul_for_an_unproven_saturating_sum", "kernels.py",
+           "if dtype is np.int64 and shift >= 0 and not saturate:", "if dtype is np.int64 and shift >= 0:",
+           ("tests/test_kernels.py::TestBlockPath::test_left_shift_sums_match_the_per_add_reference",)),
     Mutant("mac_dtype_forced_to_int64", "kernels.py",
            "dtype = int_dtype(wlo, whi,", "dtype = np.int64 or int_dtype(wlo, whi,",
            ("tests/test_codegen.py::TestBatchParity::test_products_beyond_int64",)),
@@ -180,7 +189,8 @@ MUTANTS = [
            ("tests/test_readers.py::TestFastPath::test_label_past_int64_names_the_line",)),
     Mutant("learning_rate_may_be_nan", "trainer.py",
            "if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):", "if self.learning_rate <= 0:",
-           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---learning-rate-nan]",)),
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---learning-rate-nan]",
+            "tests/test_cli.py::TestStrictValues::test_learning_rate_outside_its_domain_is_refused_before_training")),
     Mutant("l1_lambda_may_be_nan", "trainer.py",
            "if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):", "if self.l1_lambda < 0:",
            ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---l1-lambda-nan]",)),
@@ -214,6 +224,19 @@ MUTANTS = [
     Mutant("report_json_may_hold_nan", "cli.py",
            "allow_nan=False", "allow_nan=True",
            ("tests/test_cli.py::TestConvert::test_report_holding_nan_is_not_written",)),
+    Mutant("output_range_from_the_largest_value", "trainer.py",
+           "float(max(out.max(), -out.min()))", "float(out.max())",
+           ("tests/test_trainer.py::TestScan::test_output_range_is_the_largest_magnitude",)),
+    Mutant("outputs_past_the_floats_kept", "trainer.py",
+           "    if not np.isfinite(scores).all():\n", "    if False:\n",
+           ("tests/test_flag_fuzz.py::test_found_value_exits_1_naming_the_flag[train---learning-rate-1e308]",
+            "tests/test_flag_fuzz.py::test_outputs_past_the_floats_print_only_the_error[train]")),
+    Mutant("real_forward_warns", "trainer.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
+           ("tests/test_flag_fuzz.py::test_outputs_past_the_floats_print_only_the_error[scan]",)),
+    Mutant("range_span_unchecked", "cli.py",
+           "        if count > MAX_RANGE_ITEMS:\n", "        if False:\n",
+           ("tests/test_cli.py::TestEstimate::test_reuse_range_one_past_the_span_limit",)),
     Mutant("scan_baseline_may_be_zero", "trainer.py",
            "    if baseline.accuracy == 0:\n", "    if False:\n",
            ("tests/test_cli.py::TestTrainAndScan::test_scan_refuses_a_baseline_of_accuracy_zero",)),

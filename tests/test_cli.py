@@ -303,10 +303,18 @@ class TestEstimate:
         ("arch:4x3", ["--reuse=-3"], "--reuse '-3' holds -3, a reuse factor must be at least 1"),
         ("arch:4x3", ["--reuse", "2,2"], "--reuse '2,2' repeats 2"),
         ("arch:4x3", ["--reuse", "3,1,2,1"], "--reuse '3,1,2,1' repeats 1"),
+        ("arch:4x3", ["--reuse", "1..1000000000"],  # 10**9 factors were built, then estimated
+         "--reuse '1..1000000000' spans 1000000000 items, a range may span at most 65536"),
     ])
     def test_bad_integer_argument_names_it(self, tmp_path, capsys, model, flags, message):
         assert run(["estimate", "--model", model, "--out", str(tmp_path / "o"), *flags]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_reuse_range_one_past_the_span_limit(self, tmp_path, capsys):
+        assert cli._parse_int_list("2..65537", "--reuse", 2**63 - 1) == list(range(2, 65538))
+        assert run(["estimate", "--model", "arch:4x3", "--out", str(tmp_path / "o"), "--reuse", "1..65537"]) == 1
+        assert capsys.readouterr().err == "error: --reuse '1..65537' spans 65537 items, a range may span at most 65536\n"
         assert not (tmp_path / "o").exists()
 
     def test_report_written(self, ref_model_path, tmp_path):
@@ -993,6 +1001,17 @@ class TestStrictValues:
                 "--epochs", "1", *flags]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_learning_rate_outside_its_domain_is_refused_before_training(self, tmp_path, capsys, monkeypatch, value):
+        # A model trained at such a rate leaves the floats, and its evaluation refuses it; the setting goes first.
+        monkeypatch.setattr(trainer, "train", lambda *args: pytest.fail("the model trained"))
+        argv = ["train", "--model", "arch:16x4x5", "--data", "synthetic:7:60", "--out", str(tmp_path / "o"),
+                "--epochs", "1", f"--learning-rate={value}"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (f"error: learning rate (--learning-rate) is {float(value)!r}, "
+                                           "it must be finite and > 0\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("clock", ["nan", "0", "-1", "inf", "1e308"])

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixflow import codegen, estimator, profiler, pruning, trainer
+from fixflow import codegen, estimator, kernels, profiler, pruning, trainer
 from fixflow.codegen import (
     CodegenConfig,
     ProjectTree,
@@ -892,3 +892,53 @@ class TestBatchParity:
                 want = oracle_dense_mv_raws(node.param("weight"), node.param("bias"),
                                             xs[b * n:(b + 1) * n], node.precision)
                 assert taps[k].output.array[b * len(want):(b + 1) * len(want)].tolist() == want
+
+
+class TestExactSumMatmul:
+    """An exact sum of products cast into an int64 accumulator by a left
+    shift is one matmul. Each chain's taps equal those of the blocked loop,
+    run on Python ints by a ``kernels.int_dtype`` that always picks object."""
+
+    def check(self, monkeypatch, calls, model, rows) -> list:
+        """Assert the taps equal the loop's; returns the ``_mac`` calls of the first run."""
+        model = materialize_quantized(model)
+        calls.clear()
+        _, got = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
+        first = list(calls)
+        with monkeypatch.context() as loop:
+            loop.setattr(kernels, "int_dtype", lambda *bounds: object)
+            _, want = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
+        for g, w in zip(got, want, strict=True):
+            assert (g.output.shape, g.output.spec) == (w.output.shape, w.output.spec), g.layer
+            assert g.output.array.tolist() == w.output.array.tolist(), g.layer
+        return first
+
+    @staticmethod
+    def matmuls(calls) -> int:
+        return sum(call["dtype"] is np.int64 and not call["loop"] for call in calls)
+
+    def test_edge_spec_chains(self, monkeypatch, mac_calls):
+        rng = np.random.Generator(np.random.Philox(key=EDGE_SEED))
+        taken = 0
+        for _ in range(EDGE_CHAINS):
+            scale = int(rng.integers(-100, 101))
+            model, rows = fuzz_chain(rng, EDGE_ROWS, functools.partial(edge_spec, scale=scale))
+            taken += self.matmuls(self.check(monkeypatch, mac_calls, model, rows))
+        assert taken >= 1, taken  # most edge chains form integers past int64
+
+    def test_fuzz_corpus(self, monkeypatch, mac_calls):
+        rng = np.random.Generator(np.random.Philox(key=22))
+        taken = 0
+        for _ in range(FUZZ_CHAINS):
+            model, rows = fuzz_chain(rng, FUZZ_ROWS)
+            taken += self.matmuls(self.check(monkeypatch, mac_calls, model, rows))
+        assert taken >= 3, taken
+
+    def test_wide_model(self, monkeypatch, mac_calls):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        self.check(monkeypatch, mac_calls, wide_model(), rng.normal(0, 8, (40, 6)))
+
+    def test_products_beyond_int64_take_the_object_loop(self, monkeypatch, mac_calls):
+        rng = np.random.Generator(np.random.Philox(key=81))
+        calls = self.check(monkeypatch, mac_calls, int64_overflow_model(), rng.normal(0.0, 2.0 ** 16, (30, 5)))
+        assert [(call["dtype"], call["loop"]) for call in calls] == [(object, True)] * 2

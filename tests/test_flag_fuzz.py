@@ -18,10 +18,12 @@ import math
 import os
 import random
 import signal
+import subprocess
 import sys
 
 import pytest
 
+import fixflow
 from fixflow import cli
 
 FLAG_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "2.5", "true", "abc", str(2**63 + 1)]
@@ -183,6 +185,8 @@ def test_config_leaf_values(tmp_path, command, flag, dest, kind):
     ("prune", "--increment", "1e-320"),  # 5e319 iterations: prunes for ever
     ("train", "--epochs", str(2**63 + 1)),  # trains for ever
     ("prune", "--retrain-epochs", str(2**63 + 1)),  # retrains for ever
+    ("train", "--learning-rate", "1e308"),  # exit 0, the last update sent the weights near +-1e308
+    ("prune", "--learning-rate", "1e308"),  # exit 1 after the baseline trained: "loss became nan at epoch 0"
 ])
 def test_found_value_exits_1_naming_the_flag(tmp_path, command, flag, value):
     code, text = _run(tmp_path, command, {**BASE[command], flag: value})
@@ -216,3 +220,52 @@ def test_qat_deployment_past_the_quantizer_grid_writes_no_nan(tmp_path):
     code, text = _run(tmp_path, "qat", {**BASE["qat"], "--learning-rate": "1e308"})
     assert code == 1 and "holds nan, a model document holds finite numbers" in text, text
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", BASE["train"], "error: the model's outputs on the 20 evaluation rows are not finite: "
+     "a smaller learning rate (--learning-rate) keeps the trained weights inside the floats\n"),
+    ("prune", BASE["prune"], "error: the model's outputs on the 20 evaluation rows are not finite: "
+     "a smaller learning rate (--learning-rate) keeps the trained weights inside the floats\n"),
+    ("scan", {**BASE["scan"], "--data": "synthetic:7:40"}, "error: layer 'dense0': the float model's outputs "
+     "on the training rows reach inf, so they give the scan no range\n"),
+], ids=["train", "prune", "scan"])
+def test_outputs_past_the_floats_print_only_the_error(tmp_path, command, flags, message):
+    # numpy's overflow warnings, with their source lines, came before the error on standard error.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fixflow.__file__))}
+    env.pop("PYTHONWARNINGS", None)
+    argv = [f"{k}={v}" for k, v in {**flags, "--learning-rate": "1e308"}.items()] + ["--out", str(tmp_path / "o")]
+    done = subprocess.run([sys.executable, "-m", "fixflow.cli", command, *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
+    assert not (tmp_path / "o").exists()
+
+
+# Range ends either side of each domain's edges and of the span limit, and drawn ones.
+RANGE_ENDS = [-1, 0, 1, 2, 63, 64, 65, cli.MAX_RANGE_ITEMS, 2**63 - 1, 2**63]
+RANGE_MOST = {"--bits": 64, "--reuse": 2**63 - 1}
+SHORT_RANGE = 3  # items of the longest range run through a command; longer ones are parsed only
+
+
+def _range_cases(command, flag):
+    """``(lo, hi)`` pairs: each end with hi just below, at and above lo, and either side of the span limit."""
+    rng = random.Random(f"{command}{flag}..")
+    ends = RANGE_ENDS + [rng.randint(-2, 66) for _ in range(DRAWS)] + [rng.randrange(1, 2**63) for _ in range(DRAWS)]
+    return sorted({(lo, hi) for lo in ends for hi in (
+        lo - 1, lo, lo + SHORT_RANGE - 1, lo + cli.MAX_RANGE_ITEMS - 1, lo + cli.MAX_RANGE_ITEMS, rng.choice(ends))})
+
+
+@pytest.mark.parametrize("command, flag", sorted(LIST_FLAGS), ids=[f"{c}{f}" for c, f in sorted(LIST_FLAGS)])
+def test_ranges(tmp_path, command, flag):
+    base = {**BASE[command], "--fixed-eval-limit": "50"} if command == "scan" else BASE[command]
+    ran = 0
+    for lo, hi in _range_cases(command, flag):
+        text, count = f"{lo}..{hi}", hi - lo + 1
+        valid = 1 <= lo and hi <= RANGE_MOST[flag] and 1 <= count <= cli.MAX_RANGE_ITEMS
+        if valid and count > SHORT_RANGE:
+            assert cli._parse_int_list(text, flag, RANGE_MOST[flag]) == list(range(lo, hi + 1)), text
+            continue
+        code, out = _run(tmp_path, command, {**base, flag: text})
+        _check(tmp_path, code, out, not valid, [flag])
+        assert code == (0 if valid else 1), (text, code, out)
+        ran += valid
+    assert ran >= 4, ran

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,29 @@ class TestBlockPath:
             rows = Tensor((batch, n), self.raws(rng, xspec, batch * n), xspec)
             self.check(rng, weights, bias, rows, prec, events)
         assert events[WRAP] > 0 and events[SATURATE] > 0, events
+
+    def test_left_shift_sums_match_the_per_add_reference(self, mac_calls):
+        # Products cast into the accumulator by a left shift of 0 to 6 places:
+        # int64 ones take the matmul when they wrap or their saturating bound
+        # is proven, and the loop when a clamp may fire.
+        rng = random.Random(811)
+        events, paths = {WRAP: 0, SATURATE: 0}, set()
+        for case in range(150):
+            m, n, batch = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 12)
+            wspec, xspec = self.spec(rng, rng.randint(2, 12)), self.spec(rng, rng.randint(2, 12))
+            width = rng.randint(4, 40)
+            integer_bits = width - wspec.fraction_bits - xspec.fraction_bits - rng.randint(0, 6)
+            acc = replace(self.spec(rng, width), integer_bits=integer_bits)
+            bspec = self.spec(rng, rng.randint(2, 24))
+            prec = PrecisionSet(wspec, bspec, acc, self.spec(rng, rng.randint(2, 24)))
+            weights = Tensor((m, n), self.raws(rng, wspec, m * n, rng.choice([1.0, 0.5])), wspec)
+            bias = Tensor((m,), self.raws(rng, bspec, m), bspec)
+            rows = Tensor((batch, n), self.raws(rng, xspec, batch * n), xspec)
+            mac_calls.clear()
+            self.check(rng, weights, bias, rows, prec, events)
+            paths.add((acc.overflow, mac_calls[0]["dtype"], mac_calls[0]["loop"]))
+        assert events[WRAP] > 0 and events[SATURATE] > 0, events
+        assert {(WRAP, np.int64, False), (SATURATE, np.int64, False), (SATURATE, np.int64, True)} <= paths, paths
 
     @pytest.mark.parametrize("overflow", [WRAP, SATURATE])
     def test_layer_wider_than_one_block(self, overflow):

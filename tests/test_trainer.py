@@ -625,6 +625,42 @@ class TestScan:
         trainer.write_scan_csv(alone, tmp_path / "alone.csv")
         assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
+    def test_rows_are_ratios_of_fixed_evaluations(self, monkeypatch):
+        # A scan takes accuracies alone; they are the ones ``evaluate`` reports.
+        train_data = synthetic_task(seed=7, n_samples=120, sample_seed=1)
+        eval_data = synthetic_task(seed=7, n_samples=60, sample_seed=2)
+        model = build_classifier(16, [8], 5, seed=1)
+        cfg = TrainingConfig(epochs=2, batch_size=32, seed=3)
+        float_model, _ = train(model, train_data, cfg)
+        trained, qat_train = [], trainer.train_qat
+        monkeypatch.setattr(trainer, "train_qat", lambda *args: trained.append(qat_train(*args)) or trained[-1])
+        baseline, rows = trainer.ptq_qat_scan(model, train_data, eval_data, [2, 4, 6], cfg,
+                                              fixed_eval_limit=50, float_model=float_model)
+        subset = Dataset(eval_data.features[:50], eval_data.labels[:50], eval_data.class_count)
+        assert baseline == evaluate(float_model, subset)
+        for row, (qat_model, _) in zip(rows, trained, strict=True):
+            ptq_model = trainer.scan_precisions(float_model, train_data.features, row.bits)
+            assert row.ptq_rel_acc == evaluate(ptq_model, subset, arithmetic="fixed").accuracy / baseline.accuracy
+            assert row.qat_rel_acc == evaluate(qat_model, subset, arithmetic="fixed").accuracy / baseline.accuracy
+        assert len({(row.ptq_rel_acc, row.qat_rel_acc) for row in rows}) > 1
+
+    def test_output_range_is_the_largest_magnitude(self):
+        # dense0 outputs its bias: its largest value is 3 and its most negative
+        # -20, so it needs the integer bits of 20.
+        data = synthetic_task(seed=7, n_samples=50, sample_seed=1)
+        model = build_classifier(16, [4], 5, seed=1)
+        model = model.replace_nodes([
+            node.with_params(weight=Tensor.from_numpy(np.zeros((4, 16))),
+                             bias=Tensor.from_numpy(np.array([-20.0, 3.0, 1.0, 0.5])))
+            if node.name == "dense0" else node for node in model.nodes])
+        want, act_int = [], None
+        for node, out in list(trainer._forward_layers(model, data.features)):
+            if node.kind != "softmax":
+                act_int = trainer._int_bits_for(float(np.abs(out).max()))
+            want.append(act_int)
+        assert trainer._output_int_bits(model, data.features) == want
+        assert want[1:3] == [6, 3]
+
     def test_binary_tanh_gives_a_scan_no_range(self):
         # Training refuses the kind first, so only a float model given to the scan reaches this rule.
         data = synthetic_task(seed=7, n_samples=40, sample_seed=1)
