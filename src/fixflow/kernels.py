@@ -10,41 +10,33 @@ and the test oracles all agree:
   accumulator spec's overflow handling at every add;
 * one final cast into the result spec.
 
-``_mac`` is the one statement of this convention: ``dense_mv`` and batch
-norm (a diagonal dense layer) call it, and ``sparse_mv_coo`` runs
-``dense_mv`` on the decompressed matrix. Within a row, the
-ascending packed index (``out * n_in + in``) is the ascending input
-index of the dense order, so dense and sparse results are bit-identical.
-Softmax is evaluated in real arithmetic at the output only.
-
-A wrapping accumulator is computed as one wrap of the exact sum of the
-bias and the rounded products: wrapping is reduction mod ``2**W``, which
-commutes with addition, so this equals wrapping every product and every
-add. A saturating accumulator still clamps every product and every add,
-in ascending input index, once per add whatever the number of rows,
-unless the bounds of the cast bias and products prove that no clamp can
-fire: then it is the exact sum too. An exact sum on int64 whose product
-cast is a left shift (the accumulator holds at least the products'
-fraction bits) is one int64 matmul, shifted, plus the cast bias. Every
-other sum (under a right shift, which rounds each product; on Python
-ints; or where a clamp may fire) forms the products of all rows for a
+``_sum`` is the one statement of this convention, for dense and batch-norm
+(a diagonal dense) layers; ``dense_mv`` runs it as a one-step plan, and
+``sparse_mv_coo`` runs ``dense_mv`` on the decompressed matrix, whose dense
+order is the packed order. Softmax is real arithmetic, at the output only.
+A wrapping sum is one wrap of the exact sum (wrapping commutes with
+addition), a saturating one whose bounds prove no clamp can fire the exact
+sum, and any other clamps every product and every add, once per add
+whatever the number of rows. An exact int64 sum whose product cast is a left
+shift is one matmul; every other sum forms the products of all rows for a
 block of input columns at a time.
 
-The emulator runs a whole block of rows per call. Its state between
-layers, and every tap, is a quantized ``Tensor`` of shape ``(B, width)``
-(or ``(width,)`` for a single row): the raws of one layer output on that
-layer's result spec. Each layer computes on its ``[B, width]`` block as
-int64 when the bounds of every value it forms fit int64: its products,
-sums, and the integers each cast forms, which ``fixed_point.cast_extremes``
-states once for the emulator and codegen. Otherwise it runs the same code
-on object arrays of Python ints, so products up to 128 bits and 64-bit
-accumulators never wrap outside the spec's own overflow rule.
+``plan`` makes each layer's static choices once: the kept columns, the
+weight layout, the cast bias, the shift, and the dtype and branch that the
+incoming spec's full range gives, int64 where every value formed fits
+(``fixed_point.cast_extremes``) and Python ints elsewhere. A choice left on
+Python ints or a per-add clamp is made again per call, from the call's raws.
+``run_inference`` walks the plan on bare ``[B, width]`` arrays, and only
+taps and the output become ``Tensor``s, unscanned, since the final casts
+put them in range. At ``FIXFLOW_LOG=DEBUG`` each step logs its choice.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +44,9 @@ from .fixed_point import (ROUND_HALF_UP, SATURATE, FixedPointSpec, apply_overflo
                           cast_extremes, cast_raw_array, int_dtype, quantize, shift_round)
 from .model_ir import (MODE_CONST_MINUS, MODE_CONST_PLUS, MODE_LE, LayerNode, ModelGraph,
                        PrecisionSet, Tensor, walk)
+
+log = logging.getLogger(__name__)
+MATMUL, EXACT, CLAMP = "matmul", "exact sum", "per-add clamp"  # a sum's branches, fastest first
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +92,20 @@ class LayerTap:
     output: Tensor
 
 
-# Elements of one [columns, B, m] block of products in ``_mac``: it bounds
-# the temporaries to at most this or one [B, m] accumulator, so a long block
+class _Step(NamedTuple):
+    name: str
+    spec: FixedPointSpec  # of the output raws; None for softmax's reals
+    choice: tuple  # (dtype, branch) from the incoming spec's full range
+    choose: object  # (lo, hi) of the input raws -> (dtype, branch)
+    body: object  # (input raws [B, n], dtype, branch) -> output raws [B, m]
+
+
+def _step(name, spec, in_spec, choose, body) -> _Step:
+    return _Step(name, spec, choose(in_spec.min_raw, in_spec.max_raw), choose, body)
+
+
+# Elements of one [columns, B, m] block of products in a sum: it bounds the
+# temporaries to at most this or one [B, m] accumulator, so a long block
 # of rows through a wide layer adds no memory. At 64 KB of int64 a block
 # stays below glibc's default mmap threshold (128 KB), above which every
 # temporary is mapped and faulted in afresh: 2**15 ran saturating layers of
@@ -110,99 +117,154 @@ def _extent(raws) -> tuple:
     return int(raws.min()), int(raws.max())
 
 
-def _mac(bias, bias_frac: int, weights, x, prod_frac: int, precision: PrecisionSet):
-    """Result raws [B, m] under the frozen convention.
+def _sum(name, weights: Tensor, bias: Tensor, in_spec, precision) -> _Step:
+    """The step of a 2-D weight tensor and its bias under the frozen convention."""
+    if len(weights.shape) != 2 or bias.size != weights.shape[0]:
+        raise ValueError(f"layer {name!r}: weight of shape {weights.shape} and {bias.size} biases")
+    acc_spec, (m, n), w_raws = precision.accumulator, weights.shape, weights.array.reshape(weights.shape)
+    # Zero-weight columns, like zero weights in kept ones, add exact zeros that change nothing.
+    cols = np.flatnonzero(w_raws.any(axis=0))
+    kept, k = np.ascontiguousarray(w_raws[:, cols].T), len(cols)  # [k, m]
+    prod_frac, bias_frac = weights.spec.fraction_bits + in_spec.fraction_bits, bias.spec.fraction_bits
+    shift, (wlo, whi) = acc_spec.fraction_bits - prod_frac, _extent(w_raws)
+    bias_terms = cast_extremes(*_extent(bias.array), bias_frac, acc_spec)
+    bias = cast_raw_array(bias.array.astype(int_dtype(*bias_terms)), bias_frac, acc_spec)
 
-    From bias raws [m], weight raws [m, n] and input raws [B, n]: the
-    accumulator starts at the cast bias; for j ascending, each exact
-    product is cast into the accumulator and added, with overflow after
-    the add; one final cast into the result spec.
+    def choose(xlo, xhi):
+        """(dtype, branch) of the sum on input raws in [xlo, xhi], by the partial-sum
+        bound. A right shift moves a value towards 0 and at most to 0, so the
+        formed bounds widened to take in 0 bound every cast value, and every
+        partial sum lies in [lowest, highest]: in range, no clamp fires. ``reach``
+        bounds a clamped sum (one term added to an in-range accumulator) and an
+        exact one (up to k terms added to the cast bias), and so the matmul."""
+        products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
+        terms = cast_extremes(min(products), max(products), prod_frac, acc_spec)
+        acc_range = (acc_spec.min_raw, acc_spec.max_raw)
+        lowest = min(bias_terms[0], 0) + k * min(terms[0], 0)
+        highest = max(bias_terms[1], 0) + k * max(terms[1], 0)
+        saturate = (acc_spec.overflow == SATURATE
+                    and not acc_range[0] <= lowest <= highest <= acc_range[1])
+        span = max(map(abs, acc_range))
+        reach = 2 * span if saturate else span + k * max(map(abs, terms[:2]))
+        dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach,
+                          *bias_terms,
+                          *cast_extremes(*acc_range, acc_spec.fraction_bits, precision.result))
+        if dtype is np.int64 and shift >= 0 and not saturate:
+            return dtype, MATMUL  # each cast product is the exact product shifted left
+        return dtype, CLAMP if saturate else EXACT
 
-    A wrapping accumulator takes one wrap of the exact sum of the cast
-    bias and the cast products of the k nonzero-weight columns, which
-    equals wrapping each product and every add (mod 2**W); so does a
-    saturating one whose worst-case sums stay in range. On int64, with
-    ``shift`` >= 0 (each cast product is the exact product shifted left),
-    that sum is ``(x @ w.T) << shift`` plus the cast bias, one matmul
-    whose every partial sum ``reach`` bounds. Otherwise the products are
-    shift-rounded into the accumulator a block of columns at a time, and
-    any other saturating accumulator clamps the products, then every add.
-    """
-    acc_spec, res_spec = precision.accumulator, precision.result
-    (wlo, whi), (xlo, xhi), (blo, bhi) = _extent(weights), _extent(x), _extent(bias)
-    # Zero-weight columns add exact zeros to an in-range accumulator, which
-    # leaves it unchanged. A zero weight inside a kept column does the same.
-    cols = np.flatnonzero((weights != 0).any(axis=0))
-    b, m, k = len(x), len(weights), len(cols)
-    products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
-    terms = cast_extremes(min(products), max(products), prod_frac, acc_spec)
-    bias_terms = cast_extremes(blo, bhi, bias_frac, acc_spec)
-    acc_range = (acc_spec.min_raw, acc_spec.max_raw)
-    # A right shift moves a value towards 0 and at most to 0, so the formed
-    # bounds widened to take in 0 bound every cast value. Every partial sum
-    # of the cast bias and up to k products then lies in [lowest, highest];
-    # when that is in range no clamp fires and the exact sum is the result.
-    lowest = min(bias_terms[0], 0) + k * min(terms[0], 0)
-    highest = max(bias_terms[1], 0) + k * max(terms[1], 0)
-    saturate = (acc_spec.overflow == SATURATE
-                and not acc_range[0] <= lowest <= highest <= acc_range[1])
-    # A clamped sum adds one term to an in-range accumulator; an exact one
-    # adds up to k terms to the cast bias.
-    span = max(map(abs, acc_range))
-    reach = 2 * span if saturate else span + k * max(map(abs, terms[:2]))
-    dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach,
-                      *bias_terms,
-                      *cast_extremes(*acc_range, acc_spec.fraction_bits, res_spec))
-    shift = acc_spec.fraction_bits - prod_frac
-    bias = cast_raw_array(bias.astype(dtype), bias_frac, acc_spec)
-    if dtype is np.int64 and shift >= 0 and not saturate:
-        # Each cast product is the exact product shifted left, so the exact
-        # sum is one matmul, shifted; ``reach`` bounds every partial sum.
-        acc = x[:, cols].astype(dtype, copy=False) @ weights[:, cols].T.astype(dtype, copy=False)
-        acc <<= shift
-        acc += bias
-    else:
-        # Column-major copies, so each [columns, B, m] block and its [B, m]
-        # slices are contiguous.
-        weights = np.ascontiguousarray(weights[:, cols].T, dtype=dtype)[:, None, :]
-        x = np.ascontiguousarray(x[:, cols].T, dtype=dtype)[:, :, None]
-        acc = np.repeat(bias[None, :], b, axis=0)
-        step = max(1, _BLOCK_ELEMENTS // max(1, b * m))
-        for c in range(0, k, step):
-            formed = shift_round(x[c:c + step] * weights[c:c + step], shift, acc_spec.rounding)
-            if saturate:
-                formed = apply_overflow_array(formed, acc_spec)
-                for term in formed:
-                    acc = apply_overflow_array(acc + term, acc_spec)
-            else:
-                acc = acc + formed.sum(axis=0)
-    if not saturate:
-        acc = apply_overflow_array(acc, acc_spec)
-    return cast_raw_array(acc, acc_spec.fraction_bits, res_spec)
+    def body(x, dtype, branch):
+        if x.shape[1] != n:
+            raise ValueError(f"layer {name!r}: weight {m}x{n}, input rows of {x.shape[1]}")
+        rows, x = len(x), x[:, cols]
+        weights, acc = kept.astype(dtype, copy=False), bias.astype(dtype, copy=False)
+        if branch == MATMUL:
+            acc = ((x.astype(dtype, copy=False) @ weights) << shift) + acc
+        else:
+            # Column-major copies: each [columns, B, m] block and its [B, m] slices are contiguous.
+            weights, x = weights[:, None, :], np.ascontiguousarray(x.T, dtype=dtype)[:, :, None]
+            acc = np.repeat(acc[None, :], rows, axis=0)
+            step = max(1, _BLOCK_ELEMENTS // max(1, rows * m))
+            for c in range(0, k, step):
+                formed = shift_round(x[c:c + step] * weights[c:c + step], shift, acc_spec.rounding)
+                if branch == CLAMP:
+                    formed = apply_overflow_array(formed, acc_spec)
+                    for term in formed:
+                        acc = apply_overflow_array(acc + term, acc_spec)
+                else:
+                    acc = acc + formed.sum(axis=0)
+        if branch != CLAMP:
+            acc = apply_overflow_array(acc, acc_spec)
+        return cast_raw_array(acc, acc_spec.fraction_bits, precision.result)
+
+    return _step(name, precision.result, in_spec, choose, body)
 
 
-def _rows(x: Tensor):
-    """The raws of a ``(n,)`` or ``(B, n)`` tensor as a [B, n] block."""
+def _batch_norm(node: LayerNode, in_spec) -> _Step:
+    scale = node.param("scale")  # a diagonal dense layer
+    diagonal = Tensor((scale.size, scale.size), np.diag(scale.array), scale.spec)
+    return _sum(node.name, diagonal, node.param("shift"), in_spec, node.precision)
+
+
+def _relu(node: LayerNode, in_spec) -> _Step:
+    frac, spec = in_spec.fraction_bits, node.precision.result
+    return _step(node.name, spec, in_spec,
+                 lambda lo, hi: (int_dtype(*cast_extremes(0, max(hi, 0), frac, spec)), "relu"),
+                 lambda x, dtype, _: cast_raw_array(np.maximum(x, 0).astype(dtype, copy=False), frac, spec))
+
+
+def _sign(node: LayerNode, in_spec) -> _Step:
+    """A materialized binary or ternary tanh, whose every x - t is exact."""
+    half, *levels = sign_levels(node)
+    thresholds, modes, spec = node.param("threshold").array, node.param("mode").array, node.precision.result
+    levels, (tlo, thi) = np.array(levels, dtype=spec.raw_dtype), _extent(thresholds)  # +1, 0, -1
+
+    def body(x, dtype, _):
+        x, t = x.astype(dtype, copy=False), thresholds.astype(dtype, copy=False)
+        return levels[(1.0 - sign_activation(x, t, modes, half)).astype(int)]
+
+    return _step(node.name, spec, in_spec, lambda xlo, xhi: (int_dtype(
+        xlo, xhi, tlo, thi, xlo - thi, xhi - tlo, tlo - xhi, thi - xlo, half), "sign"), body)
+
+
+def _softmax(node: LayerNode, in_spec) -> _Step:
+    def body(x, dtype, _):
+        out = []
+        for reals in Tensor._from_cast(x.shape, x, in_spec).to_numpy().tolist():
+            peak = max(reals)
+            exps = [math.exp(r - peak) for r in reals]
+            total = sum(exps)
+            out.append([e / total for e in exps])
+        return np.array(out)
+
+    return _step(node.name, None, in_spec, lambda lo, hi: (np.float64, "softmax"), body)
+
+
+_STEPS = {"dense": lambda node, spec: _sum(node.name, node.param("weight"), node.param("bias"), spec,
+                                           node.precision),
+          "input": lambda node, spec: _step(node.name, spec, spec,
+                                            lambda lo, hi: (spec.raw_dtype, "input"), lambda x, dtype, _: x),
+          "batch_norm": _batch_norm, "relu": _relu, "binary_tanh": _sign, "ternary_tanh": _sign,
+          "softmax": _softmax}
+
+
+def plan(graph: ModelGraph, input_spec: FixedPointSpec) -> list:
+    """One ``_Step`` per layer of ``graph`` for input raws on ``input_spec``.
+    Real parameters are quantized as ``materialize_quantized`` does."""
+    return _plan(walk(graph), input_spec)
+
+
+def _plan(walked: list, input_spec: FixedPointSpec) -> list:
+    steps, spec = [], input_spec
+    for node, in_spec, width, _ in walked:
+        steps.append(_STEPS[node.kind](_materialized(node, in_spec, width), spec))
+        spec = steps[-1].spec
+    return steps
+
+
+def _run(steps: list, x: Tensor, tap_all: bool):
+    """(output, taps) of ``steps`` on the rows of ``x``; the taps when ``tap_all``."""
     if len(x.shape) > 2:
         raise ValueError(f"input must be one row or a block of rows, got shape {x.shape}")
-    return x.array.reshape(-1, x.shape[-1])
+    lead, raws, taps = x.shape[:-1], x.array.reshape(-1, x.shape[-1]), []
+    debug = log.isEnabledFor(logging.DEBUG)
+    for name, spec, (dtype, branch), choose, body in steps:
+        proven = dtype is not object and branch != CLAMP  # else the call's raws may do better
+        dtype, branch = (dtype, branch) if proven else choose(*_extent(raws))
+        raws = body(raws, dtype, branch)
+        if debug:
+            log.debug("step %s: %s, %s, %s", name, np.dtype(dtype).name, branch,
+                      "proven from the spec" if proven else "taken from the data")
+        if tap_all:
+            taps.append(LayerTap(name, Tensor._from_cast(lead + raws.shape[1:], raws, spec)))
+    return taps[-1].output if tap_all else Tensor._from_cast(lead + raws.shape[1:], raws, spec), taps
 
 
 def dense_mv(weights: Tensor, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
-    """Matrix-vector kernel under the frozen cast-point convention.
-
-    ``x`` is one row ``(n,)`` or a block ``(B, n)``; the result has the
-    same leading shape.
-    """
-    if len(weights.shape) != 2:
-        raise ValueError(f"weight tensor must be 2-D, got shape {weights.shape}")
-    m, n = weights.shape
+    """Matrix-vector kernel under the frozen cast-point convention: ``x`` is
+    one row ``(n,)`` or a block ``(B, n)``, and the result has its leading shape."""
     x = x if isinstance(x, Tensor) else Tensor((len(x),), x)
-    if bias.size != m or x.shape[-1] != n:
-        raise ValueError(f"shape mismatch: weight {m}x{n}, bias {bias.size}, input {x.shape}")
-    out = _mac(bias.array, bias.spec.fraction_bits, weights.array.reshape(m, n), _rows(x),
-               weights.spec.fraction_bits + x.spec.fraction_bits, precision)
-    return Tensor(x.shape[:-1] + (m,), out, precision.result)
+    return _run([_sum("dense_mv", weights, bias, x.spec, precision)], x, False)[0]
 
 
 def compress_coo(weights: Tensor) -> CooWeights:
@@ -221,12 +283,9 @@ def decompress_coo(coo: CooWeights) -> Tensor:
 
 
 def sparse_mv_coo(coo: CooWeights, bias: Tensor, x, precision: PrecisionSet) -> Tensor:
-    """COO kernel: ``dense_mv`` on the decompressed matrix.
-
-    The dense order visits a row's entries in ascending input index, which
-    is their packed order, and the zeros COO leaves out add nothing, so
-    this is what the emitted COO kernel computes.
-    """
+    """COO kernel: ``dense_mv`` on the decompressed matrix, whose dense order
+    is the packed one; the zeros COO leaves out add nothing, so this is what
+    the emitted COO kernel computes."""
     return dense_mv(decompress_coo(coo), bias, x, precision)
 
 
@@ -263,35 +322,34 @@ def materialize_quantized(graph: ModelGraph) -> ModelGraph:
     read, and materializing it again changes nothing. A threshold already
     quantized on another grid raises ValueError naming the layer.
     """
-    nodes = []
-    for node, in_spec, width, _ in walk(graph):
-        prec = node.precision
-        if node.kind == "dense" and not node.param("weight").is_quantized():
-            node = node.with_params(
-                weight=node.param("weight").quantized(prec.weight),
-                bias=node.param("bias").quantized(prec.bias),
-            )
-        elif node.kind == "batch_norm" and not (
-            "scale" in node.params and node.param("scale").is_quantized()
-        ):
-            scale, shift = batch_norm_scale_shift(node.params)
-            node = replace(node, params={
-                "scale": Tensor.from_numpy(scale).quantized(prec.weight),
-                "shift": Tensor.from_numpy(shift).quantized(prec.bias),
-            })
-        elif node.kind in ("binary_tanh", "ternary_tanh"):
-            # Round-to-nearest with saturation keeps the comparison grid stable.
-            tspec = replace(in_spec, rounding=ROUND_HALF_UP, overflow=SATURATE)
-            thresholds = node.params.get("threshold")
-            if thresholds is None or not thresholds.is_quantized():
-                t, m = sign_params(node, width)
-                node = node.with_params(threshold=Tensor.from_numpy(t).quantized(tspec),
-                                        mode=Tensor.from_numpy(m))
-            elif thresholds.spec != tspec:
-                raise ValueError(f"layer {node.name!r}: thresholds are quantized on "
-                                 f"{thresholds.spec}, but the incoming grid is {tspec}")
-        nodes.append(node)
-    return graph.replace_nodes(nodes)
+    return graph.replace_nodes([_materialized(node, in_spec, width)
+                                for node, in_spec, width, _ in walk(graph)])
+
+
+def _materialized(node: LayerNode, in_spec, width: int) -> LayerNode:
+    """``node`` as ``materialize_quantized`` leaves it: itself once materialized."""
+    prec = node.precision
+    if node.kind == "dense" and not node.param("weight").is_quantized():
+        return node.with_params(weight=node.param("weight").quantized(prec.weight),
+                                bias=node.param("bias").quantized(prec.bias))
+    if node.kind == "batch_norm" and not ("scale" in node.params and node.param("scale").is_quantized()):
+        scale, shift = batch_norm_scale_shift(node.params)
+        return replace(node, params={
+            "scale": Tensor.from_numpy(scale).quantized(prec.weight),
+            "shift": Tensor.from_numpy(shift).quantized(prec.bias),
+        })
+    if node.kind in ("binary_tanh", "ternary_tanh"):
+        # Round-to-nearest with saturation keeps the comparison grid stable.
+        tspec = replace(in_spec, rounding=ROUND_HALF_UP, overflow=SATURATE)
+        thresholds = node.params.get("threshold")
+        if thresholds is None or not thresholds.is_quantized():
+            t, m = sign_params(node, width)
+            return node.with_params(threshold=Tensor.from_numpy(t).quantized(tspec),
+                                    mode=Tensor.from_numpy(m))
+        if thresholds.spec != tspec:
+            raise ValueError(f"layer {node.name!r}: thresholds are quantized on "
+                             f"{thresholds.spec}, but the incoming grid is {tspec}")
+    return node
 
 
 def sign_params(node: LayerNode, width: int):
@@ -324,32 +382,10 @@ def sign_activation(x, thresholds, modes, half):
     one entry per channel (mode codes in ``model_ir``). With d = x - t
     (t - x under MODE_LE) the output is +1 when d >= half, -1 when
     d <= -half and 0 in between; binary tanh is the ternary with half = 0.
-    Raws come as int64 only when every x - t fits int64, and otherwise as
-    object arrays of Python ints, so that x - t is exact.
     """
     d = np.where(modes == MODE_LE, thresholds - x, x - thresholds)
     out = np.where(d >= half, 1.0, np.where(d <= -half, -1.0, 0.0))
     return np.where(modes == MODE_CONST_PLUS, 1.0, np.where(modes == MODE_CONST_MINUS, -1.0, out))
-
-
-def _sign_block(node: LayerNode, x: Tensor) -> np.ndarray:
-    """Raws of a materialized sign activation on a block of rows."""
-    half, *levels = sign_levels(node)
-    thresholds, modes = node.param("threshold").array, node.param("mode").array
-    (xlo, xhi), (tlo, thi) = _extent(x.array), _extent(thresholds)
-    dtype = int_dtype(xlo, xhi, tlo, thi, xlo - thi, xhi - tlo, tlo - xhi, thi - xlo, half)
-    codes = sign_activation(_rows(x).astype(dtype), thresholds.astype(dtype), modes, half)
-    return np.array(levels, dtype=object)[(1.0 - codes).astype(int)]  # +1, 0, -1
-
-
-def _softmax_real(x: Tensor) -> Tensor:
-    out = []
-    for reals in x.to_numpy().reshape(-1, x.shape[-1]).tolist():
-        peak = max(reals)
-        exps = [math.exp(r - peak) for r in reals]
-        total = sum(exps)
-        out.extend(e / total for e in exps)
-    return Tensor(x.shape, out)
 
 
 def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool = False):
@@ -358,39 +394,18 @@ def run_inference(graph: ModelGraph, input_tensor: Tensor = None, tap_all: bool 
     The input is one row of the input width, or a ``(B, width)`` block of
     rows that runs as one batch; the output and every tap keep its leading
     shape, and row b of each equals a single-row call on row b, bit for bit.
-    Parameters are materialized once per call when still real-valued. A
-    real input is quantized onto the input layer's result spec; a quantized
-    one is used as it is. Taps collect every layer output in chain order
-    when requested. Compressed dense layers run through ``dense_mv``: COO
-    order equals dense order, so the result is the same bit for bit.
+    A real input is quantized onto the input layer's result spec, and the
+    first layer is planned on the input's spec. Each call plans the graph
+    once. Taps collect every layer output in chain order when requested.
+    Compressed dense layers run as dense ones (COO order is dense order).
     """
-    taps = []
-    for node in materialize_quantized(graph).nodes:
-        res_spec = node.precision.result
-        if node.kind == "input":
-            current = node.params.get("value", input_tensor)
-            if current is None:
-                raise ValueError("graph input is not constant and no input tensor was provided")
-            if not current.is_quantized():
-                current = current.quantized(res_spec)
-            if len(current.shape) > 1 and current.shape != (current.shape[0], graph.input_width):
-                current = Tensor((current.size,), current.array, current.spec)  # one row of any shape
-        elif node.kind == "dense":
-            current = dense_mv(node.param("weight"), node.param("bias"), current, node.precision)
-        elif node.kind == "batch_norm":
-            scale, shift = node.param("scale"), node.param("shift")
-            out = _mac(shift.array, shift.spec.fraction_bits, np.diag(scale.array), _rows(current),
-                       scale.spec.fraction_bits + current.spec.fraction_bits, node.precision)
-            current = Tensor(current.shape, out, res_spec)
-        elif node.kind == "relu":
-            frac = current.spec.fraction_bits
-            dtype = int_dtype(*cast_extremes(0, max(_extent(current.array)[1], 0), frac, res_spec))
-            out = cast_raw_array(np.maximum(current.array.astype(dtype), 0), frac, res_spec)
-            current = Tensor(current.shape, out, res_spec)
-        elif node.kind in ("binary_tanh", "ternary_tanh"):
-            current = Tensor(current.shape, _sign_block(node, current), res_spec)
-        else:  # softmax, always the last layer
-            current = _softmax_real(current)
-        if tap_all:
-            taps.append(LayerTap(node.name, current))
-    return current, taps
+    walked = walk(graph)
+    head = walked[0][0]
+    x = head.params.get("value", input_tensor)
+    if x is None:
+        raise ValueError("graph input is not constant and no input tensor was provided")
+    if not x.is_quantized():
+        x = x.quantized(head.precision.result)
+    if len(x.shape) > 1 and x.shape != (x.shape[0], graph.input_width):
+        x = Tensor((x.size,), x.array, x.spec)  # one row of any shape
+    return _run(_plan(walked, x.spec), x, tap_all)

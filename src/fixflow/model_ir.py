@@ -111,6 +111,16 @@ class Tensor:
         self.array = array
         self.spec = spec
 
+    @classmethod
+    def _from_cast(cls, shape: tuple, array: np.ndarray, spec: FixedPointSpec) -> "Tensor":
+        """A tensor of ``array``, not copied or range-checked: raws that a final
+        cast has just put on ``spec``, or float64 reals when ``spec`` is None."""
+        tensor = cls.__new__(cls)
+        tensor.shape, tensor.array, tensor.spec = shape, array.astype(
+            np.float64 if spec is None else spec.raw_dtype, copy=False).reshape(-1), spec
+        tensor.array.setflags(write=False)
+        return tensor
+
     @cached_property
     def data(self) -> tuple:
         """The elements as floats or FixedPointValues, built on first use."""
@@ -161,7 +171,7 @@ class Tensor:
         raws = round_scaled(y, spec.rounding)
         if spec.rounding == TRUNCATE:
             raws[(y == 0) & (x < 0)] = -1.0  # a negative x that ldexp underflowed to zero
-        return Tensor(self.shape, apply_overflow_array(raws.astype(np.int64), spec), spec)
+        return Tensor._from_cast(self.shape, apply_overflow_array(raws.astype(np.int64), spec), spec)
 
     @classmethod
     def from_numpy(cls, arr) -> "Tensor":

@@ -1,3 +1,6 @@
+import logging
+
+import numpy as np
 import pytest
 
 from fixflow import kernels, trainer
@@ -33,32 +36,33 @@ def jet_float_model(jet_init_model, jet_train_data):
     return model
 
 
+class _StepLog(logging.Handler):
+    """Collects the choice of each step a plan runs from the kernels' DEBUG log."""
+
+    DTYPES = {"int64": np.int64, "object": object, "float64": np.float64}
+
+    def __init__(self, calls):
+        super().__init__(logging.DEBUG)
+        self.calls = calls
+
+    def emit(self, record):
+        layer, dtype, branch, origin = record.args
+        self.calls.append({"layer": layer, "dtype": self.DTYPES[dtype], "branch": branch,
+                           "proven": origin == "proven from the spec",
+                           "loop": branch in (kernels.EXACT, kernels.CLAMP)})
+
+
 @pytest.fixture()
-def mac_calls(monkeypatch):
-    """A list that gets, per ``kernels._mac`` call, the dtype it chose and whether its blocked loop ran."""
-    calls, current = [], []
-    mac, pick, shift_round = kernels._mac, kernels.int_dtype, kernels.shift_round
-
-    def spy_mac(*args):
-        current.append({"dtype": None, "loop": False})
-        try:
-            return mac(*args)
-        finally:
-            calls.append(current.pop())
-
-    def spy_pick(*bounds):
-        dtype = pick(*bounds)
-        if current:
-            current[-1]["dtype"] = dtype
-        return dtype
-
-    def spy_shift_round(*args):
-        if current:
-            current[-1]["loop"] = True
-        return shift_round(*args)
-
-    monkeypatch.setattr(kernels, "_mac", spy_mac)
-    monkeypatch.setattr(kernels, "int_dtype", spy_pick)
-    monkeypatch.setattr(kernels, "shift_round", spy_shift_round)
-    return calls
-
+def mac_calls():
+    """A list that gets, per step a plan runs, what its DEBUG log line records:
+    the layer, the dtype, the branch, whether the spec proved the choice, and
+    ``loop``, whether a sum ran the blocked loop."""
+    calls, logger = [], logging.getLogger("fixflow.kernels")
+    handler, level, propagate = _StepLog(calls), logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    logger.propagate = False
+    yield calls
+    logger.removeHandler(handler)
+    logger.setLevel(level)
+    logger.propagate = propagate

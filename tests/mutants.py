@@ -47,12 +47,12 @@ MUTANTS = [
            "out = np.where(d >= half, 1.0,", "out = np.where(d > half, 1.0,",
            ("tests/test_kernels.py::TestRunInference::test_binary_tanh_threshold_and_modes",)),
     Mutant("mac_final_wrap_dropped", "kernels.py",
-           "    if not saturate:\n        acc = apply_overflow_array(acc, acc_spec)\n", "",
+           "        if branch != CLAMP:\n            acc = apply_overflow_array(acc, acc_spec)\n", "",
            ("tests/test_kernels.py::TestDenseMv::test_matches_rational_oracle_randomized",
             "tests/test_kernels.py::TestBlockPath::test_random_blocks_match_oracle_and_per_add_reference")),
     Mutant("saturating_sum_clamped_once", "kernels.py",
-           "                for term in formed:\n                    acc = apply_overflow_array(acc + term, acc_spec)\n",
-           "                acc = apply_overflow_array(acc + formed.sum(axis=0), acc_spec)\n",
+           "                    for term in formed:\n                        acc = apply_overflow_array(acc + term, acc_spec)\n",
+           "                    acc = apply_overflow_array(acc + formed.sum(axis=0), acc_spec)\n",
            ("tests/test_kernels.py::TestBlockPath::test_random_blocks_match_oracle_and_per_add_reference",)),
     # The exact sum is one matmul only where each cast product is the exact
     # product shifted left and no clamp can fire.
@@ -66,6 +66,16 @@ MUTANTS = [
     Mutant("mac_dtype_forced_to_int64", "kernels.py",
            "dtype = int_dtype(wlo, whi,", "dtype = np.int64 or int_dtype(wlo, whi,",
            ("tests/test_codegen.py::TestBatchParity::test_products_beyond_int64",)),
+    # A sum's bound takes in the cast bias, and a plan starts from the spec of
+    # the tensor passed, not from the input layer's.
+    Mutant("plan_bound_drops_bias", "kernels.py",
+           "        lowest = min(bias_terms[0], 0) + k * min(terms[0], 0)\n"
+           "        highest = max(bias_terms[1], 0) + k * max(terms[1], 0)\n",
+           "        lowest = k * min(terms[0], 0)\n        highest = k * max(terms[1], 0)\n",
+           ("tests/test_kernels.py::TestBlockPath::test_bias_alone_pushes_the_bound_past_the_accumulator",)),
+    Mutant("plan_uses_input_layer_spec", "kernels.py",
+           "_plan(walked, x.spec)", "_plan(walked, head.precision.result)",
+           ("tests/test_kernels.py::TestRunInference::test_quantized_input_on_another_spec_is_planned_on_its_own",)),
     Mutant("prune_cut_takes_every_tie", "pruning.py",
            "pruned = ratio < kth", "pruned = ratio <= kth",
            ("tests/test_pruning.py::TestPartitionCut",)),

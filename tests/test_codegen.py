@@ -19,6 +19,7 @@ from fixflow.codegen import (
     emit_report,
 )
 from fixflow.cli import run
+from fixflow.fixed_point import cast_extremes, int_dtype
 from fixflow.kernels import materialize_quantized, run_inference
 from fixflow.model_ir import (LayerNode, ModelGraph, PrecisionSet, Tensor, ValidationError,
                               parse_model, serialize_model, topo_order)
@@ -894,17 +895,64 @@ class TestBatchParity:
                 assert taps[k].output.array[b * len(want):(b + 1) * len(want)].tolist() == want
 
 
+def per_call_rule(node, x: Tensor) -> tuple:
+    """(dtype, branch) of a layer by the rule each call applied before layers were
+    planned: from the extents of the weights, the bias and this call's input raws."""
+    xlo, xhi = int(x.array.min()), int(x.array.max())
+    if node.kind == "relu":
+        return int_dtype(*cast_extremes(0, max(xhi, 0), x.spec.fraction_bits, node.precision.result)), "relu"
+    if node.kind in ("binary_tanh", "ternary_tanh"):
+        thresholds, half = node.param("threshold").array, kernels.sign_levels(node)[0]
+        tlo, thi = int(thresholds.min()), int(thresholds.max())
+        return int_dtype(xlo, xhi, tlo, thi, xlo - thi, xhi - tlo, tlo - xhi, thi - xlo, half), "sign"
+    if node.kind == "dense":
+        weights, bias = node.param("weight"), node.param("bias")
+        weights, w_frac = weights.array.reshape(weights.shape), weights.spec.fraction_bits
+    else:  # batch norm, a diagonal dense layer
+        weights, bias = np.diag(node.param("scale").array), node.param("shift")
+        w_frac = node.param("scale").spec.fraction_bits
+    acc_spec, prod_frac = node.precision.accumulator, w_frac + x.spec.fraction_bits
+    wlo, whi, blo, bhi = int(weights.min()), int(weights.max()), int(bias.array.min()), int(bias.array.max())
+    k = int((weights != 0).any(axis=0).sum())
+    products = (wlo * xlo, wlo * xhi, whi * xlo, whi * xhi)
+    terms = cast_extremes(min(products), max(products), prod_frac, acc_spec)
+    bias_terms = cast_extremes(blo, bhi, bias.spec.fraction_bits, acc_spec)
+    acc_range = (acc_spec.min_raw, acc_spec.max_raw)
+    lowest = min(bias_terms[0], 0) + k * min(terms[0], 0)
+    highest = max(bias_terms[1], 0) + k * max(terms[1], 0)
+    saturate = acc_spec.overflow == "saturate" and not acc_range[0] <= lowest <= highest <= acc_range[1]
+    span = max(map(abs, acc_range))
+    reach = 2 * span if saturate else span + k * max(map(abs, terms[:2]))
+    dtype = int_dtype(wlo, whi, xlo, xhi, *products, *terms, -reach, reach, *bias_terms,
+                      *cast_extremes(*acc_range, acc_spec.fraction_bits, node.precision.result))
+    if dtype is np.int64 and acc_spec.fraction_bits >= prod_frac and not saturate:
+        return dtype, kernels.MATMUL
+    return dtype, kernels.CLAMP if saturate else kernels.EXACT
+
+
+# Faster first: int64 before Python ints, and a matmul before an exact sum before a per-add clamp.
+SPEED = {np.int64: 0, object: 1, kernels.MATMUL: 0, kernels.EXACT: 1, kernels.CLAMP: 2}
+
+
 class TestExactSumMatmul:
     """An exact sum of products cast into an int64 accumulator by a left
     shift is one matmul. Each chain's taps equal those of the blocked loop,
-    run on Python ints by a ``kernels.int_dtype`` that always picks object."""
+    run on Python ints by a ``kernels.int_dtype`` that always picks object,
+    and each layer's planned dtype and branch are as fast as the per-call
+    rule's on the same rows, or faster."""
 
     def check(self, monkeypatch, calls, model, rows) -> list:
-        """Assert the taps equal the loop's; returns the ``_mac`` calls of the first run."""
+        """Assert the taps equal the loop's and the plan is no slower than the
+        per-call rule; returns the sum steps of the first run."""
         model = materialize_quantized(model)
         calls.clear()
         _, got = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
-        first = list(calls)
+        assert [call["layer"] for call in calls] == [node.name for node in model.nodes]
+        for node, x, call in zip(model.nodes[1:], got, calls[1:]):
+            dtype, branch = per_call_rule(node, x.output)
+            assert SPEED[call["dtype"]] <= SPEED[dtype], node.name
+            assert SPEED.get(call["branch"], 0) <= SPEED.get(branch, 0), node.name
+        first = [call for call in calls if call["branch"] in SPEED]
         with monkeypatch.context() as loop:
             loop.setattr(kernels, "int_dtype", lambda *bounds: object)
             _, want = run_inference(model, Tensor.from_numpy(rows), tap_all=True)
@@ -937,6 +985,10 @@ class TestExactSumMatmul:
     def test_wide_model(self, monkeypatch, mac_calls):
         rng = np.random.Generator(np.random.Philox(key=11))
         self.check(monkeypatch, mac_calls, wide_model(), rng.normal(0, 8, (40, 6)))
+
+    def test_every_kind_model(self, monkeypatch, mac_calls):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        self.check(monkeypatch, mac_calls, every_kind_model(), rng.normal(0, 2, (40, 6)))
 
     def test_products_beyond_int64_take_the_object_loop(self, monkeypatch, mac_calls):
         rng = np.random.Generator(np.random.Philox(key=81))

@@ -416,23 +416,34 @@ class TestBlockPath:
         self.check(random.Random(0), weights, bias, rows, prec, events)
         assert dense_mv(weights, bias, rows, prec).array.tolist() == [want]
 
-    def test_wide_wrapping_sum_stays_int64(self):
+    def test_bias_alone_pushes_the_bound_past_the_accumulator(self, mac_calls):
+        # Products of weights +-10 and inputs in [-2, 1] stay within +-40 of the
+        # cast bias, inside fixed<8,8,sat>; the bias raw 120 takes the bound past
+        # 127. On row 0 the per-add clamp then gives 120 + 10 -> 127, less 10:
+        # 117, where the exact sum would be 120.
+        spec, acc = FixedPointSpec(8, 8), FixedPointSpec(8, 8, overflow=SATURATE)
+        prec = PrecisionSet(spec, spec, acc, spec)
+        weights, bias = Tensor((1, 2), [10, -10], spec), Tensor((1,), [120], spec)
+        rows = Tensor((3, 2), [1, 1, -2, -2, 0, 1], FixedPointSpec(2, 2))
+        events = {WRAP: 0, SATURATE: 0}
+        self.check(random.Random(0), weights, bias, rows, prec, events)
+        assert dense_mv(weights, bias, rows, prec).array.tolist() == [117, 120, 110]
+        assert {(call["branch"], call["proven"]) for call in mac_calls} == {(kernels.CLAMP, False)}
+
+    def test_wide_wrapping_sum_stays_int64(self, mac_calls):
         # A 60-bit accumulator adding 32 products of 16-bit raws: the exact
         # sum is bounded by 2**59 + 32 * 2**30 and needs no Python ints.
         rng = random.Random(810)
         wspec = FixedPointSpec(16, 4)
         acc = FixedPointSpec(60, 36)  # 24 fraction bits, as the products
         prec = PrecisionSet(wspec, wspec, acc, FixedPointSpec(32, 24))
-        weights = np.array(self.raws(rng, wspec, 4 * 32), dtype=np.int64).reshape(4, 32)
-        x = np.array(self.raws(rng, wspec, 3 * 32), dtype=np.int64).reshape(3, 32)
-        bias = np.array(self.raws(rng, wspec, 4), dtype=np.int64)
-        out = kernels._mac(bias, 12, weights, x, 24, prec)
-        assert out.dtype == np.int64
-        want = sequential_raws(Tensor((4, 32), weights.reshape(-1).tolist(), wspec),
-                               Tensor((4,), bias.tolist(), wspec),
-                               Tensor((3, 32), x.reshape(-1).tolist(), wspec), prec,
-                               {WRAP: 0, SATURATE: 0})
-        assert out.tolist() == want
+        weights = Tensor((4, 32), self.raws(rng, wspec, 4 * 32), wspec)
+        x = Tensor((3, 32), self.raws(rng, wspec, 3 * 32), wspec)
+        bias = Tensor((4,), self.raws(rng, wspec, 4), wspec)
+        out = dense_mv(weights, bias, x, prec)
+        assert [(call["dtype"], call["proven"]) for call in mac_calls] == [(np.int64, True)]
+        want = sequential_raws(weights, bias, x, prec, {WRAP: 0, SATURATE: 0})
+        assert out.array.reshape(3, 4).tolist() == want
 
     def test_all_zero_matrix_gives_cast_bias(self):
         spec = FixedPointSpec(8, 4)
@@ -494,7 +505,65 @@ class TestCastShiftsAroundInt64:
         assert out.array.tolist() == oracle_relu_raws(x.data, res)
 
 
+class TestPlan:
+    def test_wrapping_jet_model_is_proven_from_its_specs(self, jet_float_model):
+        # Every slot is fixed<16,6>: products of 16-bit raws, cast by a right
+        # shift of 10, sum in int64 whatever the rows, with no clamp to fire.
+        steps = kernels.plan(jet_float_model, jet_float_model.nodes[0].precision.result)
+        assert [step.name for step in steps] == [node.name for node in jet_float_model.nodes]
+        dense_relu = [(np.int64, kernels.EXACT), (np.int64, "relu")]
+        assert [step.choice for step in steps] == ([(np.int64, "input")] + dense_relu * 3
+                                                   + [(np.int64, kernels.EXACT), (np.float64, "softmax")])
+
+    def test_debug_log_names_each_step_once_per_call(self, caplog):
+        # The incoming spec's range lets a clamp fire in d; the rows' own
+        # extents prove the exact sum, which is one matmul at shift 0.
+        spec = FixedPointSpec(8, 4)
+        g = ModelGraph.chain([
+            LayerNode("input", "input", precision=PrecisionSet.uniform("fixed<8,4>")),
+            LayerNode("d", "dense", {"weight": Tensor((2, 2), (1.0, -1.0, 0.5, 2.0)),
+                                     "bias": Tensor((2,), (0.25, -0.5))},
+                      precision=PrecisionSet(spec, spec, FixedPointSpec(13, 5, overflow=SATURATE), spec)),
+            LayerNode("r", "relu", precision=PrecisionSet.uniform("fixed<8,4,u>")),
+        ], (2,))
+        x = Tensor((3, 2), (1.0, -2.0, 0.5, 0.25, -1.0, 3.0))
+        run_inference(g, x)
+        assert not caplog.records
+        caplog.set_level("DEBUG", logger="fixflow.kernels")
+        run_inference(g, x)
+        run_inference(g, x, tap_all=True)
+        assert caplog.messages == 2 * [
+            "step input: int64, input, proven from the spec",
+            "step d: int64, matmul, taken from the data",
+            "step r: int64, relu, proven from the spec",
+        ]
+
+
 class TestRunInference:
+    def test_quantized_input_on_another_spec_is_planned_on_its_own(self):
+        # The input layer's result is fixed<8,4>; the tensor passed sits on
+        # fixed<14,9>, with raws beyond 8 bits and five more fraction bits.
+        # The dense layer, the ReLU and the taps follow the tensor's spec.
+        prec = PrecisionSet(FixedPointSpec(8, 4), FixedPointSpec(8, 4), FixedPointSpec(24, 8),
+                            FixedPointSpec(12, 5))
+        g = ModelGraph.chain([
+            LayerNode("input", "input", precision=uniform_precision("fixed<8,4>")),
+            LayerNode("r0", "relu", precision=uniform_precision("fixed<16,8>")),
+            LayerNode("d", "dense", {"weight": Tensor((2, 3), (1.5, -0.75, 2.0, -3.0, 0.25, 1.0)),
+                                     "bias": Tensor((2,), (0.5, -1.25))}, precision=prec),
+        ], (3,))
+        xspec = FixedPointSpec(14, 9)
+        x = Tensor((2, 3), [5000, -8192, 1234, -77, 8191, 300], xspec)
+        out, taps = run_inference(g, x, tap_all=True)
+        assert taps[0].output.spec == xspec and taps[0].output.array.tolist() == x.array.tolist()
+        rspec = g.nodes[1].precision.result
+        relu = [oracle_relu_raws(Tensor((3,), row, xspec).data, rspec) for row in x.array.reshape(2, 3)]
+        assert taps[1].output.array.reshape(2, 3).tolist() == relu
+        node = kernels.materialize_quantized(g).node("d")
+        weights, bias = node.param("weight"), node.param("bias")
+        want = [oracle_dense_mv_raws(weights, bias, Tensor((3,), row, rspec).data, prec) for row in relu]
+        assert out.array.reshape(2, 2).tolist() == want
+
     def test_no_input_on_a_non_constant_graph(self):
         g = ModelGraph.chain([LayerNode("input", "input"), LayerNode("r", "relu")], (3,))
         with pytest.raises(ValueError, match="^graph input is not constant and no input tensor was provided$"):
